@@ -9,6 +9,7 @@ serialized checkpoint and re-serializing reproduces the bytes exactly.
 from __future__ import annotations
 
 import io
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BoltzmannMachine, LayerSpec, build_mask
-from .optim import AdamState, TrainConfig, load_config, parse_config_items
+from .optim import AdamState, TrainConfig, parse_config_text
 
 MAGIC = b"FLOWBMCK"
 FORMAT_VERSION = 1
@@ -67,15 +68,13 @@ def _unpack_array(buf: memoryview, offset: int, shape) -> tuple[np.ndarray, int]
         raise CheckpointCorruptError("truncated array header")
     (nbytes,) = struct.unpack_from("<Q", buf, offset)
     offset += 8
+    expected = 8 * math.prod(shape)
+    if nbytes != expected:
+        raise CheckpointCorruptError(f"array has {nbytes} bytes, expected {expected}")
     if offset + nbytes > len(buf):
         raise CheckpointCorruptError("truncated array payload")
     arr = np.frombuffer(buf, dtype="<f8", count=nbytes // 8, offset=offset)
     offset += nbytes
-    expected = int(np.prod(shape))
-    if arr.size != expected:
-        raise CheckpointCorruptError(
-            f"array has {arr.size} elements, expected {expected}"
-        )
     return arr.reshape(shape).astype(np.float64), offset
 
 
@@ -121,39 +120,36 @@ def deserialize(blob: bytes) -> Checkpoint:
         raise CheckpointVersionError(
             f"format version {version} not supported (expected {FORMAT_VERSION})"
         )
-    (n_layers,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    sizes = struct.unpack_from(f"<{n_layers}I", buf, offset)
-    offset += 4 * n_layers
-    (n_intra,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    intra = struct.unpack_from(f"<{n_intra}B", buf, offset) if n_intra else ()
-    offset += n_intra
-    layout = LayerSpec(sizes, tuple(bool(f) for f in intra))
-    (epoch,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    (config_len,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    config_blob = bytes(buf[offset : offset + config_len]).decode("utf-8")
-    offset += config_len
-    items = {}
-    for line in config_blob.splitlines():
-        if line.strip():
-            key, value = line.split("=", 1)
-            items[key.strip()] = value.strip()
-    config = parse_config_items(items)
-    (n,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
-    if n != sum(sizes):
-        raise CheckpointCorruptError(f"vertex count {n} does not match layout {sizes}")
-    weights, offset = _unpack_array(buf, offset, (n, n))
-    biases, offset = _unpack_array(buf, offset, (n,))
-    (t,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    m1_w, offset = _unpack_array(buf, offset, (n, n))
-    m2_w, offset = _unpack_array(buf, offset, (n, n))
-    m1_b, offset = _unpack_array(buf, offset, (n,))
-    m2_b, offset = _unpack_array(buf, offset, (n,))
+    try:
+        (n_layers,) = struct.unpack_from("<I", buf, offset)
+        offset += 4
+        sizes = struct.unpack_from(f"<{n_layers}I", buf, offset)
+        offset += 4 * n_layers
+        (n_intra,) = struct.unpack_from("<I", buf, offset)
+        offset += 4
+        intra = struct.unpack_from(f"<{n_intra}B", buf, offset) if n_intra else ()
+        offset += n_intra
+        layout = LayerSpec(sizes, tuple(bool(f) for f in intra))
+        (epoch,) = struct.unpack_from("<Q", buf, offset)
+        offset += 8
+        (config_len,) = struct.unpack_from("<Q", buf, offset)
+        offset += 8
+        config = parse_config_text(bytes(buf[offset : offset + config_len]).decode("utf-8"))
+        offset += config_len
+        (n,) = struct.unpack_from("<I", buf, offset)
+        offset += 4
+        if n != sum(sizes):
+            raise CheckpointCorruptError(f"vertex count {n} does not match layout {sizes}")
+        weights, offset = _unpack_array(buf, offset, (n, n))
+        biases, offset = _unpack_array(buf, offset, (n,))
+        (t,) = struct.unpack_from("<Q", buf, offset)
+        offset += 8
+        m1_w, offset = _unpack_array(buf, offset, (n, n))
+        m2_w, offset = _unpack_array(buf, offset, (n, n))
+        m1_b, offset = _unpack_array(buf, offset, (n,))
+        m2_b, offset = _unpack_array(buf, offset, (n,))
+    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+        raise CheckpointCorruptError(f"malformed checkpoint: {exc}") from exc
     if offset != len(buf):
         raise CheckpointCorruptError(f"{len(buf) - offset} trailing bytes")
     adam = AdamState(m1_w, m2_w, m1_b, m2_b, int(t))

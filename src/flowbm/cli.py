@@ -54,6 +54,11 @@ def _threads(args) -> int:
     return n
 
 
+def _require_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=str, default=None, help="key=value config file")
     for name in CONFIG_FLAGS:
@@ -90,6 +95,18 @@ def _layout(args) -> LayerSpec:
     return LayerSpec.from_strings(args.layout, args.intra or "")
 
 
+def _restart_epoch_csv(path: Path, start_epoch: int) -> None:
+    """Write the epochs.csv header, keeping an existing file's rows for epochs
+    before `start_epoch` so that a resumed run keeps its history."""
+    kept = []
+    if start_epoch > 0 and path.exists():
+        with open(path, newline="", encoding="utf-8") as fh:
+            kept = [row for row in fh.readlines()[1:] if int(row.split(",", 1)[0]) < start_epoch]
+    training.write_epoch_csv(path, [], append=False)
+    with open(path, "a", newline="", encoding="utf-8") as fh:
+        fh.writelines(kept)
+
+
 def cmd_train(args) -> int:
     method = args.method
     if method in ("cd", "pcd"):
@@ -106,11 +123,12 @@ def cmd_train(args) -> int:
         if not args.layout:
             raise UsageError("--layout is required unless resuming")
         layout = _layout(args)
-        cfg = _build_config(args)
-        if args.epochs is None and len(layout.sizes) > 2:
-            cfg = cfg.replace(epochs=200)  # deeper machines get more headroom
+        # Deeper machines default to more epochs; a config file or flag overrides.
+        cfg = _build_config(args, TrainConfig(epochs=200) if len(layout.sizes) > 2 else None)
         machine, adam = training.init_state(layout, cfg)
         start_epoch = 0
+    if cfg.epochs < start_epoch:
+        raise UsageError(f"--epochs {cfg.epochs} is below the checkpoint's epoch {start_epoch}")
     ds = _load_dataset(args.images, args.labels, args.threshold, args.limit)
     threads = _threads(args)
 
@@ -123,7 +141,7 @@ def cmd_train(args) -> int:
         fh.write(cfg.to_text())
 
     csv_path = out / "epochs.csv"
-    training.write_epoch_csv(csv_path, [], append=False)
+    _restart_epoch_csv(csv_path, start_epoch)
     every = args.checkpoint_every
 
     def on_epoch(epoch, m, st, _pairs, log):
@@ -147,23 +165,31 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
+def _confabulate(args, tag: int, count: int, threads: int) -> np.ndarray:
+    """Confabulations from `args.checkpoint` as set by the generate/eval-ll flags.
+
+    `r` and `intra_sweeps` default to the checkpoint's training values; the
+    top layer starts uniform or from the mean-activation prior over `--data`.
+    """
     ck = ckpt_io.load_checkpoint(args.checkpoint)
     m = ck.machine()
-    threads = _threads(args)
     r = args.r if args.r is not None else ck.config.r
     sweeps = args.intra_sweeps if args.intra_sweeps is not None else ck.config.intra_sweeps
     if args.init == "prior":
         if not args.data:
             raise UsageError("--init prior needs --data with training images")
         ds = _load_dataset(args.data, None, args.threshold, args.limit)
-        prior = mean_activation_prior(m, ds, RngStream(args.seed, TAG_GENERATE).child(0),
-                                      sweeps, threads)
-        top_init = prior
+        top_init = mean_activation_prior(m, ds, RngStream(args.seed, tag).child(0),
+                                         sweeps, threads)
     else:
         top_init = "uniform"
-    streams = [RngStream(args.seed, TAG_GENERATE).child(1, i) for i in range(args.count)]
-    probs = generate_batch(m, top_init, r, streams, sweeps, threads)
+    streams = [RngStream(args.seed, tag).child(1, i) for i in range(count)]
+    return generate_batch(m, top_init, r, streams, sweeps, threads)
+
+
+def cmd_generate(args) -> int:
+    _require_positive("--count", args.count)
+    probs = _confabulate(args, TAG_GENERATE, args.count, _threads(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "probabilities.csv", probs, delimiter=",", fmt="%.8f")
@@ -177,6 +203,7 @@ def cmd_reconstruct(args) -> int:
     m = ck.machine()
     if len(m.layout.sizes) < 2:
         raise UsageError("reconstruction needs a machine with a hidden layer")
+    _require_positive("--trials", args.trials)
     threads = _threads(args)
     ds = _load_dataset(args.images, None, args.threshold, args.limit)
     patterns = list(metrics.PATTERNS) if args.pattern == "all" else [args.pattern]
@@ -214,42 +241,28 @@ def cmd_reconstruct(args) -> int:
     return 0
 
 
-def cmd_eval_ll(args) -> int:
-    threads = _threads(args)
+def _eval_images(args, path) -> np.ndarray:
+    """Images for Parzen evaluation: thresholded bits, or [0, 1] pixels with --raw."""
     if args.raw:
-        raw_test, _ = load_idx(args.test_images)
-        test = raw_test.reshape(raw_test.shape[0], -1).astype(np.float64) / 255.0
-    else:
-        test = _load_dataset(args.test_images, None, args.threshold, None).images
+        raw, _ = load_idx(path)
+        return raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
+    return _load_dataset(path, None, args.threshold, None).images
+
+
+def cmd_eval_ll(args) -> int:
+    _require_positive("--n-samples", args.n_samples)
+    threads = _threads(args)
+    test = _eval_images(args, args.test_images)
     if args.limit_test is not None:
         test = test[: args.limit_test]
     if args.samples_from_data:
         if not args.data:
             raise UsageError("--samples-from-data needs --data")
-        if args.raw:
-            raw, _ = load_idx(args.data)
-            samples = raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
-        else:
-            samples = _load_dataset(args.data, None, args.threshold, None).images
-        samples = samples[: args.n_samples]
+        samples = _eval_images(args, args.data)[: args.n_samples]
     else:
         if not args.checkpoint:
             raise UsageError("--checkpoint required unless --samples-from-data")
-        ck = ckpt_io.load_checkpoint(args.checkpoint)
-        m = ck.machine()
-        r = args.r if args.r is not None else ck.config.r
-        sweeps = args.intra_sweeps if args.intra_sweeps is not None else ck.config.intra_sweeps
-        if args.init == "prior":
-            if not args.data:
-                raise UsageError("--init prior needs --data with training images")
-            ds = _load_dataset(args.data, None, args.threshold, args.limit)
-            prior = mean_activation_prior(
-                m, ds, RngStream(args.seed, TAG_EVAL).child(0), sweeps, threads)
-            top_init = prior
-        else:
-            top_init = "uniform"
-        streams = [RngStream(args.seed, TAG_EVAL).child(1, i) for i in range(args.n_samples)]
-        samples = generate_batch(m, top_init, r, streams, sweeps, threads)
+        samples = _confabulate(args, TAG_EVAL, args.n_samples, threads)
     mean, stderr = metrics.parzen_ll(samples, test, args.sigma)
     print(f"parzen_ll {mean:.4f} stderr {stderr:.4f} "
           f"(samples={len(samples)}, test={len(test)}, sigma={args.sigma})")

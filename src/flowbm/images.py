@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-IMAGE_SIDE = 28
-
 
 def to_grey(values: np.ndarray) -> np.ndarray:
     """Map [0, 1] floats (or bits) to uint8 grey levels."""

@@ -4,14 +4,13 @@ log-likelihood, activation histograms, and corruption patterns."""
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
+from scipy.special import expit, logsumexp
 
 from .model import BoltzmannMachine
-from .sampling import RngStream, _async_sweep, _layer_input, sigmoid
+from .sampling import RngStream, _draw, _layer_input, _update_hidden, map_shards
 
 IMAGE_SIDE = 28
 CORRUPT_BAND = 12  # rows or columns replaced by noise out of 28
@@ -118,23 +117,12 @@ def _reconstruct_rows(
     intra_sweeps: int,
 ) -> np.ndarray:
     """Clamped alternating Gibbs for a block of images (rows)."""
-    sizes = m.layout.sizes
-    sl = m.layout.slices()
-    v = corrupted.astype(np.float64)
     given = corrupted.astype(np.float64)
-    rows = [v] + [np.zeros((v.shape[0], w)) for w in sizes[1:]]
+    rows = [given] + [np.zeros((given.shape[0], w)) for w in m.layout.sizes[1:]]
     for t in range(gibbs_steps):
-        probs_h = sigmoid(_layer_input(m, 1, rows, zero_above=True))
-        u = np.stack([s.uniforms(sizes[1]) for s in streams])
-        rows[1] = (u < probs_h).astype(np.float64)
-        if m.layout.has_intra(1):
-            below_input = rows[0] @ m.weights[sl[0], sl[1]] + m.biases[sl[1]]
-            for _ in range(intra_sweeps):
-                u = np.stack([s.uniforms(sizes[1]) for s in streams])
-                _async_sweep(m, 1, rows[1], below_input, u)
-        probs_v = sigmoid(_layer_input(m, 0, rows, zero_above=False))
-        u = np.stack([s.uniforms(sizes[0]) for s in streams])
-        sampled = (u < probs_v).astype(np.float64)
+        rows[1] = _update_hidden(m, 1, rows, streams, intra_sweeps)
+        probs_v = expit(_layer_input(m, 0, rows, zero_above=False))
+        sampled = _draw(probs_v, streams)
         if t < gibbs_steps - 1:
             rows[0] = np.where(known, given, sampled)
         else:
@@ -161,18 +149,9 @@ def reconstruct(
     update; the unknown pixels of the final visible update are thresholded
     at 0.5 from the Bernoulli probabilities instead of sampled.
     """
-    if len(m.layout.sizes) < 2:
-        raise ValueError("reconstruction needs a hidden layer")
-    corrupted = np.asarray(corrupted)
-    known_mask = np.asarray(known_mask, dtype=bool)
-    if corrupted.shape != (m.layout.sizes[0],) or known_mask.shape != corrupted.shape:
-        raise ValueError("corrupted image / mask shape mismatch")
-    if gibbs_steps < 1:
-        raise ValueError(f"gibbs_steps must be at least 1, got {gibbs_steps}")
-    out = _reconstruct_rows(
-        m, corrupted[None, :], known_mask[None, :], gibbs_steps, [rng], intra_sweeps
-    )
-    return out[0]
+    corrupted = np.asarray(corrupted)[None, :]
+    known_mask = np.asarray(known_mask)[None, :]
+    return reconstruct_batch(m, corrupted, known_mask, gibbs_steps, [rng], intra_sweeps)[0]
 
 
 def reconstruct_batch(
@@ -184,20 +163,29 @@ def reconstruct_batch(
     intra_sweeps: int = 1,
     threads: int = 1,
 ) -> np.ndarray:
-    corrupted = np.atleast_2d(corrupted)
-    known = np.atleast_2d(known)
-    chunk = 512
-    shards = [slice(a, min(a + chunk, corrupted.shape[0])) for a in range(0, corrupted.shape[0], chunk)]
-
-    def run(sh: slice) -> np.ndarray:
-        return _reconstruct_rows(
-            m, corrupted[sh], known[sh], gibbs_steps, streams[sh.start : sh.stop], intra_sweeps
+    """`reconstruct` for many images (rows), one stream per row."""
+    if len(m.layout.sizes) < 2:
+        raise ValueError("reconstruction needs a hidden layer")
+    corrupted = np.atleast_2d(np.asarray(corrupted))
+    known = np.atleast_2d(np.asarray(known, dtype=bool))
+    if corrupted.ndim != 2 or corrupted.shape[1] != m.layout.sizes[0]:
+        raise ValueError(
+            f"corrupted images have shape {corrupted.shape}, expected (*, {m.layout.sizes[0]})"
         )
-
-    if threads > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(run, shards)))
-    return np.concatenate([run(sh) for sh in shards])
+    if known.shape != corrupted.shape:
+        raise ValueError("corrupted image / mask shape mismatch")
+    if corrupted.shape[0] != len(streams):
+        raise ValueError("need one RngStream per row")
+    if gibbs_steps < 1:
+        raise ValueError(f"gibbs_steps must be at least 1, got {gibbs_steps}")
+    parts = map_shards(
+        lambda sh: _reconstruct_rows(
+            m, corrupted[sh], known[sh], gibbs_steps, streams[sh], intra_sweeps
+        ),
+        len(streams),
+        threads,
+    )
+    return np.concatenate(parts)
 
 
 def parzen_ll(

@@ -104,19 +104,11 @@ def active_blocks(layout: LayerSpec) -> list[tuple[slice, slice]]:
 
 
 def build_mask(layout: LayerSpec) -> np.ndarray:
-    """Boolean adjacency of allowed edges for the given layout."""
-    n = layout.n
-    mask = np.zeros((n, n), dtype=bool)
-    sl = layout.slices()
-    if len(layout.sizes) == 1:
-        mask[:] = True
-    else:
-        for lower, upper in zip(sl[:-1], sl[1:]):
-            mask[lower, upper] = True
-            mask[upper, lower] = True
-        for k in range(1, len(layout.sizes)):
-            if layout.has_intra(k):
-                mask[sl[k], sl[k]] = True
+    """Boolean adjacency of allowed edges: `active_blocks` and their mirrors."""
+    mask = np.zeros((layout.n, layout.n), dtype=bool)
+    for sa, sb in active_blocks(layout):
+        mask[sa, sb] = True
+        mask[sb, sa] = True
     np.fill_diagonal(mask, False)
     return mask
 

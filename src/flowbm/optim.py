@@ -65,19 +65,26 @@ def parse_config_items(items: dict[str, str], base: TrainConfig | None = None) -
     return base.replace(**updates)
 
 
+def parse_config_text(
+    text: str, base: TrainConfig | None = None, source: str = "config"
+) -> TrainConfig:
+    """Build a TrainConfig from key = value lines (# starts a comment)."""
+    items = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{source}:{lineno}: expected key = value, got {line!r}")
+        key, value = line.split("=", 1)
+        items[key.strip()] = value.strip()
+    return parse_config_items(items, base)
+
+
 def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
     """Read a plain-text key=value config file (# starts a comment)."""
-    items = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
-            key, value = line.split("=", 1)
-            items[key.strip()] = value.strip()
-    return parse_config_items(items, base)
+        return parse_config_text(fh.read(), base, str(path))
 
 
 @dataclass

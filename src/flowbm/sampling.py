@@ -15,11 +15,14 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+from scipy.special import expit
 
 from .model import BoltzmannMachine
 
-# Fixed chunk length for sharded batch sampling.  Chunk boundaries must not
-# depend on the thread count, otherwise results would too.
+# Rows per shard for every batch sampler (E-step, generation and
+# reconstruction).  `map_shards` alone sets shard boundaries, from the row
+# count only: a boundary that moved with the thread count would change
+# results.
 _CHUNK = 512
 
 
@@ -63,15 +66,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, key={self._key})"
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _check_states(m: BoltzmannMachine, states: list[np.ndarray]) -> list[np.ndarray]:
     sizes = m.layout.sizes
     if len(states) != len(sizes):
@@ -91,7 +85,7 @@ def _layer_input(
 ) -> np.ndarray:
     """Summed masked input to `target` from adjacent layers plus bias.
 
-    Intra-layer terms are never included here; `async_gibbs` owns them.
+    Intra-layer terms are never included here; `_async_sweep` owns them.
     """
     sl = m.layout.slices()
     total = np.broadcast_to(m.biases[sl[target]], (rows[0].shape[0], m.layout.sizes[target])).copy()
@@ -116,7 +110,7 @@ def conditional_prob(
     if target_layer < 1 or target_layer >= len(m.layout.sizes):
         raise ValueError(f"target_layer {target_layer} out of range")
     rows = _check_states(m, states)
-    return sigmoid(_layer_input(m, target_layer, rows, zero_above))[0]
+    return expit(_layer_input(m, target_layer, rows, zero_above))[0]
 
 
 def visible_prob(m: BoltzmannMachine, states: list[np.ndarray]) -> np.ndarray:
@@ -124,7 +118,7 @@ def visible_prob(m: BoltzmannMachine, states: list[np.ndarray]) -> np.ndarray:
     if len(m.layout.sizes) < 2:
         raise ValueError("machine has no hidden layer above the observed one")
     rows = _check_states(m, states)
-    return sigmoid(_layer_input(m, 0, rows, zero_above=False))[0]
+    return expit(_layer_input(m, 0, rows, zero_above=False))[0]
 
 
 def sample_layer(probs: np.ndarray, rng: RngStream) -> np.ndarray:
@@ -135,23 +129,51 @@ def sample_layer(probs: np.ndarray, rng: RngStream) -> np.ndarray:
     return (rng.uniforms(probs.shape[-1]) < probs).astype(np.uint8)
 
 
+def _draw(probs: np.ndarray, streams: list[RngStream]) -> np.ndarray:
+    """Bernoulli rows as floats: one uniform block per stream against `probs`."""
+    u = np.stack([s.uniforms(probs.shape[-1]) for s in streams])
+    return (u < probs).astype(np.float64)
+
+
 def _async_sweep(
     m: BoltzmannMachine,
     layer: int,
     h: np.ndarray,
     below_input: np.ndarray,
-    u: np.ndarray,
+    streams: list[RngStream],
 ) -> None:
     """One in-place sweep of unit-by-unit resampling in ascending order.
 
     Each unit sees the latest values of its intra-layer neighbors; the
-    layer below is folded into `below_input` (weights below + bias).
+    layer below is folded into `below_input` (weights below + bias).  Each
+    stream serves one uniform block for its row.
     """
+    u = np.stack([s.uniforms(h.shape[1]) for s in streams])
     sl = m.layout.slices()[layer]
     w_intra = m.weights[sl, sl]  # zero diagonal excludes the unit itself
     for j in range(h.shape[1]):
-        p = sigmoid(h @ w_intra[:, j] + below_input[:, j])
+        p = expit(h @ w_intra[:, j] + below_input[:, j])
         h[:, j] = u[:, j] < p
+
+
+def _update_hidden(
+    m: BoltzmannMachine,
+    layer: int,
+    rows: list[np.ndarray],
+    streams: list[RngStream],
+    intra_sweeps: int,
+) -> np.ndarray:
+    """New bits for hidden `layer` given the layer below, top-down input zeroed.
+
+    The layer is drawn from its conditional, then refined by `intra_sweeps`
+    asynchronous sweeps when it has intra-layer edges.
+    """
+    below = _layer_input(m, layer, rows, zero_above=True)
+    h = _draw(expit(below), streams)
+    if m.layout.has_intra(layer):
+        for _ in range(intra_sweeps):
+            _async_sweep(m, layer, h, below, streams)
+    return h
 
 
 def async_gibbs(
@@ -164,13 +186,25 @@ def async_gibbs(
     if not m.layout.has_intra(layer):
         raise ValueError(f"layer {layer} has no intra-layer connections")
     rows = _check_states(m, states)
-    sl = m.layout.slices()
-    width = m.layout.sizes[layer]
-    below_input = rows[layer - 1] @ m.weights[sl[layer - 1], sl[layer]] + m.biases[sl[layer]]
     h = rows[layer].copy()
-    u = rng.uniforms(width)[None, :]
-    _async_sweep(m, layer, h, below_input, u)
+    _async_sweep(m, layer, h, _layer_input(m, layer, rows, zero_above=True), [rng])
     return h[0].astype(np.uint8)
+
+
+def map_shards(run, n_rows: int, threads: int) -> list:
+    """`run` applied to consecutive `_CHUNK`-row slices of `n_rows` rows.
+
+    Results come back in row order.  With `threads` > 1 and more than one
+    shard, shards run on a thread pool, so `run` must not write anything
+    that another shard reads.
+    """
+    if n_rows < 1:
+        raise ValueError("need at least one row")
+    shards = [slice(a, min(a + _CHUNK, n_rows)) for a in range(0, n_rows, _CHUNK)]
+    if threads > 1 and len(shards) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, shards))
+    return [run(sh) for sh in shards]
 
 
 def _estep_rows(
@@ -180,20 +214,9 @@ def _estep_rows(
     intra_sweeps: int,
 ) -> list[np.ndarray]:
     """Bottom-up pass for a block of observed rows with per-row streams."""
-    sl = m.layout.slices()
-    num_layers = len(m.layout.sizes)
     rows: list[np.ndarray] = [x_rows.astype(np.float64)]
-    for i in range(1, num_layers):
-        width = m.layout.sizes[i]
-        probs = sigmoid(_layer_input(m, i, rows, zero_above=True))
-        u = np.stack([s.uniforms(width) for s in streams])
-        h = (u < probs).astype(np.float64)
-        if m.layout.has_intra(i):
-            below_input = rows[i - 1] @ m.weights[sl[i - 1], sl[i]] + m.biases[sl[i]]
-            for _ in range(intra_sweeps):
-                u = np.stack([s.uniforms(width) for s in streams])
-                _async_sweep(m, i, h, below_input, u)
-        rows.append(h)
+    for i in range(1, len(m.layout.sizes)):
+        rows.append(_update_hidden(m, i, rows, streams, intra_sweeps))
     return [r.astype(np.uint8) for r in rows]
 
 
@@ -216,10 +239,6 @@ def e_step(
     return [layer[0] for layer in layers]
 
 
-def _shard(n_rows: int) -> list[slice]:
-    return [slice(a, min(a + _CHUNK, n_rows)) for a in range(0, n_rows, _CHUNK)]
-
-
 def e_step_batch(
     m: BoltzmannMachine,
     x_rows: np.ndarray,
@@ -229,23 +248,15 @@ def e_step_batch(
 ) -> list[np.ndarray]:
     """Vectorized `e_step` over many observed rows with per-row streams.
 
-    Rows are processed in fixed-size chunks; the chunking (and therefore
-    the result) is independent of `threads`.
+    The result is independent of `threads` (see `map_shards`).
     """
     x_rows = np.atleast_2d(np.asarray(x_rows))
     if x_rows.shape[0] != len(streams):
         raise ValueError("need one RngStream per row")
-    shards = _shard(x_rows.shape[0])
-
-    def run(sh: slice) -> list[np.ndarray]:
-        return _estep_rows(m, x_rows[sh], streams[sh.start : sh.stop], intra_sweeps)
-
-    if threads > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, shards))
-    else:
-        parts = [run(sh) for sh in shards]
-    return [np.concatenate([p[i] for p in parts]) for i in range(len(m.layout.sizes))]
+    parts = map_shards(
+        lambda sh: _estep_rows(m, x_rows[sh], streams[sh], intra_sweeps), len(streams), threads
+    )
+    return [np.concatenate(layer) for layer in zip(*parts)]
 
 
 def _generate_rows(
@@ -253,45 +264,24 @@ def _generate_rows(
     streams: list[RngStream],
     r: int,
     intra_sweeps: int,
-    prior: np.ndarray | None,
+    top_probs: np.ndarray,
 ) -> np.ndarray:
     """Top-down confabulation for a block of samples; returns visible probs.
 
-    Starting from the top layer (uniform bits, or a Bernoulli draw from the
-    supplied prior), each layer pair (i, i-1) is mixed with r alternating
-    Gibbs rounds, asynchronously refreshing layer i when it has intra-layer
-    edges; the final state of layer i-1 seeds the next pair.
+    Starting from a Bernoulli draw of the top layer from `top_probs`, each
+    layer pair (i, i-1) is mixed with r alternating Gibbs rounds,
+    asynchronously refreshing layer i when it has intra-layer edges; the
+    final state of layer i-1 seeds the next pair.
     """
     sizes = m.layout.sizes
     top = len(sizes) - 1
-    n_rows = len(streams)
-    rows = [np.zeros((n_rows, w)) for w in sizes]
-    if prior is None:
-        top_probs = np.full(sizes[top], 0.5)
-    else:
-        top_probs = np.asarray(prior, dtype=np.float64)
-        if top_probs.shape != (sizes[top],):
-            raise ValueError(f"prior has shape {top_probs.shape}, expected ({sizes[top]},)")
-        if top_probs.min() < 0.0 or top_probs.max() > 1.0:
-            raise ValueError("prior probabilities must lie in [0, 1]")
-    u = np.stack([s.uniforms(sizes[top]) for s in streams])
-    rows[top] = (u < top_probs).astype(np.float64)
-
-    sl = m.layout.slices()
+    rows = [np.zeros((len(streams), w)) for w in sizes]
+    rows[top] = _draw(top_probs, streams)
     for i in range(top, 0, -1):
         for _ in range(r):
-            p_low = sigmoid(_layer_input(m, i - 1, rows, zero_above=False))
-            u = np.stack([s.uniforms(sizes[i - 1]) for s in streams])
-            rows[i - 1] = (u < p_low).astype(np.float64)
-            p_hi = sigmoid(_layer_input(m, i, rows, zero_above=True))
-            u = np.stack([s.uniforms(sizes[i]) for s in streams])
-            rows[i] = (u < p_hi).astype(np.float64)
-            if m.layout.has_intra(i):
-                below_input = rows[i - 1] @ m.weights[sl[i - 1], sl[i]] + m.biases[sl[i]]
-                for _ in range(intra_sweeps):
-                    u = np.stack([s.uniforms(sizes[i]) for s in streams])
-                    _async_sweep(m, i, rows[i], below_input, u)
-    return sigmoid(_layer_input(m, 0, rows, zero_above=False))
+            rows[i - 1] = _draw(expit(_layer_input(m, i - 1, rows, zero_above=False)), streams)
+            rows[i] = _update_hidden(m, i, rows, streams, intra_sweeps)
+    return expit(_layer_input(m, 0, rows, zero_above=False))
 
 
 def generate(
@@ -306,14 +296,7 @@ def generate(
     `top_init` is the string "uniform" or a per-unit prior for the top
     layer's initial Bernoulli draw.
     """
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
-    if len(m.layout.sizes) < 2:
-        raise ValueError("generation needs at least one hidden layer")
-    prior = None if isinstance(top_init, str) and top_init == "uniform" else top_init
-    if isinstance(prior, str):
-        raise ValueError(f"unknown top_init {top_init!r}")
-    return _generate_rows(m, [rng], r, intra_sweeps, prior)[0]
+    return generate_batch(m, top_init, r, [rng], intra_sweeps)[0]
 
 
 def generate_batch(
@@ -327,23 +310,22 @@ def generate_batch(
     """Independent confabulations, one per stream; rows of visible probs."""
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
-    if len(m.layout.sizes) < 2:
+    sizes = m.layout.sizes
+    if len(sizes) < 2:
         raise ValueError("generation needs at least one hidden layer")
-    prior = None if isinstance(top_init, str) and top_init == "uniform" else top_init
-    if isinstance(prior, str):
-        raise ValueError(f"unknown top_init {top_init!r}")
-    if prior is not None:
-        prior = np.asarray(prior, dtype=np.float64)
-    shards = _shard(len(streams))
-
-    def run(sh: slice) -> np.ndarray:
-        return _generate_rows(m, streams[sh.start : sh.stop], r, intra_sweeps, prior)
-
-    if threads > 1 and len(shards) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, shards))
+    if isinstance(top_init, str):
+        if top_init != "uniform":
+            raise ValueError(f"unknown top_init {top_init!r}")
+        top_probs = np.full(sizes[-1], 0.5)
     else:
-        parts = [run(sh) for sh in shards]
+        top_probs = np.asarray(top_init, dtype=np.float64)
+        if top_probs.shape != (sizes[-1],):
+            raise ValueError(f"prior has shape {top_probs.shape}, expected ({sizes[-1]},)")
+        if top_probs.min() < 0.0 or top_probs.max() > 1.0:
+            raise ValueError("prior probabilities must lie in [0, 1]")
+    parts = map_shards(
+        lambda sh: _generate_rows(m, streams[sh], r, intra_sweeps, top_probs), len(streams), threads
+    )
     return np.concatenate(parts)
 
 

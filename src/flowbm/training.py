@@ -13,11 +13,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from . import metrics, mpf, optim
 from .model import BoltzmannMachine, LayerSpec, new_machine
 from .optim import AdamState, TrainConfig
-from .sampling import RngStream, e_step_batch, sigmoid
+from .sampling import RngStream, e_step_batch
 
 # Stream namespace tags; part of the determinism contract (a checkpoint at
 # epoch e must replay epochs > e bit-identically).
@@ -75,6 +76,66 @@ def _minibatches(count: int, size: int):
         yield slice(start, min(start + size, count))
 
 
+def _train(
+    data,
+    layout: LayerSpec,
+    cfg: TrainConfig,
+    machine: BoltzmannMachine | None,
+    adam: AdamState | None,
+    start_epoch: int,
+    epoch_callback,
+    run_epoch,
+) -> tuple[BoltzmannMachine, list[EpochLog]]:
+    """Epoch loop shared by both trainers.
+
+    `run_epoch(m, st, x_rows, epoch)` applies one epoch's updates and
+    returns the epoch's mean objective and the rows passed on to
+    `epoch_callback` (the E-step's (observed, hidden) pairs for VPF).
+    """
+    x_rows = _data_rows(data)
+    if x_rows.shape[1] != layout.sizes[0]:
+        raise ValueError(
+            f"data width {x_rows.shape[1]} does not match observed layer {layout.sizes[0]}"
+        )
+    if machine is None:
+        machine, default_adam = init_state(layout, cfg)
+        adam = adam if adam is not None else default_adam
+    m = machine
+    st = adam if adam is not None else optim.init_adam(m)
+    logs: list[EpochLog] = []
+    for epoch in range(start_epoch, cfg.epochs):
+        t0 = time.perf_counter()
+        objective, pairs = run_epoch(m, st, x_rows, epoch)
+        log = EpochLog(
+            epoch=epoch,
+            objective_value=objective,
+            weight_sparsity=metrics.weight_sparsity(m),
+            squared_weight=metrics.squared_weight(m),
+            wall_time_s=time.perf_counter() - t0,
+        )
+        logs.append(log)
+        if epoch_callback is not None:
+            epoch_callback(epoch, m, st, pairs, log)
+    return m, logs
+
+
+def _descend(m: BoltzmannMachine, st: AdamState, cfg: TrainConfig, epoch: int, count: int,
+             batch_gradient) -> float:
+    """One Adam step per shuffled minibatch; returns the mean objective term.
+
+    `batch_gradient(index, rows)` gives the gradient and objective term of
+    minibatch `index`, whose row indices are `rows`.
+    """
+    perm = _epoch_permutation(cfg.seed, epoch, count)
+    total, batches = 0.0, 0
+    for bi, sl in enumerate(_minibatches(count, cfg.minibatch)):
+        g, value = batch_gradient(bi, perm[sl])
+        optim.step(m, g, st, cfg)
+        total += value
+        batches += 1
+    return total / batches
+
+
 def train_vpf(
     data,
     layout: LayerSpec,
@@ -91,41 +152,18 @@ def train_vpf(
     are pure functions of (seed, epoch, parameters), so a resumed run is
     bit-identical to an uninterrupted one.
     """
-    x_rows = _data_rows(data)
-    if x_rows.shape[1] != layout.sizes[0]:
-        raise ValueError(
-            f"data width {x_rows.shape[1]} does not match observed layer {layout.sizes[0]}"
-        )
-    count = x_rows.shape[0]
-    if machine is None:
-        machine, default_adam = init_state(layout, cfg)
-        adam = adam if adam is not None else default_adam
-    m = machine
-    st = adam if adam is not None else optim.init_adam(m)
-    logs: list[EpochLog] = []
-    for epoch in range(start_epoch, cfg.epochs):
-        t0 = time.perf_counter()
-        layers = e_step_batch(m, x_rows, estep_streams(cfg.seed, epoch, count),
+
+    def run_epoch(m, st, x_rows, epoch):
+        layers = e_step_batch(m, x_rows, estep_streams(cfg.seed, epoch, len(x_rows)),
                               cfg.intra_sweeps, threads)
         pairs = np.concatenate(layers, axis=1)
-        perm = _epoch_permutation(cfg.seed, epoch, count)
-        total, batches = 0.0, 0
-        for sl in _minibatches(count, cfg.minibatch):
-            g, value = mpf.gradient_and_objective(m, pairs[perm[sl]], cfg.clamp_z)
-            optim.step(m, g, st, cfg)
-            total += value
-            batches += 1
-        log = EpochLog(
-            epoch=epoch,
-            objective_value=total / batches,
-            weight_sparsity=metrics.weight_sparsity(m),
-            squared_weight=metrics.squared_weight(m),
-            wall_time_s=time.perf_counter() - t0,
+        objective = _descend(
+            m, st, cfg, epoch, len(pairs),
+            lambda _bi, rows: mpf.gradient_and_objective(m, pairs[rows], cfg.clamp_z),
         )
-        logs.append(log)
-        if epoch_callback is not None:
-            epoch_callback(epoch, m, st, pairs, log)
-    return m, logs
+        return objective, pairs
+
+    return _train(data, layout, cfg, machine, adam, start_epoch, epoch_callback, run_epoch)
 
 
 def _require_rbm(layout: LayerSpec) -> None:
@@ -151,52 +189,39 @@ def train_cd(
 
     The logged objective_value is the mean visible reconstruction
     cross-entropy of the first negative-chain step (the flow objective does
-    not apply to these trainers).
+    not apply to these trainers).  The epoch callback receives None in
+    place of the (observed, hidden) pairs.
     """
     _require_rbm(layout)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    x_rows = _data_rows(data)
-    if x_rows.shape[1] != layout.sizes[0]:
-        raise ValueError(
-            f"data width {x_rows.shape[1]} does not match observed layer {layout.sizes[0]}"
-        )
-    count = x_rows.shape[0]
-    if machine is None:
-        machine, default_adam = init_state(layout, cfg)
-        adam = adam if adam is not None else default_adam
-    m = machine
-    st = adam if adam is not None else optim.init_adam(m)
-    sl0, sl1 = m.layout.slices()
-    n_vis, n_hid = layout.sizes
+    sl0, sl1 = layout.slices()
+    n_hid = layout.sizes[1]
     chains = None
     if persistent:
         chains = (RngStream(cfg.seed, TAG_CHAIN).uniforms(cfg.minibatch * n_hid) < 0.5
                   ).astype(np.float64).reshape(cfg.minibatch, n_hid)
-    logs: list[EpochLog] = []
-    for epoch in range(start_epoch, cfg.epochs):
-        t0 = time.perf_counter()
-        perm = _epoch_permutation(cfg.seed, epoch, count)
-        total, batches = 0.0, 0
-        for bi, sl in enumerate(_minibatches(count, cfg.minibatch)):
+
+    def run_epoch(m, st, x_rows, epoch):
+        def batch_gradient(bi, rows):
             rng = RngStream(cfg.seed, TAG_CD).child(epoch, bi).generator
-            v0 = x_rows[perm[sl]].astype(np.float64)
+            v0 = x_rows[rows].astype(np.float64)
             w_block = m.weights[sl0, sl1]
             vb, hb = m.biases[sl0], m.biases[sl1]
-            ph0 = sigmoid(v0 @ w_block + hb)
+            ph0 = expit(v0 @ w_block + hb)
             if persistent:
                 h = chains[: v0.shape[0]].copy()
             else:
                 h = (rng.random(ph0.shape) < ph0).astype(np.float64)
             first_xent = None
             for _ in range(k):
-                pv = sigmoid(h @ w_block.T + vb)
+                pv = expit(h @ w_block.T + vb)
                 if first_xent is None:
                     eps = 1e-12
                     first_xent = float(-np.mean(np.sum(
                         v0 * np.log(pv + eps) + (1.0 - v0) * np.log(1.0 - pv + eps), axis=1)))
                 v = (rng.random(pv.shape) < pv).astype(np.float64)
-                ph = sigmoid(v @ w_block + hb)
+                ph = expit(v @ w_block + hb)
                 h = (rng.random(ph.shape) < ph).astype(np.float64)
             if persistent:
                 chains[: v0.shape[0]] = h
@@ -208,20 +233,11 @@ def train_cd(
             gb = np.zeros_like(m.biases)
             gb[sl0] = (v - v0).mean(axis=0)
             gb[sl1] = (ph - ph0).mean(axis=0)
-            optim.step(m, mpf.Gradient(gw, gb), st, cfg)
-            total += first_xent
-            batches += 1
-        log = EpochLog(
-            epoch=epoch,
-            objective_value=total / batches,
-            weight_sparsity=metrics.weight_sparsity(m),
-            squared_weight=metrics.squared_weight(m),
-            wall_time_s=time.perf_counter() - t0,
-        )
-        logs.append(log)
-        if epoch_callback is not None:
-            epoch_callback(epoch, m, st, None, log)
-    return m, logs
+            return mpf.Gradient(gw, gb), first_xent
+
+        return _descend(m, st, cfg, epoch, len(x_rows), batch_gradient), None
+
+    return _train(data, layout, cfg, machine, adam, start_epoch, epoch_callback, run_epoch)
 
 
 def write_epoch_csv(path, logs: list[EpochLog], append: bool = False) -> None:

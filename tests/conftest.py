@@ -1,5 +1,4 @@
 import gzip
-import os
 import struct
 from pathlib import Path
 
@@ -7,6 +6,7 @@ import numpy as np
 import pytest
 
 from flowbm.model import BoltzmannMachine, LayerSpec, build_mask
+from flowbm.sampling import RngStream
 
 
 def make_machine(n: int, seed: int, w_scale: float = 1.0, b_scale: float = 0.5) -> BoltzmannMachine:
@@ -29,6 +29,18 @@ def make_layered_machine(sizes, intra, seed: int, w_scale: float = 0.7) -> Boltz
     w[~mask] = 0.0
     np.fill_diagonal(w, 0.0)
     return BoltzmannMachine(layout, w, rng.normal(0.0, 0.3, n), mask)
+
+
+class CountingStream(RngStream):
+    """RngStream that tallies how many layer-update draws it serves."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = 0
+
+    def uniforms(self, n):
+        self.calls += 1
+        return super().uniforms(n)
 
 
 def random_bits(rng, shape, p: float = 0.5) -> np.ndarray:
@@ -73,43 +85,3 @@ def synthetic_idx(tmp_path):
     write_idx_images(img_path, images)
     write_idx_labels(lab_path, labels)
     return img_path, lab_path, images, labels
-
-
-# --- MNIST discovery for the nightly (paper-scale) tier -------------------
-
-_MNIST_FILES = {
-    "train_images": ("train-images-idx3-ubyte", "train-images.idx3-ubyte"),
-    "train_labels": ("train-labels-idx1-ubyte", "train-labels.idx1-ubyte"),
-    "test_images": ("t10k-images-idx3-ubyte", "t10k-images.idx3-ubyte"),
-    "test_labels": ("t10k-labels-idx1-ubyte", "t10k-labels.idx1-ubyte"),
-}
-
-
-def mnist_paths() -> dict | None:
-    """Locate MNIST IDX files under FLOWBM_DATA_DIR or ./data, else None."""
-    root = Path(os.environ.get("FLOWBM_DATA_DIR", Path(__file__).resolve().parent.parent / "data"))
-    found = {}
-    for key, names in _MNIST_FILES.items():
-        path = None
-        for name in names:
-            for cand in (root / name, root / (name + ".gz")):
-                if cand.exists():
-                    path = cand
-                    break
-            if path:
-                break
-        if path is None:
-            return None
-        found[key] = path
-    return found
-
-
-def nightly_enabled() -> bool:
-    return os.environ.get("FLOWBM_NIGHTLY", "") == "1"
-
-
-def require_nightly():
-    if not nightly_enabled():
-        pytest.skip("nightly tier disabled (set FLOWBM_NIGHTLY=1 to run)")
-    if mnist_paths() is None:
-        pytest.skip("MNIST IDX files not found (set FLOWBM_DATA_DIR; see scripts/fetch_mnist.py)")

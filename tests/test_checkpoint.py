@@ -3,7 +3,10 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowbm.cli import main
 from flowbm.checkpoint import (
     Checkpoint,
     CheckpointCorruptError,
@@ -104,3 +107,46 @@ class TestFailureModes:
         st = init_adam(ck.machine())
         assert st.m1_w.shape == ck.weights.shape
         assert (st.m2_w >= 0).all()
+
+    def test_malformed_header_is_corrupt(self, tmp_path, capsys):
+        # A valid CRC over a layer count far beyond the body used to escape
+        # as a raw struct.error.
+        body = bytearray(serialize(sample_checkpoint())[:-4])
+        struct.pack_into("<I", body, len(MAGIC) + 4, 10**6)
+        doctored = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+        with pytest.raises(CheckpointCorruptError):
+            deserialize(doctored)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(doctored)
+        assert main(["inspect", "--checkpoint", str(path)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_array_length_must_match_shape(self):
+        # The last array's length field claims 3 bytes more than its shape
+        # holds; the 3 appended bytes used to be skipped without notice.
+        ck = sample_checkpoint()
+        body = bytearray(serialize(ck)[:-4])
+        at = len(body) - ck.biases.nbytes - 8
+        struct.pack_into("<Q", body, at, ck.biases.nbytes + 3)
+        body += b"abc"
+        with pytest.raises(CheckpointCorruptError, match="bytes"):
+            deserialize(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
+
+
+_BODY = serialize(sample_checkpoint())[:-4]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 400), st.integers(0, 255)), max_size=4),
+    keep=st.integers(0, len(_BODY)),
+)
+def test_mutated_body_with_valid_crc_fails_only_as_checkpoint_error(edits, keep):
+    body = bytearray(_BODY)
+    for pos, value in edits:
+        body[pos] = value
+    body = bytes(body[:keep])
+    try:
+        deserialize(body + struct.pack("<I", zlib.crc32(body)))
+    except CheckpointError:
+        pass

@@ -91,6 +91,22 @@ class TestHelpAndUsage:
         assert code != 0
         assert not (workdir / "gen-bad").exists()
 
+    @pytest.mark.parametrize("cmd", [
+        ["generate", "--count", "0", "--out", "{w}/gen-zero"],
+        ["reconstruct", "--images", "{w}/test.idx", "--trials", "0", "--out", "{w}/rec-zero"],
+        ["reconstruct", "--images", "{w}/test.idx", "--gibbs-steps", "0", "--out", "{w}/rec-zero"],
+        ["eval-ll", "--test-images", "{w}/test.idx", "--n-samples", "0", "--init", "uniform"],
+    ])
+    def test_nonpositive_counts_rejected(self, workdir, cmd, capsys):
+        out = workdir / "run-c"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--epochs", "1", "--out", out]) == 0
+        args = [cmd[0], "--checkpoint", out / "ckpt-final.bin"]
+        args += [a.format(w=workdir) for a in cmd[1:]]
+        assert run(args) == 2
+        assert "at least 1" in capsys.readouterr().err
+        assert not (workdir / "gen-zero").exists()
+
 
 class TestEndToEnd:
     def test_full_pipeline(self, workdir):
@@ -169,6 +185,15 @@ class TestEndToEnd:
         assert "eta = 0.004" in text
         assert "minibatch = 20" in text
 
+    def test_config_file_sets_epochs_of_deep_layout(self, workdir):
+        cfg_file = workdir / "one.cfg"
+        cfg_file.write_text("epochs = 1\n")
+        out = workdir / "deep"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6-4",
+                    "--config", cfg_file, "--out", out]) == 0
+        assert load_checkpoint(out / "ckpt-final.bin").epoch == 1
+        assert len((out / "epochs.csv").read_text().strip().splitlines()) == 2
+
     def test_threads_flag_and_env_do_not_change_results(self, workdir, monkeypatch):
         args = ["train", "--images", workdir / "train.idx", "--layout", "784-8",
                 "--epochs", "2", "--seed", "9"]
@@ -197,6 +222,27 @@ class TestResume:
                     "--out", resumed]) == 0
 
         assert (resumed / "ckpt-final.bin").read_bytes() == (full / "ckpt-final.bin").read_bytes()
+
+    def test_resume_into_same_directory_keeps_epoch_log(self, workdir):
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]
+        full, run_dir = workdir / "log-full", workdir / "log-run"
+        assert run(base + ["--epochs", "3", "--out", full]) == 0
+        assert run(base + ["--epochs", "3", "--checkpoint-every", "1", "--out", run_dir]) == 0
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / "ckpt-epoch-00001.bin", "--epochs", "3", "--out", run_dir]) == 0
+        epochs = lambda d: [line.split(",")[:2]
+                            for line in (d / "epochs.csv").read_text().splitlines()]
+        assert epochs(run_dir) == epochs(full)
+
+    def test_resume_below_checkpoint_epoch_rejected(self, workdir, capsys):
+        out = workdir / "ahead"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
+                    "--epochs", "3", "--out", out]) == 0
+        before = (out / "ckpt-final.bin").read_bytes()
+        assert run(["train", "--images", workdir / "train.idx",
+                    "--resume", out / "ckpt-final.bin", "--epochs", "1", "--out", out]) == 2
+        assert "below" in capsys.readouterr().err
+        assert (out / "ckpt-final.bin").read_bytes() == before
 
     def test_same_seed_bit_identical_checkpoints(self, workdir):
         args = ["train", "--images", workdir / "train.idx", "--layout", "784-8",

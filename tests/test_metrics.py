@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_layered_machine, random_bits
+from conftest import CountingStream, make_layered_machine, random_bits
 from flowbm.metrics import (
     EvalReport,
     PATTERNS,
@@ -192,6 +192,39 @@ class TestReconstruct:
             reconstruct(m, np.zeros(10), np.ones(10, dtype=bool), 2, RngStream(0))
         with pytest.raises(ValueError):
             reconstruct(m, np.zeros(784), np.ones(784, dtype=bool), 0, RngStream(0))
+
+    def test_batch_argument_validation(self):
+        m = self.small_machine()
+        images = np.zeros((3, 784), dtype=np.uint8)
+        known = np.ones((3, 784), dtype=bool)
+        streams = [RngStream(0, i) for i in range(3)]
+        with pytest.raises(ValueError, match="gibbs_steps"):
+            reconstruct_batch(m, images, known, 0, streams)
+        with pytest.raises(ValueError, match="RngStream per row"):
+            reconstruct_batch(m, images, known, 2, streams[:2])
+        with pytest.raises(ValueError, match="expected"):
+            reconstruct_batch(m, images[:, :700], known[:, :700], 2, streams)
+
+    def test_layer_update_count(self):
+        # One uniform block per layer update: each Gibbs step draws the
+        # hidden layer, its intra sweeps, then the visible layer.
+        sweeps, steps = 2, 3
+        m = make_layered_machine((6, 4), (True,), seed=2)
+        stream = CountingStream(9)
+        reconstruct_batch(m, np.zeros((1, 6)), np.zeros((1, 6), dtype=bool), steps, [stream],
+                          intra_sweeps=sweeps)
+        assert stream.calls == steps * (1 + sweeps + 1)
+
+    def test_thread_count_does_not_change_batch(self):
+        # 1100 rows make three shards, so threads=3 takes the pooled path.
+        m = make_layered_machine((20, 6, 4), (True, True), seed=4)
+        rng = np.random.default_rng(8)
+        images = random_bits(rng, (1100, 20))
+        known = rng.random((1100, 20)) < 0.5
+        streams = lambda: [RngStream(21, i) for i in range(1100)]
+        a = reconstruct_batch(m, images, known, 2, streams(), threads=1)
+        b = reconstruct_batch(m, images, known, 2, streams(), threads=3)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestParzen:

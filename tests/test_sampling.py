@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import make_layered_machine, random_bits
+from conftest import CountingStream, make_layered_machine, random_bits
 from flowbm.model import BoltzmannMachine, LayerSpec, build_mask, new_machine
 from flowbm.sampling import (
     RngStream,
@@ -24,18 +24,6 @@ def zero_machine(sizes, intra):
     layout = LayerSpec(sizes, intra)
     n = layout.n
     return BoltzmannMachine(layout, np.zeros((n, n)), np.zeros(n), build_mask(layout))
-
-
-class CountingStream(RngStream):
-    """RngStream that tallies how many layer-update draws it serves."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.calls = 0
-
-    def uniforms(self, n):
-        self.calls += 1
-        return super().uniforms(n)
 
 
 class TestRngStream:
