@@ -1,7 +1,7 @@
 """Training engine and evaluation harness for binary Boltzmann machines
 driven by probability-flow gradients inside a variational EM loop."""
 
-from .model import BoltzmannMachine, LayerSpec, build_mask, energy, new_machine, validate
+from .model import BoltzmannMachine, LayerSpec, dense_weights, energy, new_machine, validate
 from .mpf import (
     FlowTerms,
     Gradient,
@@ -54,9 +54,9 @@ __all__ = [
     "async_gibbs",
     "binarize",
     "brute_force_flow",
-    "build_mask",
     "conditional_prob",
     "corrupt",
+    "dense_weights",
     "e_step",
     "emit_stdp_csv",
     "energy",

@@ -1,26 +1,48 @@
 """Binary checkpoint container with bit-exact round-trips.
 
-Single-file layout (all integers and IEEE-754 doubles little-endian):
-magic, format version, layer layout, epoch, config text, parameters,
-optimizer state, then a CRC-32 of everything before it.  Deserializing a
-serialized checkpoint and re-serializing reproduces the bytes exactly.
+Format version 2, one file, all integers and IEEE-754 doubles
+little-endian:
+
+    magic "FLOWBMCK"        8 bytes
+    format version          u32 = 2
+    layer count L, sizes    u32, L x u32
+    intra flag count F      u32, F x u8 (one per hidden layer)
+    epoch                   u64
+    config text             u64 byte length, UTF-8 key = value lines
+    vertex count n          u32
+    weights                 array of E doubles
+    biases                  array of n doubles
+    Adam step t             u64
+    m1_w, m2_w              arrays of E doubles
+    m1_b, m2_b              arrays of n doubles
+    CRC-32 of all the above u32
+
+An array is a u64 byte count followed by the doubles.  E is the stored-edge
+count of the layout (`model.edge_count`), and the weight arrays hold the
+blocks of `model.active_blocks` back to back as in `BoltzmannMachine`.
+Reading checks every length against the layout and runs `model.validate`
+on the parameters, so a file that parses but breaks an invariant is
+rejected as corrupt.  Version 1 files (dense n x n arrays) are rejected
+with `CheckpointVersionError`.  Deserializing a serialized checkpoint and
+re-serializing reproduces the bytes exactly.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoltzmannMachine, LayerSpec, build_mask
+from .model import BoltzmannMachine, LayerSpec, edge_count, validate
 from .optim import AdamState, TrainConfig, parse_config_text
 
 MAGIC = b"FLOWBMCK"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(Exception):
@@ -46,9 +68,7 @@ class Checkpoint:
     epoch: int
 
     def machine(self) -> BoltzmannMachine:
-        return BoltzmannMachine(
-            self.layout, self.weights.copy(), self.biases.copy(), build_mask(self.layout)
-        )
+        return BoltzmannMachine(self.layout, self.weights.copy(), self.biases.copy())
 
 
 def from_training(
@@ -105,6 +125,16 @@ def serialize(ckpt: Checkpoint) -> bytes:
 
 
 def deserialize(blob: bytes) -> Checkpoint:
+    """Parse and validate; any violation of `model.validate` is corruption."""
+    ck = parse(blob)
+    violations = validate(BoltzmannMachine(ck.layout, ck.weights, ck.biases))
+    if violations:
+        raise CheckpointCorruptError(f"invalid parameters: {violations[:3]}")
+    return ck
+
+
+def parse(blob: bytes) -> Checkpoint:
+    """Decode the byte layout without validating the parameters."""
     if len(blob) < len(MAGIC) + 8:
         raise CheckpointCorruptError("file too short to be a checkpoint")
     body, (crc,) = blob[:-4], struct.unpack_from("<I", blob, len(blob) - 4)
@@ -140,12 +170,13 @@ def deserialize(blob: bytes) -> Checkpoint:
         offset += 4
         if n != sum(sizes):
             raise CheckpointCorruptError(f"vertex count {n} does not match layout {sizes}")
-        weights, offset = _unpack_array(buf, offset, (n, n))
+        edges = (edge_count(layout),)
+        weights, offset = _unpack_array(buf, offset, edges)
         biases, offset = _unpack_array(buf, offset, (n,))
         (t,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
-        m1_w, offset = _unpack_array(buf, offset, (n, n))
-        m2_w, offset = _unpack_array(buf, offset, (n, n))
+        m1_w, offset = _unpack_array(buf, offset, edges)
+        m2_w, offset = _unpack_array(buf, offset, edges)
         m1_b, offset = _unpack_array(buf, offset, (n,))
         m2_b, offset = _unpack_array(buf, offset, (n,))
     except (struct.error, UnicodeDecodeError, ValueError) as exc:
@@ -157,9 +188,19 @@ def deserialize(blob: bytes) -> Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write through a temporary file in the same directory, then rename it
+    over `path`, so a failed save leaves any earlier file intact."""
     blob = serialize(ckpt)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:

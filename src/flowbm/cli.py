@@ -19,7 +19,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import metrics, stdp, training
 from .data import Dataset, load_binary_dataset, load_idx
-from .model import LayerSpec
+from .model import BoltzmannMachine, LayerSpec, active_blocks, validate
 from .optim import TrainConfig, load_config, parse_config_items
 from .sampling import RngStream, generate_batch, mean_activation_prior
 from .images import tile_images, write_pgm
@@ -280,15 +280,32 @@ def cmd_stdp_curve(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    ck = ckpt_io.load_checkpoint(args.checkpoint)
+    """Print a checkpoint's metadata, stored blocks and `validate()` verdict.
+
+    The file is parsed without validation so that a structurally invalid
+    checkpoint is still described; it then exits 2.
+    """
+    blob = Path(args.checkpoint).read_bytes()
+    ck = ckpt_io.parse(blob)
+    m = BoltzmannMachine(ck.layout, ck.weights, ck.biases)
     print(f"format_version: {ck.format_version}")
     print(f"layout: {'-'.join(str(s) for s in ck.layout.sizes)}")
     print(f"intra: {','.join('1' if f else '0' for f in ck.layout.intra_layer) or 'none'}")
     print(f"epoch: {ck.epoch}")
     print(f"adam_t: {ck.adam.t}")
-    print(f"weights: {ck.weights.shape}, |w|_max {np.abs(ck.weights).max():.6f}")
+    for a, b in active_blocks(ck.layout):
+        w = m.block(a, b)
+        print(f"block {a}-{b}: {w.shape[0]}x{w.shape[1]}, |w|_max {np.abs(w).max():.6f}")
+    print(f"stored_weights: {ck.weights.size}")
+    print(f"file_bytes: {len(blob)}")
+    violations = validate(m)
+    verdict = f"{len(violations)} violations, first {violations[:3]}" if violations else "ok"
+    print(f"validate: {verdict}")
     for line in ck.config.to_text().strip().splitlines():
         print(f"config.{line}")
+    if violations:
+        print(f"error: {args.checkpoint} fails validation", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -43,10 +43,7 @@ class EvalReport:
 
 def _first_hidden_block(m: BoltzmannMachine) -> np.ndarray:
     """Visible-to-first-hidden weight block; whole matrix if fully observed."""
-    sl = m.layout.slices()
-    if len(sl) == 1:
-        return m.weights
-    return m.weights[sl[0], sl[1]]
+    return m.block(0, 0) if len(m.layout.sizes) == 1 else m.block(0, 1)
 
 
 def weight_sparsity(m: BoltzmannMachine) -> float:

@@ -1,4 +1,4 @@
-"""Binary Boltzmann machines: layer layout, connectivity masks, energy.
+"""Binary Boltzmann machines: layer layout, block-sparse weights, energy.
 
 A machine over vertices V with symmetric weights w_ij (zero diagonal) and
 biases b_i assigns each binary state vector s the energy
@@ -8,11 +8,19 @@ biases b_i assigns each binary state vector s the energy
 with every unordered edge counted once.  Layered machines connect
 consecutive layers only, optionally adding intra-layer edges inside hidden
 layers; a single-layer machine is fully observed with all-to-all edges.
+
+Only those edges are stored.  The weights are one flat vector holding the
+blocks of `active_blocks` back to back in row-major order: each
+inter-layer block once, as (lower layer) x (upper layer), and each
+intra-layer block as a symmetric square with a zero diagonal.  Gradients
+and optimizer moments use the same vector, so elementwise updates need no
+knowledge of the blocks; readers take 2-D views with
+`BoltzmannMachine.block`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,58 +93,86 @@ class LayerSpec:
         return cls(sizes, flags)
 
 
-def active_blocks(layout: LayerSpec) -> list[tuple[slice, slice]]:
-    """Upper-triangular blocks covering every allowed edge exactly once.
+def active_blocks(layout: LayerSpec) -> list[tuple[int, int]]:
+    """Layer pairs (a, b), a <= b, of the stored weight blocks, in storage order.
 
-    Consecutive-layer blocks (a, b) with a below b, plus the square intra
-    block of each flagged hidden layer; a fully-observed machine is one
-    square block.  The union of these blocks (and their mirrors) equals the
-    mask, which lets hot paths touch only stored edges.
+    Consecutive-layer blocks (a, a + 1) bottom-up, then the square intra
+    block (k, k) of each flagged hidden layer; a fully-observed machine is
+    the one square block (0, 0).
     """
-    sl = layout.slices()
     if len(layout.sizes) == 1:
-        return [(sl[0], sl[0])]
-    blocks: list[tuple[slice, slice]] = [
-        (sl[i], sl[i + 1]) for i in range(len(sl) - 1)
-    ]
-    blocks += [(sl[k], sl[k]) for k in range(1, len(sl)) if layout.has_intra(k)]
-    return blocks
+        return [(0, 0)]
+    blocks = [(a, a + 1) for a in range(len(layout.sizes) - 1)]
+    return blocks + [(k, k) for k in range(1, len(layout.sizes)) if layout.has_intra(k)]
 
 
-def build_mask(layout: LayerSpec) -> np.ndarray:
-    """Boolean adjacency of allowed edges: `active_blocks` and their mirrors."""
-    mask = np.zeros((layout.n, layout.n), dtype=bool)
-    for sa, sb in active_blocks(layout):
-        mask[sa, sb] = True
-        mask[sb, sa] = True
-    np.fill_diagonal(mask, False)
-    return mask
+def edge_count(layout: LayerSpec) -> int:
+    """Length of the flat weight vector (intra squares count both halves)."""
+    return sum(layout.sizes[a] * layout.sizes[b] for a, b in active_blocks(layout))
+
+
+def from_above(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """``rows @ block.T``, the input to layer a from layer b of block (a, b).
+
+    The transpose is made row-major first, which keeps the BLAS kernel and
+    so the bits of a product with a row-major dense matrix.
+    """
+    return rows @ np.ascontiguousarray(block.T)
 
 
 @dataclass
 class BoltzmannMachine:
-    """Dense symmetric parameterization with an explicit edge mask."""
+    """Layout, flat block-sparse weights (see the module docstring), biases."""
 
     layout: LayerSpec
     weights: np.ndarray
     biases: np.ndarray
-    mask: np.ndarray = field(repr=False)
 
     @property
     def n(self) -> int:
         return self.biases.shape[0]
 
+    def block(self, a: int, b: int, flat: np.ndarray | None = None) -> np.ndarray:
+        """2-D view of block (a, b) of `flat`, by default of the weights.
+
+        `flat` may be any vector laid out like the weights, such as a
+        gradient or an optimizer moment; writes to the view land in it.
+        """
+        start = 0
+        for pa, pb in active_blocks(self.layout):
+            rows, cols = self.layout.sizes[pa], self.layout.sizes[pb]
+            if (pa, pb) == (a, b):
+                vec = self.weights if flat is None else flat
+                return vec[start : start + rows * cols].reshape(rows, cols)
+            start += rows * cols
+        raise ValueError(f"layers ({a}, {b}) share no stored block")
+
+    @classmethod
+    def from_dense(cls, layout: LayerSpec, w: np.ndarray, biases) -> "BoltzmannMachine":
+        """Machine holding the stored blocks of an (n, n) matrix."""
+        sl = layout.slices()
+        flat = np.concatenate([w[sl[a], sl[b]].ravel() for a, b in active_blocks(layout)])
+        return cls(layout, flat.astype(np.float64), np.array(biases, dtype=np.float64))
+
     def copy(self) -> "BoltzmannMachine":
-        return BoltzmannMachine(
-            self.layout, self.weights.copy(), self.biases.copy(), self.mask.copy()
-        )
+        return BoltzmannMachine(self.layout, self.weights.copy(), self.biases.copy())
+
+
+def dense_weights(m: BoltzmannMachine) -> np.ndarray:
+    """Symmetric (n, n) matrix, zero off the stored blocks; for `energy` and the oracles."""
+    sl, w = m.layout.slices(), np.zeros((m.n, m.n))
+    for a, b in active_blocks(m.layout):
+        w[sl[b], sl[a]] = m.block(a, b).T
+        w[sl[a], sl[b]] = m.block(a, b)  # an intra block keeps its own entries
+    return w
 
 
 def new_machine(layout: LayerSpec, seed: int, init_scale: float = 0.01) -> BoltzmannMachine:
-    """Fresh machine: masked uniform(-init_scale, init_scale) weights, zero biases.
+    """Fresh machine: uniform(-init_scale, init_scale) weights, zero biases.
 
-    Weights are drawn i.i.d. and then symmetrized, so all structural
-    invariants hold by construction.
+    An (n, n) matrix is drawn i.i.d., symmetrized and its diagonal zeroed;
+    the stored blocks are taken from it, so all structural invariants hold
+    by construction.
     """
     if init_scale <= 0:
         raise ValueError(f"init_scale must be positive, got {init_scale}")
@@ -144,10 +180,8 @@ def new_machine(layout: LayerSpec, seed: int, init_scale: float = 0.01) -> Boltz
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     w = rng.uniform(-init_scale, init_scale, size=(n, n))
     w = (w + w.T) / 2.0
-    mask = build_mask(layout)
-    w[~mask] = 0.0
     np.fill_diagonal(w, 0.0)
-    return BoltzmannMachine(layout, w, np.zeros(n), mask)
+    return BoltzmannMachine.from_dense(layout, w, np.zeros(n))
 
 
 def energy(m: BoltzmannMachine, s: np.ndarray) -> float:
@@ -155,31 +189,32 @@ def energy(m: BoltzmannMachine, s: np.ndarray) -> float:
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (m.n,):
         raise ValueError(f"state has shape {s.shape}, expected ({m.n},)")
-    return float(-0.5 * s @ m.weights @ s - m.biases @ s)
+    return float(-0.5 * s @ dense_weights(m) @ s - m.biases @ s)
 
 
 def validate(m: BoltzmannMachine) -> list[tuple]:
-    """Full-scan structural check; returns every violation with indices."""
+    """Full-scan structural check; returns every violation with vertex indices.
+
+    Kinds: ("length", weights shape, biases shape, expected lengths);
+    ("nonfinite_weight", i, j) once per stored entry; ("nonfinite_bias", i);
+    ("asymmetric", i, j) with i < j and ("diagonal", i) inside intra blocks.
+    """
+    expected = (edge_count(m.layout), m.layout.n)
+    if m.weights.shape != expected[:1] or m.biases.shape != expected[1:]:
+        return [("length", m.weights.shape, m.biases.shape, expected)]
     violations: list[tuple] = []
-    w, mask = m.weights, m.mask
-    if w.shape != (m.n, m.n) or mask.shape != (m.n, m.n):
-        violations.append(("shape", w.shape, mask.shape))
-        return violations
-    for i, j in np.argwhere(w != w.T):
-        if i < j:
-            violations.append(("asymmetric", int(i), int(j)))
-    for i in np.flatnonzero(np.diagonal(w) != 0.0):
-        violations.append(("diagonal", int(i)))
-    for i, j in np.argwhere((~mask) & (w != 0.0)):
-        if i != j:  # diagonal breaches already reported above
-            violations.append(("masked_nonzero", int(i), int(j)))
-    for i, j in np.argwhere(mask != mask.T):
-        if i < j:
-            violations.append(("mask_asymmetric", int(i), int(j)))
-    for i in np.flatnonzero(np.diagonal(mask)):
-        violations.append(("mask_diagonal", int(i)))
-    expected = build_mask(m.layout)
-    for i, j in np.argwhere(mask & ~expected):
-        if i < j:
-            violations.append(("mask_extra_edge", int(i), int(j)))
+    sl = m.layout.slices()
+    for a, b in active_blocks(m.layout):
+        w = m.block(a, b)
+        ra, rb = sl[a].start, sl[b].start
+        for i, j in np.argwhere(~np.isfinite(w)):
+            violations.append(("nonfinite_weight", ra + int(i), rb + int(j)))
+        if a == b:
+            for i, j in np.argwhere(w != w.T):
+                if i < j:
+                    violations.append(("asymmetric", ra + int(i), ra + int(j)))
+            for i in np.flatnonzero(np.diagonal(w) != 0.0):
+                violations.append(("diagonal", ra + int(i)))
+    for i in np.flatnonzero(~np.isfinite(m.biases)):
+        violations.append(("nonfinite_bias", int(i)))
     return violations

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import BoltzmannMachine, active_blocks
+from .model import BoltzmannMachine, active_blocks, dense_weights, edge_count, from_above
 
 Z_CLAMP_DEFAULT = 30.0
 
@@ -54,7 +54,7 @@ class FlowTerms:
 
 @dataclass
 class Gradient:
-    """Objective gradient; same structural invariants as the machine."""
+    """Objective gradient, laid out like the machine's weights and biases."""
 
     d_weights: np.ndarray
     d_biases: np.ndarray
@@ -72,14 +72,14 @@ def _as_batch(m: BoltzmannMachine, data) -> np.ndarray:
 
 
 def _weighted_input(m: BoltzmannMachine, batch: np.ndarray) -> np.ndarray:
-    """batch @ W + b restricted to stored edge blocks (zero diag covers i != j)."""
+    """batch @ W + b over the stored blocks (zero diag covers i != j)."""
+    sl = m.layout.slices()
     z = np.broadcast_to(m.biases, batch.shape).copy()
-    for sa, sb in active_blocks(m.layout):
-        if sa == sb:
-            z[:, sa] += batch[:, sa] @ m.weights[sa, sa]
-        else:
-            z[:, sb] += batch[:, sa] @ m.weights[sa, sb]
-            z[:, sa] += batch[:, sb] @ m.weights[sb, sa]
+    for a, b in active_blocks(m.layout):
+        w = m.block(a, b)
+        z[:, sl[b]] += batch[:, sl[a]] @ w
+        if a != b:
+            z[:, sl[a]] += from_above(batch[:, sl[b]], w)
     return z
 
 
@@ -113,7 +113,7 @@ def objective(m: BoltzmannMachine, data, clamp: float = Z_CLAMP_DEFAULT) -> floa
 
 
 def gradient(m: BoltzmannMachine, batch, clamp: float = Z_CLAMP_DEFAULT) -> Gradient:
-    """Batch-mean analytic gradient, masked and symmetric."""
+    """Batch-mean analytic gradient over the stored blocks."""
     g, _ = gradient_and_objective(m, batch, clamp)
     return g
 
@@ -127,19 +127,18 @@ def gradient_and_objective(
     a = alpha * delta  # (B, n)
     b_grad = a.mean(axis=0)
     count = y.shape[0]
-    # d/dw_ij = mean_k(y_j alpha_i delta_i + y_i alpha_j delta_j), assembled
-    # per stored-edge block and mirrored.
-    w_grad = np.zeros_like(m.weights)
-    for sa, sb in active_blocks(m.layout):
-        if sa == sb:
+    # d/dw_ij = mean_k(y_j alpha_i delta_i + y_i alpha_j delta_j), one
+    # stored block at a time.
+    sl = m.layout.slices()
+    w_grad = np.empty(edge_count(m.layout))
+    for la, lb in active_blocks(m.layout):
+        sa, sb, out = sl[la], sl[lb], m.block(la, lb, w_grad)
+        if la == lb:
             half = a[:, sa].T @ y[:, sa] / count
-            block = half + half.T
-            np.fill_diagonal(block, 0.0)
-            w_grad[sa, sa] = block
+            np.add(half, half.T, out=out)
+            np.fill_diagonal(out, 0.0)
         else:
-            block = (a[:, sa].T @ y[:, sb] + (a[:, sb].T @ y[:, sa]).T) / count
-            w_grad[sa, sb] = block
-            w_grad[sb, sa] = block.T
+            out[...] = (a[:, sa].T @ y[:, sb] + (a[:, sb].T @ y[:, sa]).T) / count
     return Gradient(w_grad, b_grad), float(delta.sum(axis=1).mean())
 
 
@@ -160,7 +159,8 @@ def state_index(bits: np.ndarray) -> np.ndarray:
 
 def all_state_energies(m: BoltzmannMachine) -> np.ndarray:
     states = enumerate_states(m.n)
-    return -0.5 * np.einsum("si,ij,sj->s", states, m.weights, states) - states @ m.biases
+    w = dense_weights(m)
+    return -0.5 * np.einsum("si,ij,sj->s", states, w, states) - states @ m.biases
 
 
 def rate_matrix(m: BoltzmannMachine) -> np.ndarray:

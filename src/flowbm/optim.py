@@ -1,13 +1,14 @@
-"""Adam with weight decay, preserving the machine's structural invariants."""
+"""Adam with weight decay over the machine's flat parameter vectors."""
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoltzmannMachine, active_blocks
+from .model import BoltzmannMachine, edge_count
 from .mpf import Gradient
 
 
@@ -29,14 +30,24 @@ class TrainConfig:
     clamp_z: float = 30.0
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        for name in ("eta", "adam_eps", "init_scale", "clamp_z"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay}"
+            )
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if self.minibatch < 1:
             raise ValueError(f"minibatch must be at least 1, got {self.minibatch}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if self.r < 1:
+            raise ValueError(f"r must be at least 1, got {self.r}")
+        if self.intra_sweeps < 0:
+            raise ValueError(f"intra_sweeps must be non-negative, got {self.intra_sweeps}")
 
     def replace(self, **kwargs) -> "TrainConfig":
         return dataclasses.replace(self, **kwargs)
@@ -89,7 +100,10 @@ def load_config(path, base: TrainConfig | None = None) -> TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators for both parameter groups."""
+    """First/second moment accumulators for both parameter groups.
+
+    The weight moments are laid out like the machine's flat weight vector.
+    """
 
     m1_w: np.ndarray
     m2_w: np.ndarray
@@ -104,8 +118,8 @@ class AdamState:
 
 
 def init_adam(m: BoltzmannMachine) -> AdamState:
-    n = m.n
-    return AdamState(np.zeros((n, n)), np.zeros((n, n)), np.zeros(n), np.zeros(n), 0)
+    e, n = edge_count(m.layout), m.n
+    return AdamState(np.zeros(e), np.zeros(e), np.zeros(n), np.zeros(n), 0)
 
 
 def reset(st: AdamState) -> AdamState:
@@ -125,9 +139,9 @@ def step(
     """One descent step on the objective; mutates machine and state in place.
 
     The weight-decay term 2*lambda*w is added to the raw weight gradient
-    (biases are not decayed) before the Adam moments, and the weights are
-    re-symmetrized, diagonal-zeroed and re-masked afterwards so that
-    floating-point drift cannot accumulate.
+    (biases are not decayed) before the Adam moments.  The update is
+    elementwise over the stored edges, so a symmetric gradient keeps every
+    intra block symmetric with a zero diagonal.
     """
     if g.d_weights.shape != m.weights.shape or g.d_biases.shape != m.biases.shape:
         raise ValueError("gradient shapes do not match the machine")
@@ -142,23 +156,6 @@ def step(
         m2 += (1.0 - cfg.beta2) * grad**2
         param -= cfg.eta * (m1 / bc1) / (np.sqrt(m2 / bc2) + cfg.adam_eps)
 
-    # Only stored-edge blocks carry gradient or decay; entries outside them
-    # are pinned at zero by the mask, so the update touches blocks only.
-    for sa, sb in active_blocks(m.layout):
-        gw = g.d_weights[sa, sb] + 2.0 * cfg.weight_decay * m.weights[sa, sb]
-        adam_update(m.weights[sa, sb], gw, st.m1_w[sa, sb], st.m2_w[sa, sb])
-        if sa == sb:
-            # Symmetric gradients keep the square block symmetric; the
-            # explicit re-symmetrization absorbs any floating-point drift.
-            block = m.weights[sa, sa]
-            block += block.T
-            block *= 0.5
-            np.fill_diagonal(block, 0.0)
-        else:
-            m.weights[sb, sa] = m.weights[sa, sb].T
-            st.m1_w[sb, sa] = st.m1_w[sa, sb].T
-            st.m2_w[sb, sa] = st.m2_w[sa, sb].T
-
+    adam_update(m.weights, g.d_weights + 2.0 * cfg.weight_decay * m.weights, st.m1_w, st.m2_w)
     adam_update(m.biases, g.d_biases, st.m1_b, st.m2_b)
-    m.weights[~m.mask] = 0.0
     return m, st

@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 from scipy.special import expit
 
-from .model import BoltzmannMachine
+from .model import BoltzmannMachine, from_above
 
 # Rows per shard for every batch sampler (E-step, generation and
 # reconstruction).  `map_shards` alone sets shard boundaries, from the row
@@ -83,16 +83,16 @@ def _layer_input(
     rows: list[np.ndarray],
     zero_above: bool,
 ) -> np.ndarray:
-    """Summed masked input to `target` from adjacent layers plus bias.
+    """Summed input to `target` from adjacent layers plus bias.
 
     Intra-layer terms are never included here; `_async_sweep` owns them.
     """
     sl = m.layout.slices()
     total = np.broadcast_to(m.biases[sl[target]], (rows[0].shape[0], m.layout.sizes[target])).copy()
     if target >= 1:
-        total += rows[target - 1] @ m.weights[sl[target - 1], sl[target]]
+        total += rows[target - 1] @ m.block(target - 1, target)
     if not zero_above and target + 1 < len(sl):
-        total += rows[target + 1] @ m.weights[sl[target + 1], sl[target]]
+        total += from_above(rows[target + 1], m.block(target, target + 1))
     return total
 
 
@@ -149,8 +149,7 @@ def _async_sweep(
     stream serves one uniform block for its row.
     """
     u = np.stack([s.uniforms(h.shape[1]) for s in streams])
-    sl = m.layout.slices()[layer]
-    w_intra = m.weights[sl, sl]  # zero diagonal excludes the unit itself
+    w_intra = m.block(layer, layer)  # zero diagonal excludes the unit itself
     for j in range(h.shape[1]):
         p = expit(h @ w_intra[:, j] + below_input[:, j])
         h[:, j] = u[:, j] < p

@@ -9,6 +9,7 @@ weights update simultaneously; there is no layer-wise pre-training.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -27,6 +28,10 @@ TAG_ESTEP = 2
 TAG_SHUFFLE = 3
 TAG_CD = 4
 TAG_CHAIN = 5
+
+
+class DivergenceError(ValueError):
+    """An epoch ended with a non-finite objective or parameter."""
 
 
 @dataclass
@@ -90,7 +95,9 @@ def _train(
 
     `run_epoch(m, st, x_rows, epoch)` applies one epoch's updates and
     returns the epoch's mean objective and the rows passed on to
-    `epoch_callback` (the E-step's (observed, hidden) pairs for VPF).
+    `epoch_callback` (the E-step's (observed, hidden) pairs for VPF).  An
+    epoch that leaves the objective or a parameter non-finite raises
+    `DivergenceError` before the callback sees it.
     """
     x_rows = _data_rows(data)
     if x_rows.shape[1] != layout.sizes[0]:
@@ -106,6 +113,12 @@ def _train(
     for epoch in range(start_epoch, cfg.epochs):
         t0 = time.perf_counter()
         objective, pairs = run_epoch(m, st, x_rows, epoch)
+        if not (math.isfinite(objective) and np.isfinite(m.weights).all()
+                and np.isfinite(m.biases).all()):
+            raise DivergenceError(
+                f"epoch {epoch}: training diverged (objective {objective}, "
+                "or a weight or bias is not finite)"
+            )
         log = EpochLog(
             epoch=epoch,
             objective_value=objective,
@@ -206,7 +219,7 @@ def train_cd(
         def batch_gradient(bi, rows):
             rng = RngStream(cfg.seed, TAG_CD).child(epoch, bi).generator
             v0 = x_rows[rows].astype(np.float64)
-            w_block = m.weights[sl0, sl1]
+            w_block = m.block(0, 1)
             vb, hb = m.biases[sl0], m.biases[sl1]
             ph0 = expit(v0 @ w_block + hb)
             if persistent:
@@ -228,8 +241,7 @@ def train_cd(
             b = v0.shape[0]
             g_block = (v.T @ ph - v0.T @ ph0) / b  # descent direction
             gw = np.zeros_like(m.weights)
-            gw[sl0, sl1] = g_block
-            gw[sl1, sl0] = g_block.T
+            m.block(0, 1, gw)[...] = g_block
             gb = np.zeros_like(m.biases)
             gb[sl0] = (v - v0).mean(axis=0)
             gb[sl1] = (ph - ph0).mean(axis=0)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowbm.model import BoltzmannMachine, LayerSpec, build_mask
+from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, edge_count
 from flowbm.sampling import RngStream
 
 
@@ -16,7 +16,7 @@ def make_machine(n: int, seed: int, w_scale: float = 1.0, b_scale: float = 0.5) 
     w = rng.normal(0.0, w_scale, (n, n))
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
-    return BoltzmannMachine(layout, w, rng.normal(0.0, b_scale, n), build_mask(layout))
+    return BoltzmannMachine.from_dense(layout, w, rng.normal(0.0, b_scale, n))
 
 
 def make_layered_machine(sizes, intra, seed: int, w_scale: float = 0.7) -> BoltzmannMachine:
@@ -25,10 +25,24 @@ def make_layered_machine(sizes, intra, seed: int, w_scale: float = 0.7) -> Boltz
     n = layout.n
     w = rng.normal(0.0, w_scale, (n, n))
     w = (w + w.T) / 2.0
-    mask = build_mask(layout)
-    w[~mask] = 0.0
     np.fill_diagonal(w, 0.0)
-    return BoltzmannMachine(layout, w, rng.normal(0.0, 0.3, n), mask)
+    return BoltzmannMachine.from_dense(layout, w, rng.normal(0.0, 0.3, n))
+
+
+def zero_machine(layout: LayerSpec) -> BoltzmannMachine:
+    return BoltzmannMachine(layout, np.zeros(edge_count(layout)), np.zeros(layout.n))
+
+
+def dense(m: BoltzmannMachine, flat: np.ndarray) -> np.ndarray:
+    """(n, n) view of a vector laid out like `m.weights` (a gradient or moment)."""
+    return dense_weights(BoltzmannMachine(m.layout, flat, m.biases))
+
+
+def stored_edges(layout: LayerSpec) -> np.ndarray:
+    """Boolean (n, n) pattern of the stored edges, without the diagonal."""
+    pattern = dense(zero_machine(layout), np.ones(edge_count(layout))) != 0
+    np.fill_diagonal(pattern, False)
+    return pattern
 
 
 class CountingStream(RngStream):

@@ -1,3 +1,4 @@
+import os
 import struct
 import zlib
 
@@ -20,7 +21,7 @@ from flowbm.checkpoint import (
     save_checkpoint,
     serialize,
 )
-from flowbm.model import LayerSpec, validate
+from flowbm.model import LayerSpec, edge_count, validate
 from flowbm.optim import TrainConfig, init_adam
 from flowbm.training import init_state
 
@@ -68,12 +69,76 @@ class TestRoundTrip:
 
 
 class TestFailureModes:
+    def test_dense_v1_file_rejected(self):
+        # Version 1 stored dense (n, n) arrays; it is refused, not converted.
+        body = bytearray(serialize(sample_checkpoint())[:-4])
+        struct.pack_into("<I", body, len(MAGIC), 1)
+        doctored = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+        with pytest.raises(CheckpointVersionError, match="version 1 "):
+            deserialize(doctored)
+
+    def test_stores_only_the_edge_blocks(self):
+        ck = sample_checkpoint()
+        edges = edge_count(ck.layout)
+        assert edges == 6 * 4 + 4 * 2 + 4 * 4
+        assert ck.weights.shape == ck.adam.m1_w.shape == ck.adam.m2_w.shape == (edges,)
+        header = len(serialize(ck)) - 8 * (3 * edges + 3 * ck.layout.n)
+        assert 0 < header < 512
+
+    def test_asymmetric_intra_block_rejected(self, tmp_path, capsys):
+        ck = sample_checkpoint()
+        m = ck.machine()
+        m.block(1, 1)[0, 1] += 0.5
+        bad = from_training(m, ck.adam, ck.config, ck.epoch)
+        blob = serialize(bad)  # a valid CRC over invalid parameters
+        with pytest.raises(CheckpointCorruptError, match="asymmetric"):
+            deserialize(blob)
+        path = tmp_path / "asym.bin"
+        path.write_bytes(blob)
+        assert main(["inspect", "--checkpoint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "validate: 1 violations, first [('asymmetric', 6, 7)]" in captured.out
+        assert "fails validation" in captured.err
+
+    @pytest.mark.parametrize("where", ["diagonal", "weight", "bias"])
+    def test_invalid_parameters_rejected(self, where):
+        ck = sample_checkpoint()
+        m = ck.machine()
+        if where == "diagonal":
+            m.block(1, 1)[2, 2] = 0.25
+        elif where == "weight":
+            m.block(0, 1)[3, 1] = np.inf
+        else:
+            m.biases[5] = np.nan
+        with pytest.raises(CheckpointCorruptError, match="invalid parameters"):
+            deserialize(serialize(from_training(m, ck.adam, ck.config, ck.epoch)))
+
+    def test_wrong_vector_length_rejected(self):
+        ck = sample_checkpoint()
+        ck.weights = np.append(ck.weights, 0.0)
+        with pytest.raises(CheckpointCorruptError, match="expected"):
+            deserialize(serialize(ck))
+
+    def test_failed_save_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, sample_checkpoint(seed=1))
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            save_checkpoint(path, sample_checkpoint(seed=2))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin"]
+
     def test_unsupported_version(self):
         blob = serialize(sample_checkpoint())
         body = bytearray(blob[:-4])
         struct.pack_into("<I", body, len(MAGIC), FORMAT_VERSION + 9)
         doctored = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
-        with pytest.raises(CheckpointVersionError, match="version 10"):
+        with pytest.raises(CheckpointVersionError, match=f"version {FORMAT_VERSION + 9} "):
             deserialize(doctored)
 
     def test_flipped_byte_fails_checksum(self):

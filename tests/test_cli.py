@@ -207,6 +207,53 @@ class TestEndToEnd:
         assert (out3 / "ckpt-final.bin").read_bytes() == ref
 
 
+class TestTrainFailures:
+    def test_bad_config_value_exits_2_before_writing(self, workdir, capsys):
+        cfg_file = workdir / "nan.cfg"
+        cfg_file.write_text("clamp_z = nan\n")
+        for extra in (["--config", cfg_file], ["--intra-sweeps", "-1"]):
+            out = workdir / "bad-config"
+            assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
+                        "--out", out] + extra) == 2
+            assert "error" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_divergence_exits_2_without_checkpoints(self, workdir, capsys):
+        out = workdir / "diverged"
+        with np.errstate(all="ignore"):
+            code = run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
+                        "--epochs", "3", "--checkpoint-every", "1", "--init-scale", "1e4",
+                        "--clamp-z", "1e300", "--out", out])
+        assert code == 2
+        assert "epoch 0" in capsys.readouterr().err
+        # Epoch 0 would have written ckpt-epoch-00001.bin.
+        assert sorted(p.name for p in out.glob("*.bin")) == []
+        assert len((out / "epochs.csv").read_text().strip().splitlines()) == 1
+
+
+class TestInspect:
+    def test_describes_the_block_store(self, workdir, capsys):
+        out = workdir / "insp"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6-4",
+                    "--intra", "0,1", "--epochs", "1", "--out", out]) == 0
+        path = out / "ckpt-final.bin"
+        ck = load_checkpoint(path)
+        capsys.readouterr()
+        assert run(["inspect", "--checkpoint", path]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        lines = dict(line.split(": ", 1) for line in printed if ": " in line)
+        assert lines["format_version"] == "2"
+        assert lines["block 0-1"].startswith("784x6, |w|_max ")
+        assert lines["block 1-2"].startswith("6x4, |w|_max ")
+        assert lines["block 2-2"].startswith("4x4, |w|_max ")
+        w_max = float(lines["block 0-1"].rsplit(" ", 1)[1])
+        assert w_max == pytest.approx(np.abs(ck.machine().block(0, 1)).max(), abs=1e-6)
+        assert "block 1-1" not in lines
+        assert int(lines["stored_weights"]) == 784 * 6 + 6 * 4 + 4 * 4 == ck.weights.size
+        assert int(lines["file_bytes"]) == os.path.getsize(path)
+        assert lines["validate"] == "ok"
+
+
 class TestResume:
     def test_resume_matches_uninterrupted_run(self, workdir):
         base = ["train", "--images", workdir / "train.idx", "--layout", "784-8",

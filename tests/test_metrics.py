@@ -18,18 +18,16 @@ from flowbm.metrics import (
     squared_weight,
     weight_sparsity,
 )
-from flowbm.model import BoltzmannMachine, LayerSpec, build_mask, new_machine
+from conftest import zero_machine
+from flowbm.model import BoltzmannMachine, LayerSpec, new_machine
 from flowbm.sampling import RngStream
 
 
 def rbm_with_block(block: np.ndarray) -> BoltzmannMachine:
     n_vis, n_hid = block.shape
-    layout = LayerSpec((n_vis, n_hid), (False,))
-    n = layout.n
-    w = np.zeros((n, n))
-    w[:n_vis, n_vis:] = block
-    w[n_vis:, :n_vis] = block.T
-    return BoltzmannMachine(layout, w, np.zeros(n), build_mask(layout))
+    m = zero_machine(LayerSpec((n_vis, n_hid), (False,)))
+    m.block(0, 1)[...] = block
+    return m
 
 
 def sparsity_reference(block: np.ndarray) -> float:
@@ -148,9 +146,7 @@ class TestReconstruct:
     def test_zero_weight_machine_gives_fair_unknowns(self):
         # With zero weights and biases the visible probabilities are exactly
         # 1/2, so thresholding keeps the sampled bit: fair coin flips.
-        layout = LayerSpec((784, 8), (False,))
-        n = layout.n
-        m = BoltzmannMachine(layout, np.zeros((n, n)), np.zeros(n), build_mask(layout))
+        m = zero_machine(LayerSpec((784, 8), (False,)))
         image = np.zeros(784, dtype=np.uint8)
         trials = 10_000
         corrupted = np.tile(image, (trials, 1))
@@ -163,9 +159,7 @@ class TestReconstruct:
         np.testing.assert_array_equal(out[:, 336:], 0)
 
     def test_informative_probabilities_are_thresholded(self):
-        layout = LayerSpec((784, 8), (False,))
-        n = layout.n
-        m = BoltzmannMachine(layout, np.zeros((n, n)), np.zeros(n), build_mask(layout))
+        m = zero_machine(LayerSpec((784, 8), (False,)))
         m.biases[:784] = 0.15  # sigmoid(0.15) > 0.5 everywhere
         image = np.zeros(784, dtype=np.uint8)
         known = np.ones(784, dtype=bool)
@@ -295,9 +289,7 @@ class TestParzen:
 
 class TestActivationStats:
     def test_zero_machine_mean_half(self):
-        layout = LayerSpec((8, 6), (False,))
-        n = layout.n
-        m = BoltzmannMachine(layout, np.zeros((n, n)), np.zeros(n), build_mask(layout))
+        m = zero_machine(LayerSpec((8, 6), (False,)))
         data = random_bits(np.random.default_rng(0), (4000, 8))
         stats = activation_stats(m, data, RngStream(1))
         assert abs(stats.mean - 0.5) < 0.03

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_machine, make_layered_machine, random_bits
+from conftest import make_machine, make_layered_machine, random_bits, stored_edges, zero_machine
 from flowbm.model import (
     BoltzmannMachine,
     LayerSpec,
-    build_mask,
+    active_blocks,
+    dense_weights,
+    edge_count,
     energy,
     new_machine,
     validate,
@@ -17,11 +19,12 @@ from flowbm.mpf import flow_terms
 
 def edgewise_energy(m, s):
     """Independent scalar implementation: loop over unordered edges."""
+    w, edges = dense_weights(m), stored_edges(m.layout)
     total = 0.0
     for i in range(m.n):
         for j in range(i + 1, m.n):
-            if m.mask[i, j]:
-                total -= m.weights[i, j] * s[i] * s[j]
+            if edges[i, j]:
+                total -= w[i, j] * s[i] * s[j]
     for i in range(m.n):
         total -= m.biases[i] * s[i]
     return total
@@ -61,26 +64,46 @@ class TestLayerSpec:
 
 
 class TestMaskStructure:
+    """The stored blocks cover exactly the allowed edges."""
+
     def test_fully_observed_all_to_all(self):
-        mask = build_mask(LayerSpec((4,)))
-        assert mask.sum() == 4 * 3
-        assert not mask.diagonal().any()
+        layout = LayerSpec((4,))
+        assert active_blocks(layout) == [(0, 0)]
+        assert edge_count(layout) == 4 * 4
+        edges = stored_edges(layout)
+        assert edges.sum() == 4 * 3
 
     def test_rbm_mask_only_between_layers(self):
-        mask = build_mask(LayerSpec((784, 196), (False,)))
-        assert mask[:784, 784:].all()
-        assert not mask[:784, :784].any()
-        assert not mask[784:, 784:].any()
+        layout = LayerSpec((784, 196), (False,))
+        assert active_blocks(layout) == [(0, 1)]
+        assert edge_count(layout) == 784 * 196
+        edges = stored_edges(layout)
+        assert edges[:784, 784:].all()
+        assert not edges[:784, :784].any()
+        assert not edges[784:, 784:].any()
 
     def test_dbm2_mask_has_intra_blocks(self):
         layout = LayerSpec((784, 196, 196, 64), (True, True, True))
-        mask = build_mask(layout)
+        assert active_blocks(layout) == [(0, 1), (1, 2), (2, 3), (1, 1), (2, 2), (3, 3)]
+        assert edge_count(layout) == 285_552
+        edges = stored_edges(layout)
         sl = layout.slices()
         for k in (1, 2, 3):
-            block = mask[sl[k], sl[k]]
+            block = edges[sl[k], sl[k]]
             assert block.sum() == layout.sizes[k] * (layout.sizes[k] - 1)
-        assert not mask[sl[0], sl[2]].any()
-        assert not mask[sl[1], sl[3]].any()
+        assert not edges[sl[0], sl[2]].any()
+        assert not edges[sl[1], sl[3]].any()
+
+    def test_block_views_share_the_flat_vector(self):
+        m = make_layered_machine((4, 3, 2), (True, False), seed=1)
+        m.block(1, 1)[0, 2] = 9.0
+        assert (m.weights == 9.0).sum() == 1
+        assert dense_weights(m)[4, 6] == 9.0
+        grad = np.zeros_like(m.weights)
+        m.block(1, 2, grad)[...] = 1.0
+        assert grad.sum() == 3 * 2
+        with pytest.raises(ValueError):
+            m.block(0, 2)
 
 
 class TestEnergy:
@@ -90,17 +113,12 @@ class TestEnergy:
 
     def test_single_bias(self):
         layout = LayerSpec((1,))
-        m = BoltzmannMachine(layout, np.zeros((1, 1)), np.array([0.5]), build_mask(layout))
+        m = BoltzmannMachine(layout, np.zeros(1), np.array([0.5]))
         assert energy(m, np.array([1])) == -0.5
 
     def test_two_vertex_example(self):
         layout = LayerSpec((2,))
-        m = BoltzmannMachine(
-            layout,
-            np.array([[0.0, 2.0], [2.0, 0.0]]),
-            np.array([0.5, -1.0]),
-            build_mask(layout),
-        )
+        m = BoltzmannMachine(layout, np.array([0.0, 2.0, 2.0, 0.0]), np.array([0.5, -1.0]))
         s = np.array([1, 1])
         expected = -(2.0 * 1 * 1) - (0.5 * 1 + (-1.0) * 1)
         assert expected == -1.5
@@ -145,13 +163,16 @@ class TestNewMachine:
     def test_fully_observed_structure(self):
         m = new_machine(LayerSpec((4,)), seed=0)
         assert m.n == 4
-        assert m.mask.sum() == 12
+        assert m.weights.shape == (16,)
+        assert (dense_weights(m) != 0).sum() == 12
         assert validate(m) == []
 
     def test_rbm_structure(self):
         m = new_machine(LayerSpec((784, 196), (False,)), seed=1)
-        assert m.weights[:784, :784].sum() == 0.0
-        assert (np.abs(m.weights[:784, 784:]) > 0).mean() > 0.99
+        assert m.weights.shape == (784 * 196,)
+        w = dense_weights(m)
+        assert w[:784, :784].sum() == 0.0
+        assert (np.abs(w[:784, 784:]) > 0).mean() > 0.99
 
     def test_biases_start_at_zero(self):
         m = new_machine(LayerSpec((10, 5), (True,)), seed=2)
@@ -178,26 +199,33 @@ class TestNewMachine:
 class TestValidate:
     def test_detects_asymmetry(self):
         m = make_machine(3, seed=0)
-        m.weights[0, 1] = 1.0
-        m.weights[1, 0] = 0.0
+        m.block(0, 0)[0, 1] = 1.0
+        m.block(0, 0)[1, 0] = 0.0
         kinds = [v[0] for v in validate(m)]
         assert ("asymmetric", 0, 1) in validate(m)
         assert "asymmetric" in kinds
 
     def test_detects_nonzero_diagonal(self):
         m = make_machine(4, seed=0)
-        m.weights[2, 2] = 0.1
+        m.block(0, 0)[2, 2] = 0.1
         assert ("diagonal", 2) in validate(m)
 
     def test_detects_mask_breach(self):
+        # An edge outside the stored blocks has no place in the vector: a
+        # vector with one entry too many is a length violation, and the
+        # dense view of a valid machine is zero off the blocks.
         m = make_layered_machine((3, 2), (False,), seed=0)
-        m.weights[0, 1] = 0.5
-        m.weights[1, 0] = 0.5
-        found = validate(m)
-        assert ("masked_nonzero", 0, 1) in found
+        assert (dense_weights(m)[~stored_edges(m.layout)] == 0.0).all()
+        grown = BoltzmannMachine(m.layout, np.append(m.weights, 0.5), m.biases)
+        assert validate(grown) == [("length", (7,), (5,), (6, 5))]
 
     def test_detects_extra_mask_edge(self):
+        # Intra edges of a layer without intra connectivity cannot be stored;
+        # a vector sized for them is rejected, as are non-finite entries.
         m = make_layered_machine((3, 2), (False,), seed=0)
-        m.mask[0, 1] = True
-        m.mask[1, 0] = True
-        assert any(v[0] == "mask_extra_edge" for v in validate(m))
+        with_intra = edge_count(LayerSpec((3, 2), (True,)))
+        padded = BoltzmannMachine(m.layout, np.zeros(with_intra), m.biases)
+        assert validate(padded)[0][0] == "length"
+        m.block(0, 1)[1, 0] = np.nan
+        m.biases[4] = np.inf
+        assert validate(m) == [("nonfinite_weight", 1, 3), ("nonfinite_bias", 4)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_machine, random_bits
-from flowbm.model import BoltzmannMachine, LayerSpec, build_mask, validate
+from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, validate
 from flowbm.mpf import Gradient, gradient, objective
 from flowbm.optim import (
     AdamState,
@@ -17,12 +17,14 @@ from flowbm.optim import (
 
 def scalar_machine(w=0.0, b=(0.0, 0.0)):
     layout = LayerSpec((2,))
-    return BoltzmannMachine(
-        layout,
-        np.array([[0.0, w], [w, 0.0]]),
-        np.array(b, dtype=float),
-        build_mask(layout),
+    return BoltzmannMachine.from_dense(
+        layout, np.array([[0.0, w], [w, 0.0]]), np.array(b, dtype=float)
     )
+
+
+def w01(m):
+    """The machine's one edge weight (vertices 0 and 1)."""
+    return m.block(0, 0)[0, 1]
 
 
 class TestTrainConfig:
@@ -46,6 +48,19 @@ class TestTrainConfig:
             TrainConfig(beta1=1.0)
         with pytest.raises(ValueError):
             TrainConfig(minibatch=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("eta", float("nan")), ("eta", float("inf")),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("clamp_z", float("nan")), ("clamp_z", float("inf")),
+        ("clamp_z", 0.0), ("weight_decay", -1e-4), ("adam_eps", 0.0), ("init_scale", 0.0),
+        ("r", 0), ("intra_sweeps", -1),
+    ])
+    def test_rejects_nonfinite_and_degenerate_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            parse_config_items({field: repr(value)})
 
     def test_config_file_roundtrip(self, tmp_path):
         cfg = TrainConfig(eta=0.0025, minibatch=17, seed=99, epochs=7)
@@ -78,9 +93,9 @@ class TestAdamStep:
         m = scalar_machine()
         st = init_adam(m)
         cfg = TrainConfig(weight_decay=0.0)
-        g = Gradient(np.array([[0.0, 0.3], [0.3, 0.0]]), np.array([0.1, -0.2]))
+        g = Gradient(np.array([0.0, 0.3, 0.3, 0.0]), np.array([0.1, -0.2]))
         step(m, g, st, cfg)
-        assert m.weights[0, 1] == pytest.approx(-cfg.eta * 0.3 / (0.3 + cfg.adam_eps), rel=1e-12)
+        assert w01(m) == pytest.approx(-cfg.eta * 0.3 / (0.3 + cfg.adam_eps), rel=1e-12)
         assert m.biases[0] == pytest.approx(-cfg.eta * 0.1 / (0.1 + cfg.adam_eps), rel=1e-12)
         assert m.biases[1] == pytest.approx(cfg.eta * 0.2 / (0.2 + cfg.adam_eps), rel=1e-12)
         assert st.t == 1
@@ -89,7 +104,7 @@ class TestAdamStep:
         m = make_machine(4, seed=0)
         before_w, before_b = m.weights.copy(), m.biases.copy()
         st = init_adam(m)
-        g = Gradient(np.zeros((4, 4)), np.zeros(4))
+        g = Gradient(np.zeros_like(m.weights), np.zeros(4))
         step(m, g, st, TrainConfig(weight_decay=0.0))
         np.testing.assert_array_equal(m.weights, before_w)
         np.testing.assert_array_equal(m.biases, before_b)
@@ -97,13 +112,14 @@ class TestAdamStep:
 
     def test_pure_decay_shrinks_weights(self):
         m = make_machine(4, seed=1)
-        before_w, before_b = m.weights.copy(), m.biases.copy()
+        before_w, before_b = dense_weights(m), m.biases.copy()
         st = init_adam(m)
         cfg = TrainConfig(weight_decay=0.01)
-        step(m, Gradient(np.zeros((4, 4)), np.zeros(4)), st, cfg)
+        step(m, Gradient(np.zeros_like(m.weights), np.zeros(4)), st, cfg)
         off = ~np.eye(4, dtype=bool)
-        assert (np.abs(m.weights[off]) < np.abs(before_w[off])).all()
-        assert (np.sign(m.weights[off]) == np.sign(before_w[off])).all()
+        after_w = dense_weights(m)
+        assert (np.abs(after_w[off]) < np.abs(before_w[off])).all()
+        assert (np.sign(after_w[off]) == np.sign(before_w[off])).all()
         np.testing.assert_array_equal(m.biases, before_b)  # no decay on biases
 
     def test_matches_reference_adam_recurrence(self):
@@ -129,21 +145,22 @@ class TestAdamStep:
                 np.sqrt(v1b / (1 - cfg.beta2**t)) + cfg.adam_eps
             )
 
-            g = Gradient(
-                np.array([[0.0, 2.0 * (m.weights[0, 1] - 0.25)], [2.0 * (m.weights[0, 1] - 0.25), 0.0]]),
-                np.array([2.0 * (m.biases[0] + 0.5), 0.0]),
-            )
+            g_w = 2.0 * (w01(m) - 0.25)
+            g = Gradient(np.array([0.0, g_w, g_w, 0.0]), np.array([2.0 * (m.biases[0] + 0.5), 0.0]))
             step(m, g, st, cfg)
-            assert m.weights[0, 1] == pytest.approx(theta_w, abs=1e-10)
+            assert w01(m) == pytest.approx(theta_w, abs=1e-10)
             assert m.biases[0] == pytest.approx(theta_b, abs=1e-10)
 
     def test_shape_mismatch_rejected(self):
         m = make_machine(3, seed=0)
         with pytest.raises(ValueError):
-            step(m, Gradient(np.zeros((4, 4)), np.zeros(4)), init_adam(m), TrainConfig())
+            step(m, Gradient(np.zeros(16), np.zeros(4)), init_adam(m), TrainConfig())
+        with pytest.raises(ValueError):
+            step(m, Gradient(np.zeros((3, 3)), np.zeros(3)), init_adam(m), TrainConfig())
 
     def test_invariants_hold_under_fuzzing(self):
-        # 500 random masked symmetric gradients on a layered machine.
+        # 500 random symmetric gradients on a layered machine, restricted to
+        # the stored blocks.
         from conftest import make_layered_machine
 
         rng = np.random.default_rng(123)
@@ -153,9 +170,9 @@ class TestAdamStep:
         for i in range(500):
             raw = rng.normal(0, 1.0, (m.n, m.n))
             gw = (raw + raw.T) / 2
-            gw[~m.mask] = 0.0
             np.fill_diagonal(gw, 0.0)
-            step(m, Gradient(gw, rng.normal(0, 1.0, m.n)), st, cfg)
+            stored = BoltzmannMachine.from_dense(m.layout, gw, np.zeros(m.n)).weights
+            step(m, Gradient(stored, rng.normal(0, 1.0, m.n)), st, cfg)
             assert validate(m) == []
         assert st.t == 500
 
@@ -182,7 +199,7 @@ class TestReset:
     def test_zeroes_everything(self):
         m = make_machine(3, seed=0)
         st = init_adam(m)
-        step(m, Gradient(np.zeros((3, 3)), np.ones(3)), st, TrainConfig())
+        step(m, Gradient(np.zeros_like(m.weights), np.ones(3)), st, TrainConfig())
         fresh = reset(st)
         assert fresh.t == 0
         assert not fresh.m1_b.any() and not fresh.m2_w.any()
@@ -200,7 +217,7 @@ class TestReset:
         m1 = make_machine(4, seed=5)
         m2 = m1.copy()
         st_used = init_adam(m1)
-        g = Gradient(np.zeros((4, 4)), np.ones(4) * 0.3)
+        g = Gradient(np.zeros_like(m1.weights), np.ones(4) * 0.3)
         for _ in range(3):
             step(m1.copy(), g, st_used, TrainConfig())
         st_reset = reset(st_used)

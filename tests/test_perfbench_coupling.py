@@ -1,0 +1,50 @@
+"""The benchmark under perfbench/ reads the parameter store from outside the
+package: checkpoints through `checks.checkpoint_file`, and the byte counts
+of `optim.step` and `mpf.gradient_and_objective` through `spans`.  These
+tests run those readers on real calls, so a change to the store that would
+break the benchmark fails here first.  Nothing under perfbench/ is edited.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from flowbm import checkpoint, mpf, optim
+from flowbm.cli import main
+from flowbm.model import edge_count
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_checkpoint_check_and_byte_counts_follow_the_store(synthetic_idx, tmp_path):
+    checks, spans = load_perfbench("checks"), load_perfbench("spans")
+    images, _, _, _ = synthetic_idx
+    out = tmp_path / "run"
+    assert main(["train", "--images", str(images), "--layout", "784-20", "--epochs", "1",
+                 "--out", str(out)]) == 0
+    final = out / "ckpt-final.bin"
+    size, digest = checks.checkpoint_file(final)
+    assert size == final.stat().st_size and len(digest) == 64
+
+    ck = checkpoint.load_checkpoint(final)
+    m, st, cfg = ck.machine(), ck.adam, ck.config
+    e, n = edge_count(m.layout), m.n
+    assert e == 784 * 20
+    batch = np.random.default_rng(0).integers(0, 2, (40, n))
+
+    args = (m, batch, cfg.clamp_z)
+    result = mpf.gradient_and_objective(*args)
+    assert spans._grad_bytes(args, {}, result) == (e + n) * 8
+
+    args = (m, result[0], st, cfg)
+    assert spans._state_bytes(args, {}, optim.step(*args)) == (3 * e + 3 * n) * 8

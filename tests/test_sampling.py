@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import chisquare
 
 from conftest import CountingStream, make_layered_machine, random_bits
-from flowbm.model import BoltzmannMachine, LayerSpec, build_mask, new_machine
+from flowbm.model import BoltzmannMachine, LayerSpec, edge_count, new_machine
 from flowbm.sampling import (
     RngStream,
     async_gibbs,
@@ -22,8 +22,7 @@ from flowbm.sampling import (
 
 def zero_machine(sizes, intra):
     layout = LayerSpec(sizes, intra)
-    n = layout.n
-    return BoltzmannMachine(layout, np.zeros((n, n)), np.zeros(n), build_mask(layout))
+    return BoltzmannMachine(layout, np.zeros(edge_count(layout)), np.zeros(layout.n))
 
 
 class TestRngStream:
@@ -62,7 +61,7 @@ class TestConditionalProb:
 
     def test_single_active_input(self):
         m = zero_machine((3, 2), (False,))
-        m.weights[0, 3] = m.weights[3, 0] = 2.0
+        m.block(0, 1)[0, 0] = 2.0  # vertex 0 to vertex 3
         m.biases[3] = -1.0
         probs = conditional_prob(m, 1, [np.array([1, 0, 0]), np.zeros(2)], zero_above=True)
         assert probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-12)
@@ -73,9 +72,7 @@ class TestConditionalProb:
         m = make_layered_machine((4, 3, 2), (False, False), seed=5)
         states = [random_bits(np.random.default_rng(0), w) for w in (4, 3, 2)]
         base = conditional_prob(m, 1, states, zero_above=True)
-        sl = m.layout.slices()
-        m.weights[sl[1], sl[2]] += 3.0
-        m.weights[sl[2], sl[1]] += 3.0
+        m.block(1, 2)[...] += 3.0
         np.testing.assert_array_equal(
             base, conditional_prob(m, 1, states, zero_above=True)
         )
@@ -88,7 +85,7 @@ class TestConditionalProb:
         states = [np.array([1, 0]), np.zeros(2)]
         last = 0.0
         for w in (0.0, 0.5, 1.0, 2.0):
-            m.weights[0, 2] = m.weights[2, 0] = w
+            m.block(0, 1)[0, 0] = w  # vertex 0 to vertex 2
             p = conditional_prob(m, 1, states, zero_above=True)[0]
             assert p > last or w == 0.0
             assert 0.0 < p < 1.0
@@ -144,8 +141,8 @@ class TestAsyncGibbs:
         # With vanishing intra weights the update degenerates to independent
         # Bernoulli draws from the inter-layer conditional.
         m = zero_machine((2, 2), (True,))
-        m.weights[0, 2] = m.weights[2, 0] = 0.8
-        m.weights[1, 3] = m.weights[3, 1] = -0.6
+        m.block(0, 1)[0, 0] = 0.8  # vertex 0 to vertex 2
+        m.block(0, 1)[1, 1] = -0.6  # vertex 1 to vertex 3
         m.biases[2:] = (0.2, 0.4)
         below = np.array([1, 1])
         probs = conditional_prob(m, 1, [below, np.zeros(2)], zero_above=True)
@@ -169,7 +166,8 @@ class TestAsyncGibbs:
         # Exact stationary law of the 2-unit layer: p(h) ~ exp(10 h1 h2),
         # so agreement probability (1 + e^10) / (3 + e^10) ~ 0.9999.
         m = zero_machine((1, 2), (True,))
-        m.weights[1, 2] = m.weights[2, 1] = 10.0
+        intra = m.block(1, 1)
+        intra[0, 1] = intra[1, 0] = 10.0
         exact_agree = (1 + math.exp(10.0)) / (3 + math.exp(10.0))
         assert exact_agree > 0.999
         agree = 0
@@ -186,13 +184,14 @@ class TestAsyncGibbs:
         # Long-run occupancy of a 2-unit intra-connected layer against the
         # enumerated Boltzmann conditional given the layer below.
         m = zero_machine((2, 2), (True,))
-        m.weights[2, 3] = m.weights[3, 2] = 1.2
-        m.weights[0, 2] = m.weights[2, 0] = 0.7
-        m.weights[1, 3] = m.weights[3, 1] = -0.4
+        intra = m.block(1, 1)
+        intra[0, 1] = intra[1, 0] = 1.2
+        m.block(0, 1)[0, 0] = 0.7
+        m.block(0, 1)[1, 1] = -0.4
         m.biases[2:] = (0.1, -0.2)
         below = np.array([1, 1])
-        c = below @ m.weights[:2, 2:] + m.biases[2:]
-        w12 = m.weights[2, 3]
+        c = below @ m.block(0, 1) + m.biases[2:]
+        w12 = intra[0, 1]
         logits = np.array([0.0, c[0], c[1], c[0] + c[1] + w12])
         exact = np.exp(logits - logits.max())
         exact /= exact.sum()
@@ -233,9 +232,7 @@ class TestEStep:
         m = make_layered_machine((5, 4, 3), (False, False), seed=7)
         x = random_bits(np.random.default_rng(2), 5)
         h_before = e_step(m, x, RngStream(4))[1]
-        sl = m.layout.slices()
-        m.weights[sl[1], sl[2]] *= -2.5
-        m.weights[sl[2], sl[1]] *= -2.5
+        m.block(1, 2)[...] *= -2.5
         h_after = e_step(m, x, RngStream(4))[1]
         np.testing.assert_array_equal(h_before, h_after)
 

@@ -40,7 +40,8 @@ class TestStdpUpdate:
                 g = gradient(m, y[None, :])
                 # gradient returns the ascent direction; the applied update
                 # is its negative, matching the local rule's sign.
-                assert -g.d_weights[0, 1] == pytest.approx(combined, rel=1e-12, abs=1e-15)
+                assert -m.block(0, 0, g.d_weights)[0, 1] == pytest.approx(
+                    combined, rel=1e-12, abs=1e-15)
 
 
 class TestStdpCurve:

@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from flowbm.model import BoltzmannMachine, LayerSpec, build_mask, validate
+from conftest import zero_machine
+from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, validate
 from flowbm.mpf import all_state_energies, enumerate_states, objective
 from flowbm.optim import TrainConfig
 from flowbm.sampling import e_step_batch
 from flowbm.training import (
+    DivergenceError,
     EpochLog,
     estep_streams,
     init_state,
@@ -21,7 +25,7 @@ def planted_machine(seed: int) -> BoltzmannMachine:
     w = rng.normal(0.0, 1.0, (4, 4))
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
-    return BoltzmannMachine(layout, w, rng.normal(0.0, 0.4, 4), build_mask(layout))
+    return BoltzmannMachine.from_dense(layout, w, rng.normal(0.0, 0.4, 4))
 
 
 def exact_samples(m: BoltzmannMachine, count: int, seed: int) -> np.ndarray:
@@ -55,8 +59,8 @@ class TestTrainVpf:
         data = exact_samples(true, count=10_000, seed=1)
         m, logs = train_vpf(data, true.layout, TrainConfig(epochs=80, seed=3))
         iu = np.triu_indices(4, 1)
-        truth = np.concatenate([true.weights[iu], true.biases])
-        fit = np.concatenate([m.weights[iu], m.biases])
+        truth = np.concatenate([dense_weights(true)[iu], true.biases])
+        fit = np.concatenate([dense_weights(m)[iu], m.biases])
         corr = np.corrcoef(truth, fit)[0, 1]
         assert corr > 0.95
         assert len(logs) == 80
@@ -95,7 +99,7 @@ class TestTrainVpf:
 
         def track(epoch, m, st, pairs, log):
             nonlocal prev, checked, decreased
-            start = BoltzmannMachine(layout, prev[0], prev[1], m.mask)
+            start = BoltzmannMachine(layout, prev[0], prev[1])
             if epoch > 3:
                 checked += 1
                 decreased += objective(m, pairs) < objective(start, pairs)
@@ -117,7 +121,7 @@ class TestTrainVpf:
 
         def verify(epoch, m, st, pairs, log):
             nonlocal snapshot
-            start = BoltzmannMachine(layout, snapshot[0], snapshot[1], m.mask)
+            start = BoltzmannMachine(layout, snapshot[0], snapshot[1])
             layers = e_step_batch(
                 start, data, estep_streams(cfg.seed, epoch, len(data)), cfg.intra_sweeps
             )
@@ -149,6 +153,34 @@ class TestTrainVpf:
         m2, logs2 = train_vpf(data, layout, cfg, threads=4)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         assert logs1[-1].objective_value == logs2[-1].objective_value
+
+    def test_pinned_dense_weights_of_small_intra_run(self):
+        # SHA-256 of the dense (n, n) weights and of the biases after a fixed
+        # intra-layer run, recorded when the machine still kept a dense
+        # matrix: the block store must reproduce that run bit for bit.
+        rng = np.random.default_rng(2024)
+        data = (rng.random((90, 12)) < 0.3).astype(np.uint8)
+        layout = LayerSpec((12, 6, 5), (True, True))
+        cfg = TrainConfig(epochs=3, minibatch=10, seed=5, eta=0.01)
+        m, logs = train_vpf(data, layout, cfg, threads=2)
+
+        def sha(a):
+            return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+        assert sha(dense_weights(m)) == (
+            "4d360968823ef142633d37375f879d42c9d8d5075381220b2cc94ab40b969a06")
+        assert sha(m.biases) == (
+            "f294219ebb74ad2c4c07138312cc5525b3d3761e73da96a3cb701c3d11426c59")
+        assert logs[-1].objective_value == 22.14840483405332
+
+    def test_divergence_stops_before_the_epoch_callback(self):
+        data = bars_data(40, seed=1)
+        layout = LayerSpec((12, 4), (False,))
+        cfg = TrainConfig(epochs=3, seed=2, init_scale=1e4, clamp_z=1e300)
+        seen = []
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError, match="epoch 0"):
+            train_vpf(data, layout, cfg, epoch_callback=lambda *args: seen.append(args[0]))
+        assert seen == []
 
 
 class TestTrainCd:
@@ -185,8 +217,7 @@ class TestTrainCd:
         # minibatch) leaves the hidden biases at exactly zero while the
         # other parameters move.
         layout = LayerSpec((12, 6), (False,))
-        n = layout.n
-        m0 = BoltzmannMachine(layout, np.zeros((n, n)), np.zeros(n), build_mask(layout))
+        m0 = zero_machine(layout)
         data = bars_data(40, seed=4)
         m, _ = train_cd(data, layout, k=1, persistent=False,
                         cfg=TrainConfig(epochs=1, seed=5, minibatch=40), machine=m0)
