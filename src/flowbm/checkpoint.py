@@ -20,11 +20,12 @@ little-endian:
 An array is a u64 byte count followed by the doubles.  E is the stored-edge
 count of the layout (`model.edge_count`), and the weight arrays hold the
 blocks of `model.active_blocks` back to back as in `BoltzmannMachine`.
-Reading checks every length against the layout and runs `model.validate`
-on the parameters, so a file that parses but breaks an invariant is
-rejected as corrupt.  Version 1 files (dense n x n arrays) are rejected
-with `CheckpointVersionError`.  Deserializing a serialized checkpoint and
-re-serializing reproduces the bytes exactly.
+Reading checks every length against the layout, runs `model.validate` on
+the parameters and checks that the Adam moments are finite with
+non-negative second moments, so a file that parses but breaks an
+invariant is rejected as corrupt.  Version 1 files (dense n x n arrays)
+are rejected with `CheckpointVersionError`.  Deserializing a serialized
+checkpoint and re-serializing reproduces the bytes exactly.
 """
 
 from __future__ import annotations
@@ -124,12 +125,25 @@ def serialize(ckpt: Checkpoint) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def violations(ck: Checkpoint) -> list[tuple]:
+    """`model.validate` on the parameters, then the Adam moments: one
+    ("nonfinite_moment", array, index) per non-finite entry and one
+    ("negative_moment", array, index) per negative second-moment entry."""
+    found = validate(BoltzmannMachine(ck.layout, ck.weights, ck.biases))
+    for name in ("m1_w", "m2_w", "m1_b", "m2_b"):
+        arr = getattr(ck.adam, name)
+        found += [("nonfinite_moment", name, int(i)) for i in np.flatnonzero(~np.isfinite(arr))]
+        if name.startswith("m2"):
+            found += [("negative_moment", name, int(i)) for i in np.flatnonzero(arr < 0)]
+    return found
+
+
 def deserialize(blob: bytes) -> Checkpoint:
-    """Parse and validate; any violation of `model.validate` is corruption."""
+    """Parse and validate; any entry of `violations` is corruption."""
     ck = parse(blob)
-    violations = validate(BoltzmannMachine(ck.layout, ck.weights, ck.biases))
-    if violations:
-        raise CheckpointCorruptError(f"invalid parameters: {violations[:3]}")
+    found = violations(ck)
+    if found:
+        raise CheckpointCorruptError(f"invalid parameters: {found[:3]}")
     return ck
 
 
@@ -164,6 +178,8 @@ def parse(blob: bytes) -> Checkpoint:
         offset += 8
         (config_len,) = struct.unpack_from("<Q", buf, offset)
         offset += 8
+        if offset + config_len > len(buf):
+            raise CheckpointCorruptError("truncated config text")
         config = parse_config_text(bytes(buf[offset : offset + config_len]).decode("utf-8"))
         offset += config_len
         (n,) = struct.unpack_from("<I", buf, offset)

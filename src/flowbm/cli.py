@@ -10,6 +10,7 @@ key=value config file, then explicit CLI flags.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +20,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import metrics, stdp, training
 from .data import Dataset, load_binary_dataset, load_idx
-from .model import BoltzmannMachine, LayerSpec, active_blocks, validate
+from .model import BoltzmannMachine, LayerSpec, active_blocks
 from .optim import TrainConfig, load_config, parse_config_items
 from .sampling import RngStream, generate_batch, mean_activation_prior
 from .images import tile_images, write_pgm
@@ -91,8 +92,20 @@ def _load_dataset(images, labels, threshold: float, limit: int | None) -> Datase
     return ds
 
 
-def _layout(args) -> LayerSpec:
-    return LayerSpec.from_strings(args.layout, args.intra or "")
+def _layout(args, resumed: LayerSpec | None = None) -> LayerSpec:
+    """The layout from --layout/--intra.  Under --resume it is the
+    checkpoint's, and each of the two flags that is given must agree with it."""
+    if resumed is None:
+        if not args.layout:
+            raise UsageError("--layout is required unless resuming")
+        return LayerSpec.from_strings(args.layout, args.intra or "")
+    sizes, intra = resumed.to_strings()
+    if args.layout is not None and LayerSpec.from_strings(args.layout).sizes != resumed.sizes:
+        raise UsageError(f"--layout {args.layout} contradicts the checkpoint's layout {sizes}")
+    if (args.intra is not None
+            and LayerSpec.from_strings(sizes, args.intra).intra_layer != resumed.intra_layer):
+        raise UsageError(f"--intra {args.intra} contradicts the checkpoint's intra {intra}")
+    return resumed
 
 
 def _restart_epoch_csv(path: Path, start_epoch: int) -> None:
@@ -114,14 +127,14 @@ def cmd_train(args) -> int:
             raise UsageError("--k must be at least 1")
     elif args.k != 1:
         raise UsageError("--k only applies to --method cd/pcd")
+    if args.checkpoint_every < 0:
+        raise UsageError(f"--checkpoint-every must be non-negative, got {args.checkpoint_every}")
     if args.resume:
         resume = ckpt_io.load_checkpoint(args.resume)
-        layout = resume.layout
+        layout = _layout(args, resume.layout)
         cfg = _build_config(args, resume.config)
         machine, adam, start_epoch = resume.machine(), resume.adam, resume.epoch
     else:
-        if not args.layout:
-            raise UsageError("--layout is required unless resuming")
         layout = _layout(args)
         # Deeper machines default to more epochs; a config file or flag overrides.
         cfg = _build_config(args, TrainConfig(epochs=200) if len(layout.sizes) > 2 else None)
@@ -135,9 +148,9 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.txt", "w", encoding="utf-8") as fh:
+        sizes, intra = layout.to_strings()
         fh.write(f"# method = {method}\n# k = {args.k}\n")
-        fh.write(f"# layout = {'-'.join(str(s) for s in layout.sizes)}\n")
-        fh.write(f"# intra = {','.join('1' if f else '0' for f in layout.intra_layer)}\n")
+        fh.write(f"# layout = {sizes}\n# intra = {intra}\n")
         fh.write(cfg.to_text())
 
     csv_path = out / "epochs.csv"
@@ -223,7 +236,7 @@ def cmd_reconstruct(args) -> int:
             streams = [base.child(1, i) for i in range(len(ds))]
             recon = metrics.reconstruct_batch(
                 m, corrupted, known, args.gibbs_steps, streams, sweeps, threads)
-            total += float(np.abs(ds.images.astype(np.int64) - recon).sum(axis=1).mean())
+            total += float(metrics.recon_error(ds.images, recon).mean())
             if trial == 0:
                 head = min(10, len(ds))
                 strip = np.concatenate(
@@ -252,9 +265,11 @@ def _eval_images(args, path) -> np.ndarray:
 def cmd_eval_ll(args) -> int:
     _require_positive("--n-samples", args.n_samples)
     threads = _threads(args)
-    test = _eval_images(args, args.test_images)
+    if not (math.isfinite(args.sigma) and args.sigma > 0):
+        raise UsageError(f"--sigma must be positive and finite, got {args.sigma}")
     if args.limit_test is not None:
-        test = test[: args.limit_test]
+        _require_positive("--limit-test", args.limit_test)
+    test = _eval_images(args, args.test_images)[: args.limit_test]
     if args.samples_from_data:
         if not args.data:
             raise UsageError("--samples-from-data needs --data")
@@ -280,7 +295,7 @@ def cmd_stdp_curve(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    """Print a checkpoint's metadata, stored blocks and `validate()` verdict.
+    """Print a checkpoint's metadata, stored blocks and validity verdict.
 
     The file is parsed without validation so that a structurally invalid
     checkpoint is still described; it then exits 2.
@@ -288,9 +303,10 @@ def cmd_inspect(args) -> int:
     blob = Path(args.checkpoint).read_bytes()
     ck = ckpt_io.parse(blob)
     m = BoltzmannMachine(ck.layout, ck.weights, ck.biases)
+    sizes, intra = ck.layout.to_strings()
     print(f"format_version: {ck.format_version}")
-    print(f"layout: {'-'.join(str(s) for s in ck.layout.sizes)}")
-    print(f"intra: {','.join('1' if f else '0' for f in ck.layout.intra_layer) or 'none'}")
+    print(f"layout: {sizes}")
+    print(f"intra: {intra or 'none'}")
     print(f"epoch: {ck.epoch}")
     print(f"adam_t: {ck.adam.t}")
     for a, b in active_blocks(ck.layout):
@@ -298,7 +314,7 @@ def cmd_inspect(args) -> int:
         print(f"block {a}-{b}: {w.shape[0]}x{w.shape[1]}, |w|_max {np.abs(w).max():.6f}")
     print(f"stored_weights: {ck.weights.size}")
     print(f"file_bytes: {len(blob)}")
-    violations = validate(m)
+    violations = ckpt_io.violations(ck)
     verdict = f"{len(violations)} violations, first {violations[:3]}" if violations else "ok"
     print(f"validate: {verdict}")
     for line in ck.config.to_text().strip().splitlines():

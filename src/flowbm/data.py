@@ -1,4 +1,4 @@
-"""IDX-format image ingestion, binarization, and dataset splitting.
+"""IDX-format image ingestion and binarization.
 
 Handles the standard big-endian IDX containers used by MNIST and Fashion
 MNIST, transparently decompressing gzip files.  Pixels are scaled to
@@ -31,8 +31,8 @@ class Dataset:
     threshold: float
 
     def __post_init__(self):
-        # Zero-row datasets may appear as unused pieces of a split; every
-        # consumer that needs examples rejects them.
+        # Zero-row datasets (an IDX file with a count of 0) are allowed
+        # here; every consumer that needs examples rejects them.
         if self.images.ndim != 2:
             raise ValueError("dataset images must be a (N, pixels) matrix")
         if not np.isin(self.images, (0, 1)).all():
@@ -121,17 +121,3 @@ def binarize(raw, threshold: float = 0.5, labels=None, source: str = "") -> Data
 def load_binary_dataset(images_path, labels_path=None, threshold: float = 0.5) -> Dataset:
     images, labels = load_idx(images_path, labels_path)
     return binarize(images, threshold, labels=labels, source=str(images_path))
-
-
-def split(ds: Dataset, n_train: int, n_valid: int, n_test: int, seed: int) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint random splits; deterministic for a fixed seed."""
-    total = n_train + n_valid + n_test
-    if total > len(ds):
-        raise ValueError(f"requested {total} examples from a dataset of {len(ds)}")
-    perm = np.random.default_rng(np.random.SeedSequence(seed & (2**64 - 1))).permutation(len(ds))
-    a, b = n_train, n_train + n_valid
-    return (
-        ds.take(perm[:a]),
-        ds.take(perm[a:b]),
-        ds.take(perm[b : b + n_test]),
-    )

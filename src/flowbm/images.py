@@ -24,16 +24,6 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(img.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    parts = blob.split(b"\n", 3)
-    if parts[0] != b"P5" or len(parts) < 4:
-        raise ValueError("not a binary PGM file")
-    cols, rows = (int(tok) for tok in parts[1].split())
-    return np.frombuffer(parts[3], dtype=np.uint8, count=rows * cols).reshape(rows, cols)
-
-
 def tile_images(flat_rows: np.ndarray, columns: int = 10, pad: int = 2) -> np.ndarray:
     """Arrange flattened 28x28 images into one padded grid."""
     rows = np.atleast_2d(np.asarray(flat_rows, dtype=np.float64))

@@ -1,10 +1,9 @@
-"""Evaluation suite: sparsity statistics, image reconstruction, Parzen
-log-likelihood, activation histograms, and corruption patterns."""
+"""Evaluation suite: sparsity statistics, corruption patterns, image
+reconstruction and its L1 error, and Parzen log-likelihood."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -16,29 +15,6 @@ IMAGE_SIDE = 28
 CORRUPT_BAND = 12  # rows or columns replaced by noise out of 28
 
 PATTERNS = ("top", "bottom", "left", "right")
-
-
-@dataclass
-class EvalReport:
-    """Collected evaluation results for one trained machine."""
-
-    recon_errors: dict[str, float] = field(default_factory=dict)
-    parzen_ll: float | None = None
-    parzen_stderr: float | None = None
-    mean_activation: float | None = None
-    rho: float | None = None
-    w2: float | None = None
-
-    def to_text(self) -> str:
-        return json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n"
-
-    def csv_rows(self) -> list[tuple[str, float]]:
-        rows = [(f"recon_{k}", v) for k, v in sorted(self.recon_errors.items())]
-        for name in ("parzen_ll", "parzen_stderr", "mean_activation", "rho", "w2"):
-            value = getattr(self, name)
-            if value is not None:
-                rows.append((name, value))
-        return rows
 
 
 def _first_hidden_block(m: BoltzmannMachine) -> np.ndarray:
@@ -66,13 +42,14 @@ def squared_weight(m: BoltzmannMachine) -> float:
     return float(np.sum(w**2) / w.shape[1])
 
 
-def recon_error(original: np.ndarray, reconstructed: np.ndarray) -> float:
-    """L1 distance between two equal-length bit vectors."""
+def recon_error(original: np.ndarray, reconstructed: np.ndarray):
+    """L1 distance between two equal-length bit vectors, or one distance per
+    row of two equal-shape matrices."""
     a = np.asarray(original, dtype=np.float64)
     b = np.asarray(reconstructed, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.abs(a - b).sum())
+    return np.abs(a - b).sum(axis=-1)
 
 
 def corrupt(
@@ -132,25 +109,6 @@ def _reconstruct_rows(
     return rows[0].astype(np.uint8)
 
 
-def reconstruct(
-    m: BoltzmannMachine,
-    corrupted: np.ndarray,
-    known_mask: np.ndarray,
-    gibbs_steps: int,
-    rng: RngStream,
-    intra_sweeps: int = 1,
-) -> np.ndarray:
-    """Fill in unknown pixels by clamped Gibbs sampling.
-
-    Known pixels are re-clamped to their given values after every visible
-    update; the unknown pixels of the final visible update are thresholded
-    at 0.5 from the Bernoulli probabilities instead of sampled.
-    """
-    corrupted = np.asarray(corrupted)[None, :]
-    known_mask = np.asarray(known_mask)[None, :]
-    return reconstruct_batch(m, corrupted, known_mask, gibbs_steps, [rng], intra_sweeps)[0]
-
-
 def reconstruct_batch(
     m: BoltzmannMachine,
     corrupted: np.ndarray,
@@ -160,7 +118,13 @@ def reconstruct_batch(
     intra_sweeps: int = 1,
     threads: int = 1,
 ) -> np.ndarray:
-    """`reconstruct` for many images (rows), one stream per row."""
+    """Fill in the unknown pixels of each image (row) by clamped Gibbs sampling.
+
+    One stream per row.  Known pixels are re-clamped to their given values
+    after every visible update; the unknown pixels of the final visible
+    update are thresholded at 0.5 from the Bernoulli probabilities instead
+    of sampled.
+    """
     if len(m.layout.sizes) < 2:
         raise ValueError("reconstruction needs a hidden layer")
     corrupted = np.atleast_2d(np.asarray(corrupted))
@@ -194,14 +158,16 @@ def parzen_ll(
     centered at the samples, evaluated with log-sum-exp; returns the mean
     over test points and the standard error of that mean.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     test = np.atleast_2d(np.asarray(test, dtype=np.float64))
-    if samples.shape[0] == 0:
-        raise ValueError("empty sample set")
+    if samples.shape[0] == 0 or test.shape[0] == 0:
+        raise ValueError("empty sample or test set")
     if samples.shape[1] != test.shape[1]:
         raise ValueError("sample/test dimension mismatch")
+    if not (np.isfinite(samples).all() and np.isfinite(test).all()):
+        raise ValueError("samples and test points must be finite")
     d = samples.shape[1]
     log_norm = np.log(samples.shape[0]) + 0.5 * d * np.log(2.0 * np.pi * sigma**2)
     s_sq = np.sum(samples**2, axis=1)
@@ -214,36 +180,3 @@ def parzen_ll(
     mean = float(lls.mean())
     stderr = float(lls.std(ddof=1) / np.sqrt(lls.shape[0])) if lls.shape[0] > 1 else 0.0
     return mean, stderr
-
-
-@dataclass
-class ActivationStats:
-    """Histogram of per-hidden-unit mean activations plus the overall mean."""
-
-    counts: np.ndarray
-    bin_edges: np.ndarray
-    mean: float
-    per_unit: np.ndarray
-
-
-def activation_stats(
-    m: BoltzmannMachine,
-    data,
-    rng: RngStream,
-    bins: int = 20,
-    intra_sweeps: int = 1,
-    threads: int = 1,
-) -> ActivationStats:
-    """Mean activation of every hidden unit over a dataset via inference."""
-    from .sampling import e_step_batch
-
-    x_rows = np.atleast_2d(np.asarray(getattr(data, "images", data)))
-    if x_rows.shape[0] == 0:
-        raise ValueError("empty dataset")
-    if len(m.layout.sizes) < 2:
-        raise ValueError("machine has no hidden units")
-    streams = [rng.child(i) for i in range(x_rows.shape[0])]
-    layers = e_step_batch(m, x_rows, streams, intra_sweeps, threads)
-    per_unit = np.concatenate([h.astype(np.float64).mean(axis=0) for h in layers[1:]])
-    counts, edges = np.histogram(per_unit, bins=bins, range=(0.0, 1.0))
-    return ActivationStats(counts, edges, float(per_unit.mean()), per_unit)

@@ -24,6 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The accepted spellings of one `--intra` flag; any other token is an error.
+_INTRA_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -89,8 +92,20 @@ class LayerSpec:
                 raise ValueError(
                     f"intra flags {intra!r} do not match {n_hidden} hidden layers"
                 )
-            flags = tuple(tok in ("1", "true", "yes") for tok in toks)
+            unknown = [tok for tok in toks if tok not in _INTRA_FLAGS]
+            if unknown:
+                raise ValueError(
+                    f"bad intra flag {unknown[0]!r} in {intra!r}; use 0/1/true/false/yes/no"
+                )
+            flags = tuple(_INTRA_FLAGS[tok] for tok in toks)
         return cls(sizes, flags)
+
+    def to_strings(self) -> tuple[str, str]:
+        """Inverse of `from_strings`: ``("784-196", "1")``."""
+        return (
+            "-".join(str(s) for s in self.sizes),
+            ",".join("1" if f else "0" for f in self.intra_layer),
+        )
 
 
 def active_blocks(layout: LayerSpec) -> list[tuple[int, int]]:

@@ -14,9 +14,11 @@ are
     dK/db_i  = alpha_i delta_i
     dK/dw_ij = y_j alpha_i delta_i + y_i alpha_j delta_j
 
-and the learner descends, i.e. applies the negative of these.  The epsilon
-prefactor of the underlying KL divergence is absorbed into the learning
-rate; `brute_force_flow` recovers it exactly on enumerable machines.
+and the learner descends, i.e. applies the negative of these.
+`gradient_and_objective` computes both from one batched evaluation of
+(alpha, z, delta).  The epsilon prefactor of the underlying KL divergence
+is absorbed into the learning rate; `brute_force_flow` recovers it exactly
+on enumerable machines.
 """
 
 from __future__ import annotations
@@ -41,15 +43,6 @@ def clamp_event_count() -> int:
 def reset_clamp_event_count() -> None:
     global _clamp_events
     _clamp_events = 0
-
-
-@dataclass
-class FlowTerms:
-    """Per-vertex quantities for one data point."""
-
-    alpha: np.ndarray
-    z: np.ndarray
-    delta: np.ndarray
 
 
 @dataclass
@@ -96,32 +89,11 @@ def _flow_arrays(m: BoltzmannMachine, batch: np.ndarray, clamp: float):
     return alpha, z, delta
 
 
-def flow_terms(m: BoltzmannMachine, y, clamp: float = Z_CLAMP_DEFAULT) -> FlowTerms:
-    """alpha, z, delta for a single state vector."""
-    batch = _as_batch(m, y)
-    if batch.shape[0] != 1:
-        raise ValueError("flow_terms takes a single state vector")
-    alpha, z, delta = _flow_arrays(m, batch, clamp)
-    return FlowTerms(alpha[0], z[0], delta[0])
-
-
-def objective(m: BoltzmannMachine, data, clamp: float = Z_CLAMP_DEFAULT) -> float:
-    """Mean over data points of sum_j delta_j (epsilon-free value)."""
-    batch = _as_batch(m, data)
-    _, _, delta = _flow_arrays(m, batch, clamp)
-    return float(delta.sum(axis=1).mean())
-
-
-def gradient(m: BoltzmannMachine, batch, clamp: float = Z_CLAMP_DEFAULT) -> Gradient:
-    """Batch-mean analytic gradient over the stored blocks."""
-    g, _ = gradient_and_objective(m, batch, clamp)
-    return g
-
-
 def gradient_and_objective(
     m: BoltzmannMachine, batch, clamp: float = Z_CLAMP_DEFAULT
 ) -> tuple[Gradient, float]:
-    """Fused path used by the training loop (one delta evaluation)."""
+    """Batch-mean analytic gradient over the stored blocks, and the objective:
+    the mean over data points of sum_j delta_j (epsilon-free value)."""
     y = _as_batch(m, batch)
     alpha, _, delta = _flow_arrays(m, y, clamp)
     a = alpha * delta  # (B, n)
@@ -198,8 +170,8 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 def brute_force_flow(m: BoltzmannMachine, data, eps: float) -> float:
     """Exact KL(p0 || p_eps) by dense matrix exponential of the rate matrix.
 
-    Tractable only for small machines; the epsilon-free `objective` times
-    eps converges to this as eps -> 0 when no data point is a one-hop
+    Tractable only for small machines; the epsilon-free objective of
+    `gradient_and_objective` times eps converges to this as eps -> 0 when no data point is a one-hop
     neighbor of another.
     """
     if m.n > 20:

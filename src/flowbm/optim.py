@@ -122,17 +122,6 @@ def init_adam(m: BoltzmannMachine) -> AdamState:
     return AdamState(np.zeros(e), np.zeros(e), np.zeros(n), np.zeros(n), 0)
 
 
-def reset(st: AdamState) -> AdamState:
-    """Zeroed accumulators of the same shapes, t = 0."""
-    return AdamState(
-        np.zeros_like(st.m1_w),
-        np.zeros_like(st.m2_w),
-        np.zeros_like(st.m1_b),
-        np.zeros_like(st.m2_b),
-        0,
-    )
-
-
 def step(
     m: BoltzmannMachine, g: Gradient, st: AdamState, cfg: TrainConfig
 ) -> tuple[BoltzmannMachine, AdamState]:

@@ -1,11 +1,13 @@
-"""Conditional Bernoulli sampling for layered machines.
+"""Conditional Bernoulli sampling for layered machines, one row per stream.
 
-Covers the exact one-hidden-layer conditionals, the bottom-up inference
-pass that zeroes top-down input for deeper machines, asynchronous
-intra-layer Gibbs updates, and top-down confabulation generation.
+Covers the bottom-up inference pass that zeroes top-down input (the
+E-step), asynchronous intra-layer Gibbs sweeps, and top-down confabulation
+generation.  `metrics.reconstruct_batch` reuses the same layer-update
+kernel.
 
-All samplers are driven by `RngStream`, a named counter-based stream:
-identical (seed, stream_id, call sequence) reproduces identical draws on
+All samplers are driven by `RngStream`: a PCG64 generator seeded from a
+`SeedSequence` whose spawn key is the stream's (stream_id, child ids)
+path.  Identical (seed, path, call sequence) reproduces identical draws on
 any platform, so batches can be sharded across threads without changing
 results.
 """
@@ -66,17 +68,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, key={self._key})"
 
 
-def _check_states(m: BoltzmannMachine, states: list[np.ndarray]) -> list[np.ndarray]:
-    sizes = m.layout.sizes
-    if len(states) != len(sizes):
-        raise ValueError(f"expected {len(sizes)} layers, got {len(states)}")
-    rows = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in states]
-    for layer, (row, width) in enumerate(zip(rows, sizes)):
-        if row.shape[1] != width:
-            raise ValueError(f"layer {layer} has width {row.shape[1]}, expected {width}")
-    return rows
-
-
 def _layer_input(
     m: BoltzmannMachine,
     target: int,
@@ -85,7 +76,9 @@ def _layer_input(
 ) -> np.ndarray:
     """Summed input to `target` from adjacent layers plus bias.
 
-    Intra-layer terms are never included here; `_async_sweep` owns them.
+    With `zero_above`, input from the layer above is dropped (the bottom-up
+    inference approximation).  Intra-layer terms are never included here;
+    `_async_sweep` owns them.
     """
     sl = m.layout.slices()
     total = np.broadcast_to(m.biases[sl[target]], (rows[0].shape[0], m.layout.sizes[target])).copy()
@@ -94,39 +87,6 @@ def _layer_input(
     if not zero_above and target + 1 < len(sl):
         total += from_above(rows[target + 1], m.block(target, target + 1))
     return total
-
-
-def conditional_prob(
-    m: BoltzmannMachine,
-    target_layer: int,
-    states: list[np.ndarray],
-    zero_above: bool,
-) -> np.ndarray:
-    """sigmoid of the inter-layer input to each unit of `target_layer`.
-
-    With `zero_above`, input from the layer above is dropped (the bottom-up
-    inference approximation).  Intra-layer contributions are excluded.
-    """
-    if target_layer < 1 or target_layer >= len(m.layout.sizes):
-        raise ValueError(f"target_layer {target_layer} out of range")
-    rows = _check_states(m, states)
-    return expit(_layer_input(m, target_layer, rows, zero_above))[0]
-
-
-def visible_prob(m: BoltzmannMachine, states: list[np.ndarray]) -> np.ndarray:
-    """Bernoulli probability of the observed layer given the layer above."""
-    if len(m.layout.sizes) < 2:
-        raise ValueError("machine has no hidden layer above the observed one")
-    rows = _check_states(m, states)
-    return expit(_layer_input(m, 0, rows, zero_above=False))[0]
-
-
-def sample_layer(probs: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Independent Bernoulli draws, bit j on with probability probs[j]."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return (rng.uniforms(probs.shape[-1]) < probs).astype(np.uint8)
 
 
 def _draw(probs: np.ndarray, streams: list[RngStream]) -> np.ndarray:
@@ -175,21 +135,6 @@ def _update_hidden(
     return h
 
 
-def async_gibbs(
-    m: BoltzmannMachine,
-    layer: int,
-    states: list[np.ndarray],
-    rng: RngStream,
-) -> np.ndarray:
-    """Asynchronous intra-layer update of one hidden layer; returns new bits."""
-    if not m.layout.has_intra(layer):
-        raise ValueError(f"layer {layer} has no intra-layer connections")
-    rows = _check_states(m, states)
-    h = rows[layer].copy()
-    _async_sweep(m, layer, h, _layer_input(m, layer, rows, zero_above=True), [rng])
-    return h[0].astype(np.uint8)
-
-
 def map_shards(run, n_rows: int, threads: int) -> list:
     """`run` applied to consecutive `_CHUNK`-row slices of `n_rows` rows.
 
@@ -219,25 +164,6 @@ def _estep_rows(
     return [r.astype(np.uint8) for r in rows]
 
 
-def e_step(
-    m: BoltzmannMachine,
-    x: np.ndarray,
-    rng: RngStream,
-    intra_sweeps: int = 1,
-) -> list[np.ndarray]:
-    """Single bottom-up inference pass for one observed vector.
-
-    Each hidden layer is Bernoulli-sampled from the layer below with
-    top-down input zeroed, then refined by `intra_sweeps` asynchronous
-    sweeps when it has intra-layer edges.  One sample per data point.
-    """
-    x = np.asarray(x)
-    if x.shape != (m.layout.sizes[0],):
-        raise ValueError(f"observed vector has shape {x.shape}, expected ({m.layout.sizes[0]},)")
-    layers = _estep_rows(m, x[None, :], [rng], intra_sweeps)
-    return [layer[0] for layer in layers]
-
-
 def e_step_batch(
     m: BoltzmannMachine,
     x_rows: np.ndarray,
@@ -245,11 +171,18 @@ def e_step_batch(
     intra_sweeps: int = 1,
     threads: int = 1,
 ) -> list[np.ndarray]:
-    """Vectorized `e_step` over many observed rows with per-row streams.
+    """Bottom-up inference pass, one row per observed vector and stream.
 
-    The result is independent of `threads` (see `map_shards`).
+    Each hidden layer is Bernoulli-sampled from the layer below with
+    top-down input zeroed, then refined by `intra_sweeps` asynchronous
+    sweeps when it has intra-layer edges.  The result is independent of
+    `threads` (see `map_shards`).
     """
     x_rows = np.atleast_2d(np.asarray(x_rows))
+    if x_rows.ndim != 2 or x_rows.shape[1] != m.layout.sizes[0]:
+        raise ValueError(
+            f"observed rows have shape {x_rows.shape}, expected (*, {m.layout.sizes[0]})"
+        )
     if x_rows.shape[0] != len(streams):
         raise ValueError("need one RngStream per row")
     parts = map_shards(
@@ -283,21 +216,6 @@ def _generate_rows(
     return expit(_layer_input(m, 0, rows, zero_above=False))
 
 
-def generate(
-    m: BoltzmannMachine,
-    top_init,
-    r: int,
-    rng: RngStream,
-    intra_sweeps: int = 1,
-) -> np.ndarray:
-    """One confabulation; returns the visible Bernoulli probability vector.
-
-    `top_init` is the string "uniform" or a per-unit prior for the top
-    layer's initial Bernoulli draw.
-    """
-    return generate_batch(m, top_init, r, [rng], intra_sweeps)[0]
-
-
 def generate_batch(
     m: BoltzmannMachine,
     top_init,
@@ -306,7 +224,11 @@ def generate_batch(
     intra_sweeps: int = 1,
     threads: int = 1,
 ) -> np.ndarray:
-    """Independent confabulations, one per stream; rows of visible probs."""
+    """Independent confabulations, one per stream; rows of visible probs.
+
+    `top_init` is the string "uniform" or a per-unit prior for the top
+    layer's initial Bernoulli draw.
+    """
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
     sizes = m.layout.sizes

@@ -37,19 +37,23 @@ def stdp_update(y_pre: int, alpha_post: float, delta_post: float) -> float:
 
 def stdp_curve(delta_pre: float, delta_post: float, dts) -> list[StdpPoint]:
     """Expected update at each signed interval; singular at dt = 0."""
-    if delta_pre <= 0 or delta_post <= 0:
-        raise ValueError("firing rates must be positive")
+    if not all(math.isfinite(rate) and rate > 0 for rate in (delta_pre, delta_post)):
+        raise ValueError("firing rates must be positive and finite")
     points = []
     for dt in dts:
         dt = float(dt)
         if dt == 0.0:
             raise ValueError("spike-time difference 0 is singular")
+        if not math.isfinite(dt):
+            raise ValueError(f"spike-time difference {dt} is not finite")
         eps = abs(dt)
         if dt > 0:
             dw = (1.0 / eps) * math.exp(-delta_pre * eps)
         else:
             dw = -delta_post * math.exp(-delta_post * eps)
         points.append(StdpPoint(dt, dw))
+    if not points:
+        raise ValueError("no spike-time differences given")
     return points
 
 
@@ -60,12 +64,3 @@ def emit_stdp_csv(points: list[StdpPoint], path) -> None:
         writer.writerow(["dt", "dw"])
         for p in points:
             writer.writerow([repr(p.dt), repr(p.dw)])
-
-
-def read_stdp_csv(path) -> list[StdpPoint]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["dt", "dw"]:
-            raise ValueError(f"unexpected header {header!r}")
-        return [StdpPoint(float(dt), float(dw)) for dt, dw in reader]

@@ -1,3 +1,4 @@
+import csv
 import gzip
 import struct
 from pathlib import Path
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, edge_count
+from flowbm.mpf import Z_CLAMP_DEFAULT, _flow_arrays
 from flowbm.sampling import RngStream
+from flowbm.stdp import StdpPoint
 
 
 def make_machine(n: int, seed: int, w_scale: float = 1.0, b_scale: float = 0.5) -> BoltzmannMachine:
@@ -43,6 +46,12 @@ def stored_edges(layout: LayerSpec) -> np.ndarray:
     pattern = dense(zero_machine(layout), np.ones(edge_count(layout))) != 0
     np.fill_diagonal(pattern, False)
     return pattern
+
+
+def flow_row(m: BoltzmannMachine, y, clamp: float = Z_CLAMP_DEFAULT):
+    """(alpha, z, delta) of the batched `mpf._flow_arrays` kernel for one state."""
+    alpha, z, delta = _flow_arrays(m, np.asarray(y, dtype=np.float64)[None, :], clamp)
+    return alpha[0], z[0], delta[0]
 
 
 class CountingStream(RngStream):
@@ -86,6 +95,27 @@ def write_idx_labels(path, labels, gz: bool = False) -> None:
     if gz:
         blob = gzip.compress(blob)
     Path(path).write_bytes(blob)
+
+
+def read_pgm(path) -> np.ndarray:
+    """Pixels of a binary (P5) graymap as written by `images.write_pgm`."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    parts = blob.split(b"\n", 3)
+    if parts[0] != b"P5" or len(parts) < 4:
+        raise ValueError("not a binary PGM file")
+    cols, rows = (int(tok) for tok in parts[1].split())
+    return np.frombuffer(parts[3], dtype=np.uint8, count=rows * cols).reshape(rows, cols)
+
+
+def read_stdp_csv(path) -> list[StdpPoint]:
+    """Points of a curve CSV as written by `stdp.emit_stdp_csv`."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if header != ["dt", "dw"]:
+            raise ValueError(f"unexpected header {header!r}")
+        return [StdpPoint(float(dt), float(dw)) for dt, dw in reader]
 
 
 @pytest.fixture

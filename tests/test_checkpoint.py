@@ -100,6 +100,23 @@ class TestFailureModes:
         assert "validate: 1 violations, first [('asymmetric', 6, 7)]" in captured.out
         assert "fails validation" in captured.err
 
+    def test_invalid_adam_moments_rejected(self, tmp_path, capsys):
+        # A negative second moment or a NaN first moment used to load; a run
+        # resumed from it stopped only at the end of its next epoch.
+        ck = sample_checkpoint()
+        ck.adam.m2_w[0] = -1.0
+        ck.adam.m1_b[0] = np.nan
+        blob = serialize(ck)
+        with pytest.raises(CheckpointCorruptError, match="moment"):
+            deserialize(blob)
+        path = tmp_path / "moments.bin"
+        path.write_bytes(blob)
+        assert main(["inspect", "--checkpoint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert ("validate: 2 violations, first [('negative_moment', 'm2_w', 0), "
+                "('nonfinite_moment', 'm1_b', 0)]") in captured.out
+        assert "fails validation" in captured.err
+
     @pytest.mark.parametrize("where", ["diagonal", "weight", "bias"])
     def test_invalid_parameters_rejected(self, where):
         ck = sample_checkpoint()
@@ -185,6 +202,19 @@ class TestFailureModes:
         path.write_bytes(doctored)
         assert main(["inspect", "--checkpoint", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_oversized_config_length_rejected(self):
+        # A config length beyond the body, on a body that ends with the config
+        # text, used to escape as OverflowError.
+        ck = sample_checkpoint()
+        body = bytearray(serialize(ck)[:-4])
+        layers, flags = len(ck.layout.sizes), len(ck.layout.intra_layer)
+        at = len(MAGIC) + 4 + 4 + 4 * layers + 4 + flags + 8
+        (config_len,) = struct.unpack_from("<Q", body, at)
+        struct.pack_into("<Q", body, at, 2**64 - 1)
+        body = body[: at + 8 + config_len]
+        with pytest.raises(CheckpointCorruptError, match="config"):
+            deserialize(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
 
     def test_array_length_must_match_shape(self):
         # The last array's length field claims 3 bytes more than its shape

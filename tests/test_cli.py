@@ -4,11 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import write_idx_images, write_idx_labels
+from conftest import read_pgm, read_stdp_csv, write_idx_images, write_idx_labels
 from flowbm.cli import build_parser, main
 from flowbm.checkpoint import load_checkpoint
-from flowbm.images import read_pgm
-from flowbm.stdp import read_stdp_csv
 
 SUBCOMMANDS = ("train", "generate", "reconstruct", "eval-ll", "stdp-curve", "inspect")
 
@@ -106,6 +104,42 @@ class TestHelpAndUsage:
         assert run(args) == 2
         assert "at least 1" in capsys.readouterr().err
         assert not (workdir / "gen-zero").exists()
+
+    def test_unknown_intra_flags_rejected(self, workdir, capsys):
+        # Tokens other than 0/1/true/false/yes/no used to run as "no intra
+        # edges" with exit 0.
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-6-4",
+                "--epochs", "1"]
+        for intra in ("on", "1,x"):
+            out = workdir / "bad-intra"
+            assert run(base + ["--intra", intra, "--out", out]) == 2
+            assert "bad intra flag" in capsys.readouterr().err
+            assert not out.exists()
+        out = workdir / "good-intra"
+        assert run(base + ["--intra", "no,yes", "--out", out]) == 0
+        assert "# intra = 0,1\n" in (out / "config.txt").read_text()
+
+    @pytest.mark.parametrize("cmd, flag", [
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--epochs", "1",
+          "--checkpoint-every", "-1", "--out", "{w}/bad"], "--checkpoint-every"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
+          "--data", "{w}/train.idx", "--limit-test", "-50"], "--limit-test"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
+          "--data", "{w}/train.idx", "--limit-test", "0"], "--limit-test"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
+          "--data", "{w}/train.idx", "--sigma", "nan"], "--sigma"),
+        (["stdp-curve", "--delta-pre", "nan", "--delta-post", "1.0", "--dt-min", "-0.1",
+          "--dt-max", "0.1", "--out", "{w}/bad"], "firing rates"),
+    ], ids=["checkpoint-every", "limit-test-negative", "limit-test-zero", "sigma-nan",
+            "delta-pre-nan"])
+    def test_misread_numeric_flags_rejected(self, workdir, cmd, flag, capsys):
+        # Each of these used to exit 0: writing every epoch, dropping test
+        # rows, or printing nan.
+        assert run([a.format(w=workdir) for a in cmd]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert "parzen_ll" not in captured.out
+        assert not (workdir / "bad").exists()
 
 
 class TestEndToEnd:
@@ -290,6 +324,32 @@ class TestResume:
                     "--resume", out / "ckpt-final.bin", "--epochs", "1", "--out", out]) == 2
         assert "below" in capsys.readouterr().err
         assert (out / "ckpt-final.bin").read_bytes() == before
+
+    def test_resume_rejects_flags_that_contradict_the_checkpoint(self, workdir, capsys):
+        # --layout and --intra used to be ignored under --resume.
+        out = workdir / "r784"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-20",
+                    "--epochs", "1", "--out", out]) == 0
+        resume = ["train", "--images", workdir / "train.idx", "--resume",
+                  out / "ckpt-final.bin", "--epochs", "2"]
+        for flags in (["--layout", "10-5", "--intra", "1"], ["--layout", "784-21"],
+                      ["--intra", "1"]):
+            bad = workdir / "contradicted"
+            assert run(resume + flags + ["--out", bad]) == 2
+            assert "contradicts the checkpoint" in capsys.readouterr().err
+            assert not bad.exists()
+
+    def test_resume_accepts_flags_that_agree_with_the_checkpoint(self, workdir):
+        out = workdir / "r784i"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-20",
+                    "--intra", "1", "--epochs", "1", "--out", out]) == 0
+        resume = ["train", "--images", workdir / "train.idx", "--resume",
+                  out / "ckpt-final.bin", "--epochs", "2"]
+        for i, flags in enumerate((["--layout", "784-20", "--intra", "1"],
+                                   ["--layout", "784-20"], ["--intra", "yes"])):
+            assert run(resume + flags + ["--out", workdir / f"agreed{i}"]) == 0
+        finals = {(workdir / f"agreed{i}" / "ckpt-final.bin").read_bytes() for i in range(3)}
+        assert len(finals) == 1
 
     def test_same_seed_bit_identical_checkpoints(self, workdir):
         args = ["train", "--images", workdir / "train.idx", "--layout", "784-8",

@@ -12,7 +12,6 @@ from flowbm.data import (
     binarize,
     load_binary_dataset,
     load_idx,
-    split,
 )
 
 
@@ -130,41 +129,3 @@ class TestBinarize:
         with pytest.raises(ValueError):
             Dataset(np.full((2, 4), 3, dtype=np.uint8), None, "", 0.5)
 
-
-class TestSplit:
-    def make_ds(self, n=50):
-        rng = np.random.default_rng(3)
-        return binarize(
-            (rng.random((n, 4, 4)) * 255).astype(np.uint8), 0.5, labels=np.arange(n) % 10
-        )
-
-    def test_full_train_split_is_identity_set(self):
-        ds = self.make_ds(20)
-        train, valid, test = split(ds, 20, 0, 0, seed=1)
-        assert len(train) == 20 and len(valid) == 0 and len(test) == 0
-        assert sorted(map(tuple, train.images)) == sorted(map(tuple, ds.images))
-
-    def test_same_seed_same_split(self):
-        ds = self.make_ds()
-        a = split(ds, 30, 10, 10, seed=9)
-        b = split(ds, 30, 10, 10, seed=9)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x.images, y.images)
-
-    def test_different_seed_differs(self):
-        ds = self.make_ds()
-        a, _, _ = split(ds, 30, 10, 10, seed=1)
-        b, _, _ = split(ds, 30, 10, 10, seed=2)
-        assert not np.array_equal(a.images, b.images)
-
-    def test_disjoint_parts(self):
-        ds = self.make_ds()
-        # tag rows uniquely through the labels to check index disjointness
-        ds = Dataset(ds.images, np.arange(50, dtype=np.uint8), ds.source, ds.threshold)
-        train, valid, test = split(ds, 25, 15, 10, seed=4)
-        all_labels = np.concatenate([train.labels, valid.labels, test.labels])
-        assert len(np.unique(all_labels)) == 50
-
-    def test_oversized_request_rejected(self):
-        with pytest.raises(ValueError):
-            split(self.make_ds(10), 8, 2, 1, seed=0)

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import CountingStream, make_layered_machine, random_bits
 from flowbm.metrics import (
-    EvalReport,
     PATTERNS,
-    activation_stats,
     corrupt,
     parzen_ll,
     recon_error,
-    reconstruct,
     reconstruct_batch,
     squared_weight,
     weight_sparsity,
@@ -118,6 +115,14 @@ class TestReconError:
         with pytest.raises(ValueError):
             recon_error(np.zeros(3), np.zeros(4))
 
+    def test_one_distance_per_row(self):
+        # The form `cmd_reconstruct` uses: one L1 error per image.
+        rng = np.random.default_rng(4)
+        a, b = random_bits(rng, (5, 784)), random_bits(rng, (5, 784))
+        np.testing.assert_array_equal(recon_error(a, b), (a != b).sum(axis=1))
+        with pytest.raises(ValueError):
+            recon_error(a, b[:4])
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 1000), n=st.integers(1, 64))
     def test_counts_differing_bits(self, seed, n):
@@ -133,14 +138,14 @@ class TestReconstruct:
     def test_all_pixels_known_is_identity(self):
         m = self.small_machine()
         image = random_bits(np.random.default_rng(0), 784)
-        out = reconstruct(m, image, np.ones(784, dtype=bool), gibbs_steps=3, rng=RngStream(1))
-        np.testing.assert_array_equal(out, image)
+        out = reconstruct_batch(m, image[None], np.ones((1, 784), dtype=bool), 3, [RngStream(1)])
+        np.testing.assert_array_equal(out[0], image)
 
     def test_never_alters_known_pixels(self):
         m = self.small_machine(seed=3, intra=True)
         image = random_bits(np.random.default_rng(5), 784)
         corrupted, known = corrupt(image, "bottom", RngStream(2))
-        out = reconstruct(m, corrupted, known, gibbs_steps=4, rng=RngStream(3))
+        out = reconstruct_batch(m, corrupted[None], known[None], 4, [RngStream(3)])[0]
         np.testing.assert_array_equal(out[known], image[known])
 
     def test_zero_weight_machine_gives_fair_unknowns(self):
@@ -164,11 +169,9 @@ class TestReconstruct:
         image = np.zeros(784, dtype=np.uint8)
         known = np.ones(784, dtype=bool)
         known[:336] = False
-        draws = np.stack(
-            [
-                reconstruct(m, image, known, gibbs_steps=1, rng=RngStream(13, i))
-                for i in range(50)
-            ]
+        draws = reconstruct_batch(
+            m, np.tile(image, (50, 1)), np.tile(known, (50, 1)), 1,
+            [RngStream(13, i) for i in range(50)],
         )
         np.testing.assert_array_equal(draws[:, :336], 1)
 
@@ -177,15 +180,16 @@ class TestReconstruct:
         m = self.small_machine(seed=1)
         image = random_bits(np.random.default_rng(1), 784)
         corrupted, known = corrupt(image, "top", RngStream(4))
-        out = reconstruct(m, corrupted, known, gibbs_steps=2, rng=RngStream(5))
-        assert np.isin(out, (0, 1)).all()
+        out = reconstruct_batch(m, corrupted[None], known[None], 2, [RngStream(5)])
+        assert out.shape == (1, 784) and np.isin(out, (0, 1)).all()
 
     def test_shape_validation(self):
         m = self.small_machine()
         with pytest.raises(ValueError):
-            reconstruct(m, np.zeros(10), np.ones(10, dtype=bool), 2, RngStream(0))
+            reconstruct_batch(m, np.zeros((1, 10)), np.ones((1, 10), dtype=bool), 2, [RngStream(0)])
         with pytest.raises(ValueError):
-            reconstruct(m, np.zeros(784), np.ones(784, dtype=bool), 0, RngStream(0))
+            reconstruct_batch(m, np.zeros((1, 784)), np.ones((1, 784), dtype=bool), 0,
+                              [RngStream(0)])
 
     def test_batch_argument_validation(self):
         m = self.small_machine()
@@ -276,6 +280,22 @@ class TestParzen:
         with pytest.raises(ValueError):
             parzen_ll(np.zeros((2, 5)), np.zeros((2, 6)), 0.2)
 
+    def test_rejects_empty_test_set_and_nonfinite_values(self):
+        # An empty test set used to give a nan mean; a nan sigma or point a
+        # nan result.
+        samples, test = np.zeros((2, 5)), np.zeros((3, 5))
+        with pytest.raises(ValueError, match="empty"):
+            parzen_ll(samples, np.zeros((0, 5)), 0.2)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="sigma"):
+                parzen_ll(samples, test, sigma)
+        bad = test.copy()
+        bad[1, 2] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            parzen_ll(samples, bad, 0.2)
+        with pytest.raises(ValueError, match="finite"):
+            parzen_ll(np.full((2, 5), math.inf), test, 0.2)
+
     def test_stderr_is_standard_error_of_mean(self):
         rng = np.random.default_rng(3)
         samples = rng.random((10, 4))
@@ -286,41 +306,3 @@ class TestParzen:
         mean2, _ = parzen_ll(samples, np.vstack([test, test]), 0.2)
         assert mean == pytest.approx(mean2, rel=1e-12)
 
-
-class TestActivationStats:
-    def test_zero_machine_mean_half(self):
-        m = zero_machine(LayerSpec((8, 6), (False,)))
-        data = random_bits(np.random.default_rng(0), (4000, 8))
-        stats = activation_stats(m, data, RngStream(1))
-        assert abs(stats.mean - 0.5) < 0.03
-        assert stats.counts.sum() == 6
-
-    def test_histogram_partitions_units(self):
-        m = make_layered_machine((10, 7, 5), (True, False), seed=2, w_scale=0.3)
-        data = random_bits(np.random.default_rng(1), (200, 10))
-        stats = activation_stats(m, data, RngStream(2))
-        assert stats.counts.sum() == 12  # all hidden units across layers
-        assert stats.per_unit.shape == (12,)
-        assert stats.bin_edges[0] == 0.0 and stats.bin_edges[-1] == 1.0
-
-    def test_rejects_empty_data(self):
-        m = make_layered_machine((10, 7), (False,), seed=0)
-        with pytest.raises(ValueError):
-            activation_stats(m, np.zeros((0, 10)), RngStream(0))
-
-
-class TestEvalReport:
-    def test_text_and_csv_serialization(self):
-        report = EvalReport(
-            recon_errors={"top": 32.9, "left": 36.7},
-            parzen_ll=78.0,
-            parzen_stderr=5.9,
-            mean_activation=0.26,
-            rho=0.15,
-            w2=12.0,
-        )
-        text = report.to_text()
-        assert '"parzen_ll": 78.0' in text
-        rows = dict(report.csv_rows())
-        assert rows["recon_top"] == 32.9
-        assert rows["rho"] == 0.15

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     dense,
+    flow_row,
     make_machine,
     make_layered_machine,
     neighbor_disjoint_data,
@@ -18,10 +19,7 @@ from flowbm.mpf import (
     clamp_event_count,
     empirical_distribution,
     enumerate_states,
-    flow_terms,
-    gradient,
     gradient_and_objective,
-    objective,
     rate_matrix,
     reset_clamp_event_count,
     state_index,
@@ -33,6 +31,11 @@ def two_vertex_machine(w12=1.0, b=(0.0, 0.0)):
     return BoltzmannMachine.from_dense(
         layout, np.array([[0.0, w12], [w12, 0.0]]), np.array(b, dtype=float)
     )
+
+
+def objective(m, data) -> float:
+    """The objective value that `gradient_and_objective` returns."""
+    return gradient_and_objective(m, data)[1]
 
 
 def finite_difference_gradient(m, batch, h=1e-5):
@@ -71,22 +74,22 @@ class TestFlowTerms:
     def test_zero_machine_unit_rates(self):
         m = zero_machine(LayerSpec((3,)))
         for y in ([0, 0, 0], [1, 0, 1], [1, 1, 1]):
-            terms = flow_terms(m, np.array(y))
-            assert np.array_equal(terms.delta, np.ones(3))
+            _, _, delta = flow_row(m, y)
+            assert np.array_equal(delta, np.ones(3))
 
     def test_hand_example_one_zero(self):
         # alpha = (1/2 - y); z_j = sum_i w_ij y_i + b_j; delta = exp(alpha z).
         m = two_vertex_machine(w12=1.0)
-        terms = flow_terms(m, np.array([1, 0]))
-        assert np.array_equal(terms.alpha, [-0.5, 0.5])
-        assert np.array_equal(terms.z, [0.0, 1.0])
-        np.testing.assert_allclose(terms.delta, [1.0, 1.6487212707001282], rtol=1e-14)
+        alpha, z, delta = flow_row(m, [1, 0])
+        assert np.array_equal(alpha, [-0.5, 0.5])
+        assert np.array_equal(z, [0.0, 1.0])
+        np.testing.assert_allclose(delta, [1.0, 1.6487212707001282], rtol=1e-14)
 
     def test_hand_example_both_on(self):
         m = two_vertex_machine(w12=1.0)
-        terms = flow_terms(m, np.array([1, 1]))
+        _, _, delta = flow_row(m, [1, 1])
         np.testing.assert_allclose(
-            terms.delta, [0.6065306597126334, 0.6065306597126334], rtol=1e-14
+            delta, [0.6065306597126334, 0.6065306597126334], rtol=1e-14
         )
 
     def test_invariants_on_random_machines(self):
@@ -94,22 +97,22 @@ class TestFlowTerms:
         for trial in range(30):
             m = make_machine(6, seed=trial)
             y = random_bits(rng, 6)
-            terms = flow_terms(m, y)
-            assert np.array_equal(terms.alpha, 0.5 - y)
-            np.testing.assert_array_equal(terms.delta, np.exp(terms.alpha * terms.z))
-            assert (terms.delta > 0).all()
+            alpha, z, delta = flow_row(m, y)
+            assert np.array_equal(alpha, 0.5 - y)
+            np.testing.assert_array_equal(delta, np.exp(alpha * z))
+            assert (delta > 0).all()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            flow_terms(make_machine(4, seed=0), np.zeros(3))
+            gradient_and_objective(make_machine(4, seed=0), np.zeros(3))
 
     def test_clamp_guard_counts_events(self):
         m = two_vertex_machine(w12=100.0)
         reset_clamp_event_count()
-        terms = flow_terms(m, np.array([1, 0]))
+        _, z, delta = flow_row(m, [1, 0])
         assert clamp_event_count() == 1
-        assert terms.z[1] == 30.0
-        assert np.isfinite(terms.delta).all()
+        assert z[1] == 30.0
+        assert np.isfinite(delta).all()
         reset_clamp_event_count()
 
 
@@ -151,15 +154,16 @@ class TestObjective:
 class TestGradient:
     def test_zero_machine_all_ones(self):
         m = zero_machine(LayerSpec((4,)))
-        g = gradient(m, np.ones((1, 4)))
+        g, _ = gradient_and_objective(m, np.ones((1, 4)))
         np.testing.assert_allclose(g.d_biases, -0.5 * np.ones(4), rtol=1e-15)
 
     def test_batch_gradient_is_mean_of_singles(self):
         m = make_machine(5, seed=9)
         batch = random_bits(np.random.default_rng(2), (6, 5))
-        g_batch = gradient(m, batch)
-        singles_w = np.mean([gradient(m, row[None, :]).d_weights for row in batch], axis=0)
-        singles_b = np.mean([gradient(m, row[None, :]).d_biases for row in batch], axis=0)
+        g_batch, _ = gradient_and_objective(m, batch)
+        singles = [gradient_and_objective(m, row[None, :])[0] for row in batch]
+        singles_w = np.mean([g.d_weights for g in singles], axis=0)
+        singles_b = np.mean([g.d_biases for g in singles], axis=0)
         np.testing.assert_allclose(g_batch.d_weights, singles_w, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(g_batch.d_biases, singles_b, rtol=1e-12, atol=1e-15)
 
@@ -167,7 +171,7 @@ class TestGradient:
         for seed in range(10):
             m = make_layered_machine((4, 3, 2), (True, False), seed=seed, w_scale=0.4)
             batch = random_bits(np.random.default_rng(seed), (5, m.n))
-            g = gradient(m, batch)
+            g, _ = gradient_and_objective(m, batch)
             # Laid out like the weights, with symmetric zero-diagonal intra
             # blocks: the gradient passes the machine's own check.
             assert g.d_weights.shape == m.weights.shape
@@ -182,21 +186,28 @@ class TestGradient:
         for trial in range(20):
             m = make_machine(5, seed=trial, w_scale=0.8, b_scale=0.4)
             batch = random_bits(rng, (4, 5))
-            g = gradient(m, batch)
+            g, _ = gradient_and_objective(m, batch)
             fd_w, fd_b = finite_difference_gradient(m, batch)
             np.testing.assert_allclose(dense(m, g.d_weights), fd_w, rtol=1e-6, atol=1e-9)
             np.testing.assert_allclose(g.d_biases, fd_b, rtol=1e-6, atol=1e-9)
 
     def test_fused_objective_matches(self):
+        # The gradient and the objective come from one kernel evaluation;
+        # both match the per-row kernel values combined by hand.
         m = make_machine(6, seed=2)
         batch = random_bits(np.random.default_rng(3), (7, 6))
         g, value = gradient_and_objective(m, batch)
-        assert value == pytest.approx(objective(m, batch), rel=1e-15)
-        np.testing.assert_array_equal(g.d_weights, gradient(m, batch).d_weights)
+        rows = [flow_row(m, y) for y in batch]
+        assert value == pytest.approx(np.mean([delta.sum() for _, _, delta in rows]), rel=1e-15)
+        a = np.array([alpha * delta for alpha, _, delta in rows])
+        np.testing.assert_allclose(g.d_biases, a.mean(axis=0), rtol=1e-15)
+        expected_w = (a.T @ batch + batch.T @ a) / len(batch)
+        np.fill_diagonal(expected_w, 0.0)
+        np.testing.assert_allclose(dense(m, g.d_weights), expected_w, rtol=1e-14, atol=1e-15)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            gradient(make_machine(3, seed=0), np.zeros((0, 3)))
+            gradient_and_objective(make_machine(3, seed=0), np.zeros((0, 3)))
 
 
 class TestRateMatrix:
@@ -208,14 +219,14 @@ class TestRateMatrix:
             gamma = rate_matrix(m)
             y = random_bits(rng, 5)
             y_idx = int(state_index(y)[0])
-            terms = flow_terms(m, y)
+            _, _, delta = flow_row(m, y)
             for j in range(5):
                 x_idx = y_idx ^ (1 << j)
                 direct = math.exp(
                     0.5 * (energy(m, y) - energy(m, enumerate_states(5)[x_idx]))
                 )
                 assert gamma[x_idx, y_idx] == pytest.approx(direct, rel=1e-12)
-                assert gamma[x_idx, y_idx] == pytest.approx(terms.delta[j], rel=1e-12)
+                assert gamma[x_idx, y_idx] == pytest.approx(delta[j], rel=1e-12)
 
     def test_column_sums_vanish(self):
         m = make_machine(6, seed=1)

@@ -3,14 +3,13 @@ import pytest
 
 from conftest import make_machine, random_bits
 from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, validate
-from flowbm.mpf import Gradient, gradient, objective
+from flowbm.mpf import Gradient, gradient_and_objective
 from flowbm.optim import (
     AdamState,
     TrainConfig,
     init_adam,
     load_config,
     parse_config_items,
-    reset,
     step,
 )
 
@@ -186,42 +185,13 @@ class TestAdamStep:
             batch = random_bits(rng, (12, 6))
             st = init_adam(m)
             cfg = TrainConfig(weight_decay=0.0)
-            values = [objective(m, batch)]
+            g, value = gradient_and_objective(m, batch)
+            values = [value]
             for _ in range(200):
-                step(m, gradient(m, batch), st, cfg)
-                values.append(objective(m, batch))
+                step(m, g, st, cfg)
+                g, value = gradient_and_objective(m, batch)
+                values.append(value)
             if np.all(np.diff(values) <= 1e-12):
                 monotone += 1
         assert monotone / trials >= 0.95
 
-
-class TestReset:
-    def test_zeroes_everything(self):
-        m = make_machine(3, seed=0)
-        st = init_adam(m)
-        step(m, Gradient(np.zeros_like(m.weights), np.ones(3)), st, TrainConfig())
-        fresh = reset(st)
-        assert fresh.t == 0
-        assert not fresh.m1_b.any() and not fresh.m2_w.any()
-
-    def test_idempotent(self):
-        m = make_machine(3, seed=0)
-        st = init_adam(m)
-        once = reset(st)
-        twice = reset(once)
-        for name in ("m1_w", "m2_w", "m1_b", "m2_b"):
-            np.testing.assert_array_equal(getattr(once, name), getattr(twice, name))
-        assert once.t == twice.t == 0
-
-    def test_step_after_reset_equals_fresh_state(self):
-        m1 = make_machine(4, seed=5)
-        m2 = m1.copy()
-        st_used = init_adam(m1)
-        g = Gradient(np.zeros_like(m1.weights), np.ones(4) * 0.3)
-        for _ in range(3):
-            step(m1.copy(), g, st_used, TrainConfig())
-        st_reset = reset(st_used)
-        st_fresh = init_adam(m2)
-        a, _ = step(m1.copy(), g, st_reset, TrainConfig())
-        b, _ = step(m1.copy(), g, st_fresh, TrainConfig())
-        np.testing.assert_array_equal(a.biases, b.biases)

@@ -1,11 +1,15 @@
-"""The benchmark under perfbench/ reads the parameter store from outside the
-package: checkpoints through `checks.checkpoint_file`, and the byte counts
-of `optim.step` and `mpf.gradient_and_objective` through `spans`.  These
-tests run those readers on real calls, so a change to the store that would
-break the benchmark fails here first.  Nothing under perfbench/ is edited.
+"""The benchmark under perfbench/ reads the package from outside: checkpoints
+through `checks.checkpoint_file`, and spans through `spans.SITES`, which names
+functions by module and attribute and whose work counters read call
+arguments by position.  These tests run those readers on real calls and
+check the names and positions, so a rename or a change to the store that
+would break the benchmark fails here first.  Nothing under perfbench/ is
+edited.
 """
 
+import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -48,3 +52,31 @@ def test_checkpoint_check_and_byte_counts_follow_the_store(synthetic_idx, tmp_pa
 
     args = (m, result[0], st, cfg)
     assert spans._state_bytes(args, {}, optim.step(*args)) == (3 * e + 3 * n) * 8
+
+
+# Argument positions that each `spans` work counter reads, by the parameter
+# name it means there.  `_grad_bytes` reads only the result.
+COUNTER_PARAMETERS = {
+    "_rows": {2: "streams"},
+    "_samples": {3: "streams"},
+    "_images": {1: "corrupted"},
+    "_pairs": {0: "samples", 1: "test"},
+    "_state_bytes": {0: "m", 1: "g", 2: "st"},
+    "_file_bytes": {0: "path"},
+    "_grad_bytes": {},
+}
+
+
+def test_sites_resolve_and_counters_read_the_parameters_they_mean():
+    spans = load_perfbench("spans")
+    counters = set()
+    for module_name, attr, _name, work in spans.SITES:
+        fn = getattr(importlib.import_module(module_name), attr, None)
+        assert callable(fn), f"{module_name}.{attr}"
+        if work is None:
+            continue
+        counters.add(work.__name__)
+        params = list(inspect.signature(fn).parameters)
+        for index, expected in COUNTER_PARAMETERS[work.__name__].items():
+            assert params[index] == expected, (module_name, attr, index)
+    assert {"_rows", "_samples", "_images", "_state_bytes"} <= counters

@@ -2,27 +2,39 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 from scipy.stats import chisquare
 
 from conftest import CountingStream, make_layered_machine, random_bits
 from flowbm.model import BoltzmannMachine, LayerSpec, edge_count, new_machine
 from flowbm.sampling import (
     RngStream,
-    async_gibbs,
-    conditional_prob,
-    e_step,
+    _async_sweep,
+    _draw,
+    _layer_input,
+    _update_hidden,
     e_step_batch,
-    generate,
     generate_batch,
     mean_activation_prior,
-    sample_layer,
-    visible_prob,
 )
 
 
 def zero_machine(sizes, intra):
     layout = LayerSpec(sizes, intra)
     return BoltzmannMachine(layout, np.zeros(edge_count(layout)), np.zeros(layout.n))
+
+
+def conditional(m, layer, states, zero_above):
+    """Unit probabilities of `layer` from the samplers' `_layer_input` kernel,
+    for one state given as a list of per-layer vectors."""
+    rows = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in states]
+    return expit(_layer_input(m, layer, rows, zero_above))[0]
+
+
+def sweep_input(m, layer, below, count):
+    """Bottom-up input to `layer` for `count` copies of the state `below`."""
+    return _layer_input(m, layer, [np.tile(np.asarray(below, dtype=np.float64), (count, 1))],
+                        zero_above=True)
 
 
 class TestRngStream:
@@ -56,14 +68,14 @@ class TestRngStream:
 class TestConditionalProb:
     def test_zero_machine_is_half(self):
         m = zero_machine((4, 3), (False,))
-        probs = conditional_prob(m, 1, [np.zeros(4), np.zeros(3)], zero_above=True)
+        probs = conditional(m, 1, [np.zeros(4), np.zeros(3)], zero_above=True)
         np.testing.assert_array_equal(probs, 0.5 * np.ones(3))
 
     def test_single_active_input(self):
         m = zero_machine((3, 2), (False,))
         m.block(0, 1)[0, 0] = 2.0  # vertex 0 to vertex 3
         m.biases[3] = -1.0
-        probs = conditional_prob(m, 1, [np.array([1, 0, 0]), np.zeros(2)], zero_above=True)
+        probs = conditional(m, 1, [np.array([1, 0, 0]), np.zeros(2)], zero_above=True)
         assert probs[0] == pytest.approx(1.0 / (1.0 + math.exp(-1.0)), rel=1e-12)
         assert probs[0] == pytest.approx(0.7310585786300049, rel=1e-12)
         assert probs[1] == 0.5
@@ -71,13 +83,13 @@ class TestConditionalProb:
     def test_zero_above_ignores_upper_weights(self):
         m = make_layered_machine((4, 3, 2), (False, False), seed=5)
         states = [random_bits(np.random.default_rng(0), w) for w in (4, 3, 2)]
-        base = conditional_prob(m, 1, states, zero_above=True)
+        base = conditional(m, 1, states, zero_above=True)
         m.block(1, 2)[...] += 3.0
         np.testing.assert_array_equal(
-            base, conditional_prob(m, 1, states, zero_above=True)
+            base, conditional(m, 1, states, zero_above=True)
         )
         assert not np.array_equal(
-            base, conditional_prob(m, 1, states, zero_above=False)
+            base, conditional(m, 1, states, zero_above=False)
         )
 
     def test_monotone_in_weight_with_active_input(self):
@@ -86,56 +98,58 @@ class TestConditionalProb:
         last = 0.0
         for w in (0.0, 0.5, 1.0, 2.0):
             m.block(0, 1)[0, 0] = w  # vertex 0 to vertex 2
-            p = conditional_prob(m, 1, states, zero_above=True)[0]
+            p = conditional(m, 1, states, zero_above=True)[0]
             assert p > last or w == 0.0
             assert 0.0 < p < 1.0
             last = p
 
-    def test_index_out_of_range(self):
-        m = zero_machine((4, 3), (False,))
-        with pytest.raises(ValueError):
-            conditional_prob(m, 0, [np.zeros(4), np.zeros(3)], zero_above=True)
-        with pytest.raises(ValueError):
-            conditional_prob(m, 2, [np.zeros(4), np.zeros(3)], zero_above=True)
-
     def test_visible_prob_uses_layer_above(self):
         m = zero_machine((3, 2), (False,))
         m.biases[:3] = (0.2, -0.3, 0.0)
-        probs = visible_prob(m, [np.zeros(3), np.zeros(2)])
+        probs = conditional(m, 0, [np.zeros(3), np.zeros(2)], zero_above=False)
         expected = 1.0 / (1.0 + np.exp(-m.biases[:3]))
         np.testing.assert_allclose(probs, expected, rtol=1e-14)
 
 
 class TestSampleLayer:
+    """The samplers' Bernoulli kernel `_draw`, one uniform block per stream."""
+
     def test_deterministic_extremes(self):
         rng = RngStream(0)
-        assert not sample_layer(np.zeros(6), rng).any()
-        assert sample_layer(np.ones(6), rng).all()
+        assert not _draw(np.zeros(6), [rng]).any()
+        assert _draw(np.ones(6), [rng]).all()
 
     def test_rejects_bad_probabilities(self):
-        with pytest.raises(ValueError):
-            sample_layer(np.array([0.5, 1.2]), RngStream(0))
-        with pytest.raises(ValueError):
-            sample_layer(np.array([-0.1]), RngStream(0))
+        # Caller-supplied probabilities enter the samplers only as the
+        # generation prior, which is checked before any draw.
+        m = zero_machine((3, 2), (False,))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            generate_batch(m, np.array([0.5, 1.2]), 1, [RngStream(0)])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            generate_batch(m, np.array([-0.1, 0.5]), 1, [RngStream(0)])
 
     def test_mean_concentration(self):
-        draws = np.stack(
-            [sample_layer(np.full(10, 0.5), RngStream(3, i)) for i in range(10_000)]
-        )
+        draws = _draw(np.full(10, 0.5), [RngStream(3, i) for i in range(10_000)])
         per_bit = draws.mean(axis=0)
         assert np.abs(per_bit - 0.5).max() < 0.01 * 2  # binomial 4-sigma bound
 
     def test_fixed_seed_bit_identical(self):
-        a = sample_layer(np.full(32, 0.37), RngStream(9, 1))
-        b = sample_layer(np.full(32, 0.37), RngStream(9, 1))
+        a = _draw(np.full(32, 0.37), [RngStream(9, 1)])
+        b = _draw(np.full(32, 0.37), [RngStream(9, 1)])
         np.testing.assert_array_equal(a, b)
 
 
 class TestAsyncGibbs:
+    """The intra-layer sweep kernel `_async_sweep`, one row per chain."""
+
     def test_requires_intra_connections(self):
-        m = zero_machine((3, 2), (False,))
-        with pytest.raises(ValueError):
-            async_gibbs(m, 1, [np.zeros(3), np.zeros(2)], RngStream(0))
+        # `_update_hidden` sweeps only layers with intra-layer edges: a plain
+        # layer takes its one conditional draw and no sweep draws.
+        below = [np.zeros((1, 3))]
+        for intra, draws in ((False, 1), (True, 1 + 3)):
+            stream = CountingStream(0)
+            _update_hidden(zero_machine((3, 2), (intra,)), 1, below, [stream], intra_sweeps=3)
+            assert stream.calls == draws
 
     def test_zero_intra_weights_match_factorial_conditional(self):
         # With vanishing intra weights the update degenerates to independent
@@ -145,7 +159,7 @@ class TestAsyncGibbs:
         m.block(0, 1)[1, 1] = -0.6  # vertex 1 to vertex 3
         m.biases[2:] = (0.2, 0.4)
         below = np.array([1, 1])
-        probs = conditional_prob(m, 1, [below, np.zeros(2)], zero_above=True)
+        probs = conditional(m, 1, [below, np.zeros(2)], zero_above=True)
         exact = np.array(
             [
                 (1 - probs[0]) * (1 - probs[1]),
@@ -155,10 +169,10 @@ class TestAsyncGibbs:
             ]
         )
         n_draws = 10_000
-        counts = np.zeros(4)
-        for i in range(n_draws):
-            h = async_gibbs(m, 1, [below, np.zeros(2)], RngStream(77, i))
-            counts[int(h[0]) + 2 * int(h[1])] += 1
+        h = np.zeros((n_draws, 2))
+        _async_sweep(m, 1, h, sweep_input(m, 1, below, n_draws),
+                     [RngStream(77, i) for i in range(n_draws)])
+        counts = np.bincount((h[:, 0] + 2 * h[:, 1]).astype(int), minlength=4)
         result = chisquare(counts, f_exp=n_draws * exact)
         assert result.pvalue > 0.01
 
@@ -170,14 +184,13 @@ class TestAsyncGibbs:
         intra[0, 1] = intra[1, 0] = 10.0
         exact_agree = (1 + math.exp(10.0)) / (3 + math.exp(10.0))
         assert exact_agree > 0.999
-        agree = 0
         chains = 400
-        for c in range(chains):
-            rng = RngStream(13, c)
-            states = [np.zeros(1), sample_layer(np.full(2, 0.5), rng)]
-            for _ in range(50):
-                states[1] = async_gibbs(m, 1, states, rng)
-            agree += int(states[1][0] == states[1][1])
+        streams = [RngStream(13, c) for c in range(chains)]
+        h = _draw(np.full(2, 0.5), streams)
+        below_input = sweep_input(m, 1, np.zeros(1), chains)
+        for _ in range(50):
+            _async_sweep(m, 1, h, below_input, streams)
+        agree = int((h[:, 0] == h[:, 1]).sum())
         assert agree / chains >= 0.95
 
     def test_stationary_distribution_total_variation(self):
@@ -196,20 +209,22 @@ class TestAsyncGibbs:
         exact = np.exp(logits - logits.max())
         exact /= exact.sum()
         sweeps = 100_000
-        rng = RngStream(31)
-        states = [below, sample_layer(np.full(2, 0.5), rng)]
+        rng = [RngStream(31)]
+        h = _draw(np.full(2, 0.5), rng)
+        below_input = sweep_input(m, 1, below, 1)
         counts = np.zeros(4)
         for _ in range(sweeps):
-            states[1] = async_gibbs(m, 1, states, rng)
-            counts[int(states[1][0]) + 2 * int(states[1][1])] += 1
+            _async_sweep(m, 1, h, below_input, rng)
+            counts[int(h[0, 0]) + 2 * int(h[0, 1])] += 1
         tv = 0.5 * np.abs(counts / sweeps - exact).sum()
         assert tv < 0.02
 
     def test_fixed_seed_bit_identical(self):
         m = make_layered_machine((3, 4), (True,), seed=2)
-        states = [random_bits(np.random.default_rng(1), 3), np.zeros(4)]
-        a = async_gibbs(m, 1, states, RngStream(5, 5))
-        b = async_gibbs(m, 1, states, RngStream(5, 5))
+        below_input = sweep_input(m, 1, random_bits(np.random.default_rng(1), 3), 1)
+        a, b = np.zeros((1, 4)), np.zeros((1, 4))
+        _async_sweep(m, 1, a, below_input, [RngStream(5, 5)])
+        _async_sweep(m, 1, b, below_input, [RngStream(5, 5)])
         np.testing.assert_array_equal(a, b)
 
 
@@ -225,15 +240,16 @@ class TestEStep:
 
     def test_dbm_shape(self):
         m = new_machine(LayerSpec((784, 196, 196, 64), (True, True, True)), seed=0)
-        layers = e_step(m, random_bits(np.random.default_rng(0), 784), RngStream(1))
-        assert [len(layer) for layer in layers] == [784, 196, 196, 64]
+        x = random_bits(np.random.default_rng(0), (1, 784))
+        layers = e_step_batch(m, x, [RngStream(1)])
+        assert [layer.shape for layer in layers] == [(1, 784), (1, 196), (1, 196), (1, 64)]
 
     def test_bottom_up_ignores_deeper_weights(self):
         m = make_layered_machine((5, 4, 3), (False, False), seed=7)
-        x = random_bits(np.random.default_rng(2), 5)
-        h_before = e_step(m, x, RngStream(4))[1]
+        x = random_bits(np.random.default_rng(2), (1, 5))
+        h_before = e_step_batch(m, x, [RngStream(4)])[1]
         m.block(1, 2)[...] *= -2.5
-        h_after = e_step(m, x, RngStream(4))[1]
+        h_after = e_step_batch(m, x, [RngStream(4)])[1]
         np.testing.assert_array_equal(h_before, h_after)
 
     def test_batch_thread_count_invariance(self):
@@ -247,8 +263,8 @@ class TestEStep:
 
     def test_width_mismatch_rejected(self):
         m = zero_machine((6, 4), (False,))
-        with pytest.raises(ValueError):
-            e_step(m, np.zeros(5), RngStream(0))
+        with pytest.raises(ValueError, match=r"expected \(\*, 6\)"):
+            e_step_batch(m, np.zeros((1, 5)), [RngStream(0)])
 
 
 class TestGenerate:
@@ -260,25 +276,25 @@ class TestGenerate:
     def test_zero_weight_machine_returns_visible_bias_probs(self):
         m = zero_machine((5, 3), (False,))
         m.biases[:5] = (0.5, -0.5, 0.0, 2.0, -2.0)
-        probs = generate(m, "uniform", r=5, rng=RngStream(0))
+        probs = generate_batch(m, "uniform", 5, [RngStream(0)])[0]
         np.testing.assert_allclose(probs, 1.0 / (1.0 + np.exp(-m.biases[:5])), rtol=1e-14)
 
     def test_output_shape_and_range(self):
         m = new_machine(LayerSpec((784, 16), (False,)), seed=1, init_scale=0.5)
-        probs = generate(m, "uniform", r=2, rng=RngStream(2))
-        assert probs.shape == (784,)
+        probs = generate_batch(m, "uniform", 2, [RngStream(2)])
+        assert probs.shape == (1, 784)
         assert probs.min() >= 0.0 and probs.max() <= 1.0
 
     def test_prior_initialization_and_validation(self):
         m = zero_machine((4, 3), (False,))
-        probs = generate(m, np.array([0.9, 0.1, 0.5]), r=1, rng=RngStream(1))
-        assert probs.shape == (4,)
+        probs = generate_batch(m, np.array([0.9, 0.1, 0.5]), 1, [RngStream(1)])
+        assert probs.shape == (1, 4)
         with pytest.raises(ValueError):
-            generate(m, np.array([0.9, 0.1]), r=1, rng=RngStream(1))
+            generate_batch(m, np.array([0.9, 0.1]), 1, [RngStream(1)])
         with pytest.raises(ValueError):
-            generate(m, "weird", r=1, rng=RngStream(1))
+            generate_batch(m, "weird", 1, [RngStream(1)])
         with pytest.raises(ValueError):
-            generate(m, "uniform", r=0, rng=RngStream(1))
+            generate_batch(m, "uniform", 0, [RngStream(1)])
 
     def test_layer_update_count(self):
         # One uniform block per layer update: top init, then per pair r
@@ -287,7 +303,7 @@ class TestGenerate:
         r = 3
         m = make_layered_machine((4, 3, 2), (True, False), seed=11)
         stream = CountingStream(8)
-        generate(m, "uniform", r=r, rng=stream, intra_sweeps=sweeps)
+        generate_batch(m, "uniform", r, [stream], intra_sweeps=sweeps)
         expected = 1 + r * (2 + sweeps) + r * 2  # pair (2,1) has intra, pair (1,0) not
         assert stream.calls == expected
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_machine, random_bits
-from flowbm.mpf import flow_terms, gradient
-from flowbm.stdp import StdpPoint, emit_stdp_csv, read_stdp_csv, stdp_curve, stdp_update
+from conftest import flow_row, make_machine, read_stdp_csv
+from flowbm.mpf import gradient_and_objective
+from flowbm.stdp import emit_stdp_csv, stdp_curve, stdp_update
 
 
 class TestStdpUpdate:
@@ -33,11 +33,11 @@ class TestStdpUpdate:
             for y_j in (0, 1):
                 m = make_machine(2, seed=y_i * 2 + y_j)
                 y = np.array([y_i, y_j])
-                terms = flow_terms(m, y)
-                combined = stdp_update(y_j, terms.alpha[0], terms.delta[0]) + stdp_update(
-                    y_i, terms.alpha[1], terms.delta[1]
+                alpha, _, delta = flow_row(m, y)
+                combined = stdp_update(y_j, alpha[0], delta[0]) + stdp_update(
+                    y_i, alpha[1], delta[1]
                 )
-                g = gradient(m, y[None, :])
+                g, _ = gradient_and_objective(m, y[None, :])
                 # gradient returns the ascent direction; the applied update
                 # is its negative, matching the local rule's sign.
                 assert -m.block(0, 0, g.d_weights)[0, 1] == pytest.approx(
@@ -89,6 +89,16 @@ class TestStdpCurve:
             stdp_curve(1.0, 1.0, [0.0])
         with pytest.raises(ValueError):
             stdp_curve(0.0, 1.0, [1.0])
+
+    def test_rejects_nonfinite_values_and_empty_sweep(self):
+        # A nan rate or interval used to produce nan rows.
+        for rates in ((math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                stdp_curve(*rates, [1.0])
+        with pytest.raises(ValueError, match="finite"):
+            stdp_curve(1.0, 1.0, [0.5, math.nan])
+        with pytest.raises(ValueError, match="no spike-time"):
+            stdp_curve(1.0, 1.0, [])
 
 
 class TestStdpCsv:

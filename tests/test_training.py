@@ -5,7 +5,7 @@ import pytest
 
 from conftest import zero_machine
 from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, validate
-from flowbm.mpf import all_state_energies, enumerate_states, objective
+from flowbm.mpf import all_state_energies, enumerate_states, gradient_and_objective
 from flowbm.optim import TrainConfig
 from flowbm.sampling import e_step_batch
 from flowbm.training import (
@@ -102,7 +102,8 @@ class TestTrainVpf:
             start = BoltzmannMachine(layout, prev[0], prev[1])
             if epoch > 3:
                 checked += 1
-                decreased += objective(m, pairs) < objective(start, pairs)
+                after = gradient_and_objective(m, pairs)[1]
+                decreased += after < gradient_and_objective(start, pairs)[1]
             prev = (m.weights.copy(), m.biases.copy())
 
         train_vpf(data, layout, cfg, machine=m0, adam=st0, epoch_callback=track)
