@@ -1,15 +1,21 @@
 """Command-line interface: train, generate, reconstruct, eval-ll,
 stdp-curve, inspect.
 
-Run directories use fixed file names (config.txt, epochs.csv,
+The CLI owns the run directory: fixed file names (config.txt, epochs.csv,
 ckpt-epoch-NNNNN.bin, ckpt-final.bin) so downstream tooling can locate
-outputs.  TrainConfig values come from defaults, then an optional
-key=value config file, then explicit CLI flags.
+outputs, and it alone writes epochs.csv, one `training.EpochLog` per row.
+Every `TrainConfig` field has a string-valued flag of the same name that
+`optim.parse_config_items` parses and checks.  train applies defaults (or
+the resumed checkpoint's config), then an optional key=value config file,
+then the flags; generate, reconstruct and eval-ll apply their --r and
+--intra-sweeps over the checkpoint's config the same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import math
 import os
 import sys
@@ -19,7 +25,7 @@ import numpy as np
 
 from . import checkpoint as ckpt_io
 from . import metrics, stdp, training
-from .data import Dataset, load_binary_dataset, load_idx
+from .data import load_binary_dataset, load_idx
 from .model import BoltzmannMachine, LayerSpec, active_blocks
 from .optim import TrainConfig, load_config, parse_config_items
 from .sampling import RngStream, generate_batch, mean_activation_prior
@@ -29,10 +35,7 @@ TAG_GENERATE = 11
 TAG_RECON = 12
 TAG_EVAL = 13
 
-CONFIG_FLAGS = (
-    "eta", "beta1", "beta2", "adam_eps", "weight_decay", "minibatch",
-    "epochs", "seed", "r", "intra_sweeps", "init_scale", "clamp_z",
-)
+CONFIG_FLAGS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 
 class UsageError(Exception):
@@ -60,36 +63,28 @@ def _require_positive(flag: str, value: int) -> None:
         raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, default=None, help="key=value config file")
-    for name in CONFIG_FLAGS:
-        flag = "--" + name.replace("_", "-")
-        p.add_argument(flag, type=str, default=None)
-    p.add_argument("--lambda", dest="weight_decay_alias", type=str, default=None,
-                   help="alias for --weight-decay")
+def _add_config_flags(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
+    """One flag per config key in `names` (a `TrainConfig` field or an alias)."""
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=str, default=None)
+    p.set_defaults(config_flags=names)
 
 
-def _build_config(args, base: TrainConfig | None = None) -> TrainConfig:
-    cfg = base or TrainConfig()
-    if args.config:
+def _build_config(args, base: TrainConfig) -> TrainConfig:
+    """`base`, then the --config file if the command has one, then the flags
+    that `_add_config_flags` gave the command."""
+    cfg = base
+    if getattr(args, "config", None):
         cfg = load_config(args.config, cfg)
-    items = {}
-    for name in CONFIG_FLAGS:
-        value = getattr(args, name)
-        if value is not None:
-            items[name] = value
-    if getattr(args, "weight_decay_alias", None) is not None:
-        items["weight_decay"] = args.weight_decay_alias
+    items = {name: getattr(args, name) for name in args.config_flags
+             if getattr(args, name) is not None}
     return parse_config_items(items, cfg)
 
 
-def _load_dataset(images, labels, threshold: float, limit: int | None) -> Dataset:
-    ds = load_binary_dataset(images, labels, threshold)
-    if limit is not None:
-        if limit < 1:
-            raise UsageError(f"--limit must be at least 1, got {limit}")
-        ds = ds.take(np.arange(min(limit, len(ds))))
-    return ds
+def _load_dataset(images, labels, threshold: float, limit: int | None) -> np.ndarray:
+    if limit is not None and limit < 1:
+        raise UsageError(f"--limit must be at least 1, got {limit}")
+    return load_binary_dataset(images, labels, threshold)[:limit]
 
 
 def _layout(args, resumed: LayerSpec | None = None) -> LayerSpec:
@@ -108,15 +103,33 @@ def _layout(args, resumed: LayerSpec | None = None) -> LayerSpec:
     return resumed
 
 
-def _restart_epoch_csv(path: Path, start_epoch: int) -> None:
-    """Write the epochs.csv header, keeping an existing file's rows for epochs
-    before `start_epoch` so that a resumed run keeps its history."""
+def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
+    """The rows of an existing epochs.csv for epochs before `start_epoch`, so
+    that a resumed run keeps its history.  Blank lines are skipped, a row
+    that does not start with an epoch number is rejected, and a last row
+    without a line end gets one so that the next row does not join it."""
+    if start_epoch == 0 or not path.exists():
+        return []
+    with open(path, newline="", encoding="utf-8") as fh:
+        lines = fh.readlines()
     kept = []
-    if start_epoch > 0 and path.exists():
-        with open(path, newline="", encoding="utf-8") as fh:
-            kept = [row for row in fh.readlines()[1:] if int(row.split(",", 1)[0]) < start_epoch]
-    training.write_epoch_csv(path, [], append=False)
-    with open(path, "a", newline="", encoding="utf-8") as fh:
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        first = line.split(",", 1)[0]
+        try:
+            epoch = int(first)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: expected an epoch number, got {first!r}") from None
+        if epoch < start_epoch:
+            kept.append(line if line.endswith("\n") else line + "\r\n")
+    return kept
+
+
+def _restart_epoch_csv(path: Path, kept: list[str]) -> None:
+    """Write the epochs.csv header followed by the `kept` rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(training.EpochLog.csv_header())
         fh.writelines(kept)
 
 
@@ -137,7 +150,8 @@ def cmd_train(args) -> int:
     else:
         layout = _layout(args)
         # Deeper machines default to more epochs; a config file or flag overrides.
-        cfg = _build_config(args, TrainConfig(epochs=200) if len(layout.sizes) > 2 else None)
+        base = TrainConfig(epochs=200) if len(layout.sizes) > 2 else TrainConfig()
+        cfg = _build_config(args, base)
         machine, adam = training.init_state(layout, cfg)
         start_epoch = 0
     if cfg.epochs < start_epoch:
@@ -146,6 +160,8 @@ def cmd_train(args) -> int:
     threads = _threads(args)
 
     out = Path(args.out)
+    csv_path = out / "epochs.csv"
+    kept_rows = _epoch_rows_before(csv_path, start_epoch)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.txt", "w", encoding="utf-8") as fh:
         sizes, intra = layout.to_strings()
@@ -153,12 +169,12 @@ def cmd_train(args) -> int:
         fh.write(f"# layout = {sizes}\n# intra = {intra}\n")
         fh.write(cfg.to_text())
 
-    csv_path = out / "epochs.csv"
-    _restart_epoch_csv(csv_path, start_epoch)
+    _restart_epoch_csv(csv_path, kept_rows)
     every = args.checkpoint_every
 
     def on_epoch(epoch, m, st, _pairs, log):
-        training.write_epoch_csv(csv_path, [log], append=True)
+        with open(csv_path, "a", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerow(log.csv_row())
         if every and (epoch + 1) % every == 0:
             ck = ckpt_io.from_training(m, st, cfg, epoch + 1)
             ckpt_io.save_checkpoint(out / f"ckpt-epoch-{epoch + 1:05d}.bin", ck)
@@ -181,23 +197,23 @@ def cmd_train(args) -> int:
 def _confabulate(args, tag: int, count: int, threads: int) -> np.ndarray:
     """Confabulations from `args.checkpoint` as set by the generate/eval-ll flags.
 
-    `r` and `intra_sweeps` default to the checkpoint's training values; the
-    top layer starts uniform or from the mean-activation prior over `--data`.
+    `r` and `intra_sweeps` are the checkpoint's config under the --r and
+    --intra-sweeps flags; the top layer starts uniform or from the
+    mean-activation prior over `--data`.
     """
     ck = ckpt_io.load_checkpoint(args.checkpoint)
     m = ck.machine()
-    r = args.r if args.r is not None else ck.config.r
-    sweeps = args.intra_sweeps if args.intra_sweeps is not None else ck.config.intra_sweeps
+    cfg = _build_config(args, ck.config)
     if args.init == "prior":
         if not args.data:
             raise UsageError("--init prior needs --data with training images")
         ds = _load_dataset(args.data, None, args.threshold, args.limit)
         top_init = mean_activation_prior(m, ds, RngStream(args.seed, tag).child(0),
-                                         sweeps, threads)
+                                         cfg.intra_sweeps, threads)
     else:
         top_init = "uniform"
     streams = [RngStream(args.seed, tag).child(1, i) for i in range(count)]
-    return generate_batch(m, top_init, r, streams, sweeps, threads)
+    return generate_batch(m, top_init, cfg.r, streams, cfg.intra_sweeps, threads)
 
 
 def cmd_generate(args) -> int:
@@ -220,27 +236,27 @@ def cmd_reconstruct(args) -> int:
     threads = _threads(args)
     ds = _load_dataset(args.images, None, args.threshold, args.limit)
     patterns = list(metrics.PATTERNS) if args.pattern == "all" else [args.pattern]
-    sweeps = args.intra_sweeps if args.intra_sweeps is not None else ck.config.intra_sweeps
+    sweeps = _build_config(args, ck.config).intra_sweeps
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     for pattern in patterns:
         total = 0.0
         for trial in range(args.trials):
-            corrupted = np.empty_like(ds.images)
-            known = np.empty(ds.images.shape, dtype=bool)
+            corrupted = np.empty_like(ds)
+            known = np.empty(ds.shape, dtype=bool)
             base = RngStream(args.seed, TAG_RECON).child(trial)
             for i in range(len(ds)):
                 corrupted[i], known[i] = metrics.corrupt(
-                    ds.images[i], pattern, base.child(0, i))
+                    ds[i], pattern, base.child(0, i))
             streams = [base.child(1, i) for i in range(len(ds))]
             recon = metrics.reconstruct_batch(
                 m, corrupted, known, args.gibbs_steps, streams, sweeps, threads)
-            total += float(metrics.recon_error(ds.images, recon).mean())
+            total += float(metrics.recon_error(ds, recon).mean())
             if trial == 0:
                 head = min(10, len(ds))
                 strip = np.concatenate(
-                    [ds.images[:head], corrupted[:head], recon[:head]])
+                    [ds[:head], corrupted[:head], recon[:head]])
                 write_pgm(out / f"triptych-{pattern}.pgm",
                           tile_images(strip, columns=head))
         mean_err = total / args.trials
@@ -259,7 +275,7 @@ def _eval_images(args, path) -> np.ndarray:
     if args.raw:
         raw, _ = load_idx(path)
         return raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
-    return _load_dataset(path, None, args.threshold, None).images
+    return _load_dataset(path, None, args.threshold, None)
 
 
 def cmd_eval_ll(args) -> int:
@@ -345,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
-    _add_config_flags(p)
+    p.add_argument("--config", type=str, default=None, help="key=value config file")
+    _add_config_flags(p, CONFIG_FLAGS + ("lambda",))
     _add_threads(p)
     p.set_defaults(func=cmd_train)
 
@@ -356,8 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="training images for --init prior")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--intra-sweeps", type=int, default=None)
+    _add_config_flags(p, ("r", "intra_sweeps"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_threads(p)
@@ -371,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gibbs-steps", type=int, default=2)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--intra-sweeps", type=int, default=None)
+    _add_config_flags(p, ("intra_sweeps",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_threads(p)
@@ -391,8 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --samples-from-data: continuous [0,1] pixels, no threshold")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--limit-test", type=int, default=None)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--intra-sweeps", type=int, default=None)
+    _add_config_flags(p, ("r", "intra_sweeps"))
     p.add_argument("--seed", type=int, default=0)
     _add_threads(p)
     p.set_defaults(func=cmd_eval_ll)

@@ -1,15 +1,17 @@
 """IDX-format image ingestion and binarization.
 
 Handles the standard big-endian IDX containers used by MNIST and Fashion
-MNIST, transparently decompressing gzip files.  Pixels are scaled to
-[0, 1] and thresholded to bits.
+MNIST, transparently decompressing gzip files.  This module owns every
+check on input images: `load_idx` rejects bad magic, truncation and a
+label count that differs from the image count, and `binarize` returns a
+(N, pixels) uint8 matrix of bits (pixel/255 > threshold).  That bit
+matrix is the data type every trainer and sampler takes.
 """
 
 from __future__ import annotations
 
 import gzip
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,33 +21,6 @@ LABEL_MAGIC = 0x00000801
 
 class IdxFormatError(ValueError):
     """Malformed IDX container (bad magic, truncation, count mismatch)."""
-
-
-@dataclass
-class Dataset:
-    """Binarized flat images with provenance."""
-
-    images: np.ndarray  # (N, pixels) uint8 bits
-    labels: np.ndarray | None
-    source: str
-    threshold: float
-
-    def __post_init__(self):
-        # Zero-row datasets (an IDX file with a count of 0) are allowed
-        # here; every consumer that needs examples rejects them.
-        if self.images.ndim != 2:
-            raise ValueError("dataset images must be a (N, pixels) matrix")
-        if not np.isin(self.images, (0, 1)).all():
-            raise ValueError("dataset images must be binary")
-        if self.labels is not None and len(self.labels) != len(self.images):
-            raise ValueError("label count does not match image count")
-
-    def __len__(self) -> int:
-        return self.images.shape[0]
-
-    def take(self, indices) -> "Dataset":
-        labels = None if self.labels is None else self.labels[indices]
-        return Dataset(self.images[indices], labels, self.source, self.threshold)
 
 
 def _read_bytes(path) -> bytes:
@@ -108,16 +83,17 @@ def load_idx(images_path, labels_path=None) -> tuple[np.ndarray, np.ndarray | No
     return images, labels
 
 
-def binarize(raw, threshold: float = 0.5, labels=None, source: str = "") -> Dataset:
-    """Threshold byte images: bit = 1 iff pixel/255 > threshold."""
+def binarize(raw, threshold: float = 0.5) -> np.ndarray:
+    """Threshold byte images to a (N, pixels) uint8 bit matrix:
+    bit = 1 iff pixel/255 > threshold."""
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     raw = np.asarray(raw)
     flat = raw.reshape(raw.shape[0], -1)
-    bits = (flat.astype(np.float64) / 255.0 > threshold).astype(np.uint8)
-    return Dataset(bits, labels, source, threshold)
+    return (flat.astype(np.float64) / 255.0 > threshold).astype(np.uint8)
 
 
-def load_binary_dataset(images_path, labels_path=None, threshold: float = 0.5) -> Dataset:
-    images, labels = load_idx(images_path, labels_path)
-    return binarize(images, threshold, labels=labels, source=str(images_path))
+def load_binary_dataset(images_path, labels_path=None, threshold: float = 0.5) -> np.ndarray:
+    """The images of an IDX file as bits; a labels file, if given, is only checked."""
+    images, _ = load_idx(images_path, labels_path)
+    return binarize(images, threshold)

@@ -32,25 +32,18 @@ from .model import BoltzmannMachine, active_blocks, dense_weights, edge_count, f
 
 Z_CLAMP_DEFAULT = 30.0
 
-# Diagnostic tally of clamped pre-activation entries (overflow guard hits).
-_clamp_events = 0
-
-
-def clamp_event_count() -> int:
-    return _clamp_events
-
-
-def reset_clamp_event_count() -> None:
-    global _clamp_events
-    _clamp_events = 0
-
 
 @dataclass
 class Gradient:
-    """Objective gradient, laid out like the machine's weights and biases."""
+    """Objective gradient, laid out like the machine's weights and biases.
+
+    `clamp_hits` counts the pre-activation entries that the overflow guard
+    clamped while computing it.
+    """
 
     d_weights: np.ndarray
     d_biases: np.ndarray
+    clamp_hits: int = 0
 
 
 def _as_batch(m: BoltzmannMachine, data) -> np.ndarray:
@@ -77,16 +70,14 @@ def _weighted_input(m: BoltzmannMachine, batch: np.ndarray) -> np.ndarray:
 
 
 def _flow_arrays(m: BoltzmannMachine, batch: np.ndarray, clamp: float):
-    """Batched (alpha, z, delta); z rows clamped to [-clamp, clamp]."""
-    global _clamp_events
+    """Batched (alpha, z, delta, clamp hits); z rows clamped to [-clamp, clamp]."""
     z = _weighted_input(m, batch)
-    clipped = np.abs(z) > clamp
-    if clipped.any():
-        _clamp_events += int(clipped.sum())
+    hits = int(np.count_nonzero(np.abs(z) > clamp))
+    if hits:
         z = np.clip(z, -clamp, clamp)
     alpha = 0.5 - batch
     delta = np.exp(alpha * z)
-    return alpha, z, delta
+    return alpha, z, delta, hits
 
 
 def gradient_and_objective(
@@ -95,7 +86,7 @@ def gradient_and_objective(
     """Batch-mean analytic gradient over the stored blocks, and the objective:
     the mean over data points of sum_j delta_j (epsilon-free value)."""
     y = _as_batch(m, batch)
-    alpha, _, delta = _flow_arrays(m, y, clamp)
+    alpha, _, delta, hits = _flow_arrays(m, y, clamp)
     a = alpha * delta  # (B, n)
     b_grad = a.mean(axis=0)
     count = y.shape[0]
@@ -111,7 +102,7 @@ def gradient_and_objective(
             np.fill_diagonal(out, 0.0)
         else:
             out[...] = (a[:, sa].T @ y[:, sb] + (a[:, sb].T @ y[:, sa]).T) / count
-    return Gradient(w_grad, b_grad), float(delta.sum(axis=1).mean())
+    return Gradient(w_grad, b_grad, hits), float(delta.sum(axis=1).mean())
 
 
 # --- exact flow on enumerable state spaces -------------------------------

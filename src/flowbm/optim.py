@@ -70,9 +70,11 @@ def parse_config_items(items: dict[str, str], base: TrainConfig | None = None) -
         key = _CONFIG_ALIASES.get(raw_key, raw_key)
         if key not in fields:
             raise ValueError(f"unknown config key {raw_key!r}")
-        kind = fields[key]
-        value = raw_value.strip()
-        updates[key] = int(value) if kind in (int, "int") else float(value)
+        convert = int if fields[key] in (int, "int") else float
+        try:
+            updates[key] = convert(raw_value.strip())
+        except ValueError:
+            raise ValueError(f"{raw_key} must be {convert.__name__}, got {raw_value!r}") from None
     return base.replace(**updates)
 
 

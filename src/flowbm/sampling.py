@@ -258,7 +258,7 @@ def mean_activation_prior(
     threads: int = 1,
 ) -> np.ndarray:
     """Per-unit mean of the top layer's inferred states over a dataset."""
-    x_rows = np.atleast_2d(np.asarray(getattr(data, "images", data)))
+    x_rows = np.atleast_2d(np.asarray(data))
     if x_rows.shape[0] == 0:
         raise ValueError("empty dataset")
     streams = [rng.child(i) for i in range(x_rows.shape[0])]

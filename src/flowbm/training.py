@@ -5,10 +5,15 @@ The main loop alternates, once per epoch, a full-dataset inference pass
 input zeroed) with minibatched descent on the fully-observed flow
 objective over the concatenated (observed, hidden) vectors.  All layers'
 weights update simultaneously; there is no layer-wise pre-training.
+
+The trainers take the data as the (N, pixels) bit matrix of `data.binarize`
+and a `TrainConfig`, and hand each epoch's `EpochLog` to a callback; they
+write no files.  `EpochLog`'s fields are the columns of a run's epochs.csv.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -36,7 +41,7 @@ class DivergenceError(ValueError):
 
 @dataclass
 class EpochLog:
-    """Per-epoch training record."""
+    """Per-epoch training record; one epochs.csv row, a column per field."""
 
     epoch: int
     objective_value: float
@@ -44,15 +49,16 @@ class EpochLog:
     squared_weight: float
     wall_time_s: float
 
-    CSV_HEADER = ("epoch", "objective_value", "weight_sparsity", "squared_weight", "wall_time_s")
+    @classmethod
+    def csv_header(cls) -> tuple[str, ...]:
+        return tuple(f.name for f in dataclasses.fields(cls))
 
     def csv_row(self) -> tuple:
-        return (self.epoch, self.objective_value, self.weight_sparsity,
-                self.squared_weight, self.wall_time_s)
+        return dataclasses.astuple(self)
 
 
 def _data_rows(data) -> np.ndarray:
-    rows = np.atleast_2d(np.asarray(getattr(data, "images", data), dtype=np.uint8))
+    rows = np.atleast_2d(np.asarray(data, dtype=np.uint8))
     if rows.shape[0] == 0:
         raise ValueError("empty training data")
     return rows
@@ -250,15 +256,3 @@ def train_cd(
         return _descend(m, st, cfg, epoch, len(x_rows), batch_gradient), None
 
     return _train(data, layout, cfg, machine, adam, start_epoch, epoch_callback, run_epoch)
-
-
-def write_epoch_csv(path, logs: list[EpochLog], append: bool = False) -> None:
-    import csv
-
-    mode = "a" if append else "w"
-    with open(path, mode, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if not append:
-            writer.writerow(EpochLog.CSV_HEADER)
-        for log in logs:
-            writer.writerow(log.csv_row())

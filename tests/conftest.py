@@ -50,7 +50,7 @@ def stored_edges(layout: LayerSpec) -> np.ndarray:
 
 def flow_row(m: BoltzmannMachine, y, clamp: float = Z_CLAMP_DEFAULT):
     """(alpha, z, delta) of the batched `mpf._flow_arrays` kernel for one state."""
-    alpha, z, delta = _flow_arrays(m, np.asarray(y, dtype=np.float64)[None, :], clamp)
+    alpha, z, delta, _ = _flow_arrays(m, np.asarray(y, dtype=np.float64)[None, :], clamp)
     return alpha[0], z[0], delta[0]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import time
 
@@ -7,6 +8,7 @@ import pytest
 from conftest import read_pgm, read_stdp_csv, write_idx_images, write_idx_labels
 from flowbm.cli import build_parser, main
 from flowbm.checkpoint import load_checkpoint
+from flowbm.optim import TrainConfig
 
 SUBCOMMANDS = ("train", "generate", "reconstruct", "eval-ll", "stdp-curve", "inspect")
 
@@ -141,6 +143,24 @@ class TestHelpAndUsage:
         assert "parzen_ll" not in captured.out
         assert not (workdir / "bad").exists()
 
+    @pytest.mark.parametrize("cmd", [
+        ["generate", "--count", "2", "--out", "{w}/bad"],
+        ["reconstruct", "--images", "{w}/test.idx", "--limit", "2", "--out", "{w}/bad"],
+        ["eval-ll", "--test-images", "{w}/test.idx", "--n-samples", "2", "--init", "uniform"],
+    ], ids=["generate", "reconstruct", "eval-ll"])
+    def test_negative_intra_sweeps_rejected(self, workdir, cmd, capsys):
+        # Each command used to run a negative count as 0 sweeps with exit 0.
+        out = workdir / "run-s"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--intra", "1", "--epochs", "1", "--out", out]) == 0
+        capsys.readouterr()
+        args = [cmd[0], "--checkpoint", out / "ckpt-final.bin", "--intra-sweeps", "-1"]
+        assert run(args + [a.format(w=workdir) for a in cmd[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "intra_sweeps must be non-negative" in captured.err
+        assert "parzen_ll" not in captured.out
+        assert not (workdir / "bad").exists()
+
 
 class TestEndToEnd:
     def test_full_pipeline(self, workdir):
@@ -218,6 +238,30 @@ class TestEndToEnd:
         text = (out / "config.txt").read_text()
         assert "eta = 0.004" in text
         assert "minibatch = 20" in text
+
+    def test_every_config_field_has_a_train_flag(self, workdir):
+        values = {"eta": "0.002", "beta1": "0.8", "beta2": "0.99", "adam_eps": "1e-07",
+                  "weight_decay": "0.0003", "minibatch": "25", "epochs": "1", "seed": "7",
+                  "r": "3", "intra_sweeps": "2", "init_scale": "0.02", "clamp_z": "20.0"}
+        assert set(values) == {f.name for f in dataclasses.fields(TrainConfig)}
+        assert all(getattr(TrainConfig(), k) != float(v) for k, v in values.items())
+        flags = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
+        out = workdir / "flags"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--limit", "30", "--out", out] + flags) == 0
+        lines = (out / "config.txt").read_text().splitlines()
+        written = dict(line.split(" = ") for line in lines if not line.startswith("#"))
+        assert written == values
+
+    def test_lambda_is_weight_decay(self, workdir):
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                "--epochs", "1", "--limit", "30"]
+        a, b = workdir / "lambda", workdir / "weight-decay"
+        assert run(base + ["--lambda", "0.003", "--out", a]) == 0
+        assert run(base + ["--weight-decay", "0.003", "--out", b]) == 0
+        assert "weight_decay = 0.003\n" in (a / "config.txt").read_text()
+        assert (a / "config.txt").read_bytes() == (b / "config.txt").read_bytes()
+        assert (a / "ckpt-final.bin").read_bytes() == (b / "ckpt-final.bin").read_bytes()
 
     def test_config_file_sets_epochs_of_deep_layout(self, workdir):
         cfg_file = workdir / "one.cfg"
@@ -314,6 +358,42 @@ class TestResume:
         epochs = lambda d: [line.split(",")[:2]
                             for line in (d / "epochs.csv").read_text().splitlines()]
         assert epochs(run_dir) == epochs(full)
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text + "\n",
+        lambda text: text.rstrip("\r\n"),
+    ], ids=["blank-last-line", "no-final-line-end"])
+    def test_resume_keeps_history_of_edited_epoch_log(self, workdir, edit):
+        # A trailing blank line used to stop the resume with exit 2 after
+        # config.txt had been rewritten; a last row without a line end was
+        # joined with the first new row.
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]
+        run_dir = workdir / "edited"
+        assert run(base + ["--epochs", "2", "--checkpoint-every", "1", "--out", run_dir]) == 0
+        log = run_dir / "epochs.csv"
+        old_rows = log.read_text().splitlines()[1:]
+        log.write_bytes(edit(log.read_bytes().decode()).encode())
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / "ckpt-epoch-00002.bin", "--epochs", "3", "--eta", "0.01",
+                    "--out", run_dir]) == 0
+        rows = log.read_text().splitlines()[1:]
+        assert rows[:2] == old_rows
+        assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
+        assert len(rows[2].split(",")) == 5
+
+    def test_resume_rejects_malformed_epoch_log_before_writing(self, workdir, capsys):
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]
+        run_dir = workdir / "malformed"
+        assert run(base + ["--epochs", "2", "--checkpoint-every", "1", "--out", run_dir]) == 0
+        log = run_dir / "epochs.csv"
+        log.write_text(log.read_text() + "x,1.0,0.5,0.1,0.0\n")
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / "ckpt-epoch-00001.bin", "--epochs", "3", "--eta", "0.01",
+                    "--out", run_dir]) == 2
+        assert f"{log}:4:" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_resume_below_checkpoint_epoch_rejected(self, workdir, capsys):
         out = workdir / "ahead"

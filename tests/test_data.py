@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_idx_images, write_idx_labels
-from flowbm.data import (
-    Dataset,
-    IdxFormatError,
-    binarize,
-    load_binary_dataset,
-    load_idx,
-)
+from flowbm.data import IdxFormatError, binarize, load_binary_dataset, load_idx
 
 
 class TestLoadIdx:
@@ -90,13 +84,13 @@ class TestLoadIdx:
 
 class TestBinarize:
     def test_extreme_pixels(self):
-        ds = binarize(np.array([[[255, 0]]], dtype=np.uint8), 0.5)
-        np.testing.assert_array_equal(ds.images, [[1, 0]])
+        bits = binarize(np.array([[[255, 0]]], dtype=np.uint8), 0.5)
+        np.testing.assert_array_equal(bits, [[1, 0]])
 
     def test_boundary_at_half(self):
         # 128/255 = 0.50196 > 0.5 but 127/255 = 0.49804 < 0.5.
-        ds = binarize(np.array([[[128, 127]]], dtype=np.uint8), 0.5)
-        np.testing.assert_array_equal(ds.images, [[1, 0]])
+        bits = binarize(np.array([[[128, 127]]], dtype=np.uint8), 0.5)
+        np.testing.assert_array_equal(bits, [[1, 0]])
 
     def test_threshold_range_enforced(self):
         raw = np.zeros((1, 2, 2), dtype=np.uint8)
@@ -113,19 +107,17 @@ class TestBinarize:
     def test_idempotent_on_binary_input(self, seed, threshold):
         rng = np.random.default_rng(seed)
         bits = (rng.random((4, 9)) < 0.5).astype(np.uint8)
-        once = binarize(bits * 255, threshold).images
-        twice = binarize(once * 255, threshold).images
+        once = binarize(bits * 255, threshold)
+        twice = binarize(once * 255, threshold)
         np.testing.assert_array_equal(once, twice)
 
-    def test_flattens_and_keeps_provenance(self, synthetic_idx):
+    def test_flattens_to_bit_matrix(self, synthetic_idx, tmp_path):
         img_path, lab_path, images, labels = synthetic_idx
-        ds = load_binary_dataset(img_path, lab_path, threshold=0.5)
-        assert ds.images.shape == (120, 784)
-        assert ds.threshold == 0.5
-        assert str(img_path) == ds.source
-        np.testing.assert_array_equal(ds.labels, labels)
-
-    def test_rejects_nonbinary_dataset_construction(self):
-        with pytest.raises(ValueError):
-            Dataset(np.full((2, 4), 3, dtype=np.uint8), None, "", 0.5)
-
+        bits = load_binary_dataset(img_path, lab_path, threshold=0.5)
+        assert bits.shape == (120, 784) and bits.dtype == np.uint8
+        # 128/255 is the smallest byte above the threshold.
+        np.testing.assert_array_equal(bits, (images.reshape(120, 784) >= 128).astype(np.uint8))
+        # A labels file is still checked against the image count.
+        write_idx_labels(tmp_path / "short.idx", labels[:-1])
+        with pytest.raises(IdxFormatError, match="119 labels for 120 images"):
+            load_binary_dataset(img_path, tmp_path / "short.idx")

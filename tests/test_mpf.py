@@ -16,12 +16,10 @@ from conftest import (
 from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, energy, validate
 from flowbm.mpf import (
     brute_force_flow,
-    clamp_event_count,
     empirical_distribution,
     enumerate_states,
     gradient_and_objective,
     rate_matrix,
-    reset_clamp_event_count,
     state_index,
 )
 
@@ -108,12 +106,14 @@ class TestFlowTerms:
 
     def test_clamp_guard_counts_events(self):
         m = two_vertex_machine(w12=100.0)
-        reset_clamp_event_count()
         _, z, delta = flow_row(m, [1, 0])
-        assert clamp_event_count() == 1
         assert z[1] == 30.0
         assert np.isfinite(delta).all()
-        reset_clamp_event_count()
+        g, _ = gradient_and_objective(m, [1, 0])
+        assert g.clamp_hits == 1
+        # The count belongs to one call: a second call reports 1 again.
+        assert gradient_and_objective(m, [1, 0])[0].clamp_hits == 1
+        assert gradient_and_objective(two_vertex_machine(w12=1.0), [1, 0])[0].clamp_hits == 0
 
 
 class TestObjective:

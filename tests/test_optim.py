@@ -84,6 +84,11 @@ class TestTrainConfig:
         cfg = parse_config_items({"minibatch": "12", "seed": "5"})
         assert isinstance(cfg.minibatch, int) and isinstance(cfg.seed, int)
 
+    def test_unparsable_value_names_the_key(self):
+        for key, value, kind in (("r", "2.5", "int"), ("eta", "fast", "float")):
+            with pytest.raises(ValueError, match=f"{key} must be {kind}, got '{value}'"):
+                parse_config_items({key: value})
+
 
 class TestAdamStep:
     def test_first_step_is_signed_learning_rate(self):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 
 import numpy as np
@@ -15,7 +16,6 @@ from flowbm.training import (
     init_state,
     train_cd,
     train_vpf,
-    write_epoch_csv,
 )
 
 
@@ -238,9 +238,12 @@ class TestEpochCsv:
     def test_roundtrip(self, tmp_path):
         logs = [EpochLog(0, 1.5, 0.4, 0.2, 0.01), EpochLog(1, 1.25, 0.35, 0.25, 0.02)]
         path = tmp_path / "epochs.csv"
-        write_epoch_csv(path, logs[:1])
-        write_epoch_csv(path, logs[1:], append=True)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows([EpochLog.csv_header()] + [log.csv_row() for log in logs])
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == ",".join(EpochLog.CSV_HEADER)
+        assert lines[0] == "epoch,objective_value,weight_sparsity,squared_weight,wall_time_s"
         assert len(lines) == 3
         assert lines[1].startswith("0,1.5,")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [EpochLog(int(r[0]), *map(float, r[1:])) for r in rows] == logs
