@@ -28,7 +28,7 @@ from . import metrics, stdp, training
 from .data import load_binary_dataset, load_idx
 from .model import BoltzmannMachine, LayerSpec, active_blocks
 from .optim import TrainConfig, load_config, parse_config_items
-from .sampling import RngStream, generate_batch, mean_activation_prior
+from .sampling import generate_batch, mean_activation_prior, row_streams
 from .images import tile_images, write_pgm
 
 TAG_GENERATE = 11
@@ -208,11 +208,11 @@ def _confabulate(args, tag: int, count: int, threads: int) -> np.ndarray:
         if not args.data:
             raise UsageError("--init prior needs --data with training images")
         ds = _load_dataset(args.data, None, args.threshold, args.limit)
-        top_init = mean_activation_prior(m, ds, RngStream(args.seed, tag).child(0),
+        top_init = mean_activation_prior(m, ds, row_streams(args.seed, tag, 0, count=len(ds)),
                                          cfg.intra_sweeps, threads)
     else:
         top_init = "uniform"
-    streams = [RngStream(args.seed, tag).child(1, i) for i in range(count)]
+    streams = row_streams(args.seed, tag, 1, count=count)
     return generate_batch(m, top_init, cfg.r, streams, cfg.intra_sweeps, threads)
 
 
@@ -245,11 +245,10 @@ def cmd_reconstruct(args) -> int:
         for trial in range(args.trials):
             corrupted = np.empty_like(ds)
             known = np.empty(ds.shape, dtype=bool)
-            base = RngStream(args.seed, TAG_RECON).child(trial)
+            noise = row_streams(args.seed, TAG_RECON, trial, 0, count=len(ds))
             for i in range(len(ds)):
-                corrupted[i], known[i] = metrics.corrupt(
-                    ds[i], pattern, base.child(0, i))
-            streams = [base.child(1, i) for i in range(len(ds))]
+                corrupted[i], known[i] = metrics.corrupt(ds[i], pattern, noise[i])
+            streams = row_streams(args.seed, TAG_RECON, trial, 1, count=len(ds))
             recon = metrics.reconstruct_batch(
                 m, corrupted, known, args.gibbs_steps, streams, sweeps, threads)
             total += float(metrics.recon_error(ds, recon).mean())

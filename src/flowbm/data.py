@@ -2,10 +2,11 @@
 
 Handles the standard big-endian IDX containers used by MNIST and Fashion
 MNIST, transparently decompressing gzip files.  This module owns every
-check on input images: `load_idx` rejects bad magic, truncation and a
-label count that differs from the image count, and `binarize` returns a
-(N, pixels) uint8 matrix of bits (pixel/255 > threshold).  That bit
-matrix is the data type every trainer and sampler takes.
+check on input images: `load_idx` rejects bad magic, truncation, an image
+file with no images and a label count that differs from the image count,
+and `binarize` returns a (N, pixels) uint8 matrix of bits (pixel/255 >
+threshold).  That bit matrix is the data type every trainer and sampler
+takes.
 """
 
 from __future__ import annotations
@@ -47,6 +48,8 @@ def _load_images(path) -> np.ndarray:
             f"{path}: expected image magic 0x{IMAGE_MAGIC:08x}, found 0x{magic:08x}"
         )
     count, rows, cols = (_be32(buf, o, path) for o in (4, 8, 12))
+    if count == 0:
+        raise IdxFormatError(f"{path}: the file holds no images")
     expected = 16 + count * rows * cols
     if len(buf) != expected:
         raise IdxFormatError(

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .model import BoltzmannMachine
-from .sampling import RngStream, _draw, _layer_input, _update_hidden, map_shards
+from .sampling import _draw, _layer_input, _update_hidden, map_shards
 
 IMAGE_SIDE = 28
 CORRUPT_BAND = 12  # rows or columns replaced by noise out of 28
@@ -53,7 +53,7 @@ def recon_error(original: np.ndarray, reconstructed: np.ndarray):
 
 
 def corrupt(
-    image: np.ndarray, pattern: str, rng: RngStream
+    image: np.ndarray, pattern: str, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replace a 12-row (or column) band with coin flips.
 
@@ -78,7 +78,7 @@ def corrupt(
     known = known.ravel()
     corrupted = image.copy().astype(np.uint8)
     unknown = ~known
-    corrupted[unknown] = rng.uniforms(int(unknown.sum())) < 0.5
+    corrupted[unknown] = rng.random(int(unknown.sum())) < 0.5
     return corrupted, known
 
 
@@ -87,7 +87,7 @@ def _reconstruct_rows(
     corrupted: np.ndarray,
     known: np.ndarray,
     gibbs_steps: int,
-    streams: list[RngStream],
+    streams: list[np.random.Generator],
     intra_sweeps: int,
 ) -> np.ndarray:
     """Clamped alternating Gibbs for a block of images (rows)."""
@@ -114,7 +114,7 @@ def reconstruct_batch(
     corrupted: np.ndarray,
     known: np.ndarray,
     gibbs_steps: int,
-    streams: list[RngStream],
+    streams: list[np.random.Generator],
     intra_sweeps: int = 1,
     threads: int = 1,
 ) -> np.ndarray:
@@ -136,7 +136,7 @@ def reconstruct_batch(
     if known.shape != corrupted.shape:
         raise ValueError("corrupted image / mask shape mismatch")
     if corrupted.shape[0] != len(streams):
-        raise ValueError("need one RngStream per row")
+        raise ValueError("need one stream per row")
     if gibbs_steps < 1:
         raise ValueError(f"gibbs_steps must be at least 1, got {gibbs_steps}")
     parts = map_shards(

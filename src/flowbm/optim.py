@@ -62,14 +62,18 @@ _CONFIG_ALIASES = {"lambda": "weight_decay", "lr": "eta", "learning_rate": "eta"
 
 
 def parse_config_items(items: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
-    """Build a TrainConfig from string key/value pairs over `base` defaults."""
+    """Build a TrainConfig from string key/value pairs over `base` defaults;
+    two items that set one field (a name and its alias) are rejected."""
     base = base or TrainConfig()
     fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    updates = {}
+    updates, spelled = {}, {}
     for raw_key, raw_value in items.items():
         key = _CONFIG_ALIASES.get(raw_key, raw_key)
         if key not in fields:
             raise ValueError(f"unknown config key {raw_key!r}")
+        if key in spelled:
+            raise ValueError(f"config keys {spelled[key]!r} and {raw_key!r} both set {key}")
+        spelled[key] = raw_key
         convert = int if fields[key] in (int, "int") else float
         try:
             updates[key] = convert(raw_value.strip())
@@ -81,16 +85,22 @@ def parse_config_items(items: dict[str, str], base: TrainConfig | None = None) -
 def parse_config_text(
     text: str, base: TrainConfig | None = None, source: str = "config"
 ) -> TrainConfig:
-    """Build a TrainConfig from key = value lines (# starts a comment)."""
-    items = {}
+    """Build a TrainConfig from key = value lines (# starts a comment); a
+    field set on two lines, under one spelling or two, is rejected."""
+    items, set_on = {}, {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{source}:{lineno}: expected key = value, got {line!r}")
-        key, value = line.split("=", 1)
-        items[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        field = _CONFIG_ALIASES.get(key, key)
+        if field in set_on:
+            raise ValueError(f"{source}:{lineno}: {key!r} sets {field} again "
+                             f"(already set on line {set_on[field]})")
+        set_on[field] = lineno
+        items[key] = value
     return parse_config_items(items, base)
 
 

@@ -5,11 +5,15 @@ E-step), asynchronous intra-layer Gibbs sweeps, and top-down confabulation
 generation.  `metrics.reconstruct_batch` reuses the same layer-update
 kernel.
 
-All samplers are driven by `RngStream`: a PCG64 generator seeded from a
-`SeedSequence` whose spawn key is the stream's (stream_id, child ids)
-path.  Identical (seed, path, call sequence) reproduces identical draws on
-any platform, so batches can be sharded across threads without changing
-results.
+Every random draw comes from a stream: a numpy PCG64 `Generator` seeded
+from `SeedSequence(seed, spawn_key=key)`, whose key is the stream's tag
+and then its path, each entry as two uint32 words.  `stream(seed, tag,
+*path)` makes one, and `row_streams` makes a batch sampler's list of
+them, one per row with the row index last in the path.  Identical (seed,
+tag, path, call sequence) gives identical draws on any platform, so
+batches can be sharded across threads without changing results.  A
+generator is built eagerly (seeding costs tens of microseconds), so
+callers build only the streams they draw from.
 """
 
 from __future__ import annotations
@@ -28,44 +32,20 @@ from .model import BoltzmannMachine, from_above
 _CHUNK = 512
 
 
-def _to_words(value: int) -> tuple[int, ...]:
-    """Split an integer into uint32 words for use in a spawn key."""
-    value &= 2**64 - 1
-    return (value & 0xFFFFFFFF, value >> 32)
+def stream(seed: int, tag: int, *path: int) -> np.random.Generator:
+    """The random stream addressed by (`seed`, `tag`, *`path`), each value
+    taken modulo 2**64; the key holds each entry's low word, then its high."""
+    key: list[int] = []
+    for value in (tag, *path):
+        value = int(value) & (2**64 - 1)
+        key += [value & 0xFFFFFFFF, value >> 32]
+    seq = np.random.SeedSequence(int(seed) & (2**64 - 1), spawn_key=key)
+    return np.random.Generator(np.random.PCG64(seq))
 
 
-class RngStream:
-    """Deterministic random stream addressed by (seed, stream_id).
-
-    Sub-streams derived with `child` are independent of each other and of
-    the parent; derivation is pure, so a stream for (data point, epoch) can
-    be reconstructed on any worker.
-    """
-
-    def __init__(self, seed: int, stream_id: int = 0, _key: tuple[int, ...] | None = None):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self._key = _key if _key is not None else _to_words(self.stream_id)
-        self._gen: np.random.Generator | None = None
-
-    def child(self, *ids: int) -> "RngStream":
-        key = self._key
-        for i in ids:
-            key = key + _to_words(int(i))
-        return RngStream(self.seed, self.stream_id, _key=key)
-
-    @property
-    def generator(self) -> np.random.Generator:
-        if self._gen is None:
-            seq = np.random.SeedSequence(self.seed & (2**64 - 1), spawn_key=self._key)
-            self._gen = np.random.Generator(np.random.PCG64(seq))
-        return self._gen
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return self.generator.random(n)
-
-    def __repr__(self):
-        return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, key={self._key})"
+def row_streams(seed: int, tag: int, *prefix: int, count: int) -> list[np.random.Generator]:
+    """One stream per row: row `i` draws from `stream(seed, tag, *prefix, i)`."""
+    return [stream(seed, tag, *prefix, i) for i in range(count)]
 
 
 def _layer_input(
@@ -89,9 +69,9 @@ def _layer_input(
     return total
 
 
-def _draw(probs: np.ndarray, streams: list[RngStream]) -> np.ndarray:
+def _draw(probs: np.ndarray, streams: list[np.random.Generator]) -> np.ndarray:
     """Bernoulli rows as floats: one uniform block per stream against `probs`."""
-    u = np.stack([s.uniforms(probs.shape[-1]) for s in streams])
+    u = np.stack([s.random(probs.shape[-1]) for s in streams])
     return (u < probs).astype(np.float64)
 
 
@@ -100,7 +80,7 @@ def _async_sweep(
     layer: int,
     h: np.ndarray,
     below_input: np.ndarray,
-    streams: list[RngStream],
+    streams: list[np.random.Generator],
 ) -> None:
     """One in-place sweep of unit-by-unit resampling in ascending order.
 
@@ -108,7 +88,7 @@ def _async_sweep(
     layer below is folded into `below_input` (weights below + bias).  Each
     stream serves one uniform block for its row.
     """
-    u = np.stack([s.uniforms(h.shape[1]) for s in streams])
+    u = np.stack([s.random(h.shape[1]) for s in streams])
     w_intra = m.block(layer, layer)  # zero diagonal excludes the unit itself
     for j in range(h.shape[1]):
         p = expit(h @ w_intra[:, j] + below_input[:, j])
@@ -119,7 +99,7 @@ def _update_hidden(
     m: BoltzmannMachine,
     layer: int,
     rows: list[np.ndarray],
-    streams: list[RngStream],
+    streams: list[np.random.Generator],
     intra_sweeps: int,
 ) -> np.ndarray:
     """New bits for hidden `layer` given the layer below, top-down input zeroed.
@@ -154,7 +134,7 @@ def map_shards(run, n_rows: int, threads: int) -> list:
 def _estep_rows(
     m: BoltzmannMachine,
     x_rows: np.ndarray,
-    streams: list[RngStream],
+    streams: list[np.random.Generator],
     intra_sweeps: int,
 ) -> list[np.ndarray]:
     """Bottom-up pass for a block of observed rows with per-row streams."""
@@ -167,7 +147,7 @@ def _estep_rows(
 def e_step_batch(
     m: BoltzmannMachine,
     x_rows: np.ndarray,
-    streams: list[RngStream],
+    streams: list[np.random.Generator],
     intra_sweeps: int = 1,
     threads: int = 1,
 ) -> list[np.ndarray]:
@@ -184,7 +164,7 @@ def e_step_batch(
             f"observed rows have shape {x_rows.shape}, expected (*, {m.layout.sizes[0]})"
         )
     if x_rows.shape[0] != len(streams):
-        raise ValueError("need one RngStream per row")
+        raise ValueError("need one stream per row")
     parts = map_shards(
         lambda sh: _estep_rows(m, x_rows[sh], streams[sh], intra_sweeps), len(streams), threads
     )
@@ -193,7 +173,7 @@ def e_step_batch(
 
 def _generate_rows(
     m: BoltzmannMachine,
-    streams: list[RngStream],
+    streams: list[np.random.Generator],
     r: int,
     intra_sweeps: int,
     top_probs: np.ndarray,
@@ -220,7 +200,7 @@ def generate_batch(
     m: BoltzmannMachine,
     top_init,
     r: int,
-    streams: list[RngStream],
+    streams: list[np.random.Generator],
     intra_sweeps: int = 1,
     threads: int = 1,
 ) -> np.ndarray:
@@ -253,14 +233,11 @@ def generate_batch(
 def mean_activation_prior(
     m: BoltzmannMachine,
     data,
-    rng: RngStream,
+    streams: list[np.random.Generator],
     intra_sweeps: int = 1,
     threads: int = 1,
 ) -> np.ndarray:
-    """Per-unit mean of the top layer's inferred states over a dataset."""
-    x_rows = np.atleast_2d(np.asarray(data))
-    if x_rows.shape[0] == 0:
-        raise ValueError("empty dataset")
-    streams = [rng.child(i) for i in range(x_rows.shape[0])]
-    layers = e_step_batch(m, x_rows, streams, intra_sweeps, threads)
+    """Per-unit mean of the top layer's inferred states over a dataset,
+    one stream per data row."""
+    layers = e_step_batch(m, data, streams, intra_sweeps, threads)
     return layers[-1].astype(np.float64).mean(axis=0)

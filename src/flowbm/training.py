@@ -24,7 +24,7 @@ from scipy.special import expit
 from . import metrics, mpf, optim
 from .model import BoltzmannMachine, LayerSpec, new_machine
 from .optim import AdamState, TrainConfig
-from .sampling import RngStream, e_step_batch
+from .sampling import e_step_batch, row_streams, stream
 
 # Stream namespace tags; part of the determinism contract (a checkpoint at
 # epoch e must replay epochs > e bit-identically).
@@ -64,27 +64,10 @@ def _data_rows(data) -> np.ndarray:
     return rows
 
 
-def estep_streams(seed: int, epoch: int, count: int) -> list[RngStream]:
-    """One deterministic stream per data point for the given epoch."""
-    root = RngStream(seed, TAG_ESTEP).child(epoch)
-    return [root.child(i) for i in range(count)]
-
-
 def init_state(layout: LayerSpec, cfg: TrainConfig) -> tuple[BoltzmannMachine, AdamState]:
     """Fresh machine and optimizer state exactly as a new run creates them."""
-    m = new_machine(
-        layout, RngStream(cfg.seed, TAG_INIT).generator.integers(2**63), cfg.init_scale
-    )
+    m = new_machine(layout, stream(cfg.seed, TAG_INIT).integers(2**63), cfg.init_scale)
     return m, optim.init_adam(m)
-
-
-def _epoch_permutation(seed: int, epoch: int, count: int) -> np.ndarray:
-    return RngStream(seed, TAG_SHUFFLE).child(epoch).generator.permutation(count)
-
-
-def _minibatches(count: int, size: int):
-    for start in range(0, count, size):
-        yield slice(start, min(start + size, count))
 
 
 def _train(
@@ -145,10 +128,10 @@ def _descend(m: BoltzmannMachine, st: AdamState, cfg: TrainConfig, epoch: int, c
     `batch_gradient(index, rows)` gives the gradient and objective term of
     minibatch `index`, whose row indices are `rows`.
     """
-    perm = _epoch_permutation(cfg.seed, epoch, count)
+    perm = stream(cfg.seed, TAG_SHUFFLE, epoch).permutation(count)
     total, batches = 0.0, 0
-    for bi, sl in enumerate(_minibatches(count, cfg.minibatch)):
-        g, value = batch_gradient(bi, perm[sl])
+    for bi, start in enumerate(range(0, count, cfg.minibatch)):
+        g, value = batch_gradient(bi, perm[start : start + cfg.minibatch])
         optim.step(m, g, st, cfg)
         total += value
         batches += 1
@@ -173,9 +156,11 @@ def train_vpf(
     """
 
     def run_epoch(m, st, x_rows, epoch):
-        layers = e_step_batch(m, x_rows, estep_streams(cfg.seed, epoch, len(x_rows)),
-                              cfg.intra_sweeps, threads)
-        pairs = np.concatenate(layers, axis=1)
+        pairs = x_rows  # a fully-observed layout has nothing to infer
+        if len(layout.sizes) > 1:
+            streams = row_streams(cfg.seed, TAG_ESTEP, epoch, count=len(x_rows))
+            layers = e_step_batch(m, x_rows, streams, cfg.intra_sweeps, threads)
+            pairs = np.concatenate(layers, axis=1)
         objective = _descend(
             m, st, cfg, epoch, len(pairs),
             lambda _bi, rows: mpf.gradient_and_objective(m, pairs[rows], cfg.clamp_z),
@@ -218,12 +203,12 @@ def train_cd(
     n_hid = layout.sizes[1]
     chains = None
     if persistent:
-        chains = (RngStream(cfg.seed, TAG_CHAIN).uniforms(cfg.minibatch * n_hid) < 0.5
+        chains = (stream(cfg.seed, TAG_CHAIN).random(cfg.minibatch * n_hid) < 0.5
                   ).astype(np.float64).reshape(cfg.minibatch, n_hid)
 
     def run_epoch(m, st, x_rows, epoch):
         def batch_gradient(bi, rows):
-            rng = RngStream(cfg.seed, TAG_CD).child(epoch, bi).generator
+            rng = stream(cfg.seed, TAG_CD, epoch, bi)
             v0 = x_rows[rows].astype(np.float64)
             w_block = m.block(0, 1)
             vb, hb = m.biases[sl0], m.biases[sl1]

@@ -296,6 +296,38 @@ class TestTrainFailures:
             assert "error" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("name, text, flags, message", [
+        ("flags", None, ["--weight-decay", "0.5", "--lambda", "0.001"],
+         "'weight_decay' and 'lambda' both set weight_decay"),
+        ("repeat", "eta = 0.5\neta = 0.1\n", [], "repeat.cfg:2: 'eta' sets eta again"),
+        ("alias", "lr = 0.5\neta = 0.1\n", [], "alias.cfg:2: 'eta' sets eta again"),
+    ], ids=["flags", "repeat", "alias"])
+    def test_config_key_given_twice_exits_2_before_writing(self, workdir, capsys, name, text,
+                                                           flags, message):
+        if text is not None:
+            (workdir / f"{name}.cfg").write_text(text)
+            flags = ["--config", workdir / f"{name}.cfg"]
+        out = workdir / "twice"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
+                    "--epochs", "1", "--out", out] + flags) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_images_file_exits_2_before_writing(self, workdir, capsys):
+        write_idx_images(workdir / "empty.idx", np.zeros((0, 28, 28), dtype=np.uint8))
+        out = workdir / "empty-run"
+        assert run(["train", "--images", workdir / "empty.idx", "--layout", "784-8",
+                    "--out", out]) == 2
+        assert "empty.idx: the file holds no images" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_k_without_cd_or_pcd_exits_2(self, workdir, capsys):
+        out = workdir / "vpf-k"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
+                    "--k", "2", "--out", out]) == 2
+        assert "--k only applies to --method cd/pcd" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergence_exits_2_without_checkpoints(self, workdir, capsys):
         out = workdir / "diverged"
         with np.errstate(all="ignore"):
@@ -430,6 +462,26 @@ class TestResume:
             assert run(resume + flags + ["--out", workdir / f"agreed{i}"]) == 0
         finals = {(workdir / f"agreed{i}" / "ckpt-final.bin").read_bytes() for i in range(3)}
         assert len(finals) == 1
+
+    def test_cd_resume_matches_uninterrupted_run(self, workdir):
+        base = ["train", "--images", workdir / "train.idx", "--method", "cd", "--seed", "5"]
+        full, resumed = workdir / "cd-full", workdir / "cd-resumed"
+        assert run(base + ["--layout", "784-20", "--epochs", "3", "--checkpoint-every", "1",
+                           "--out", full]) == 0
+        assert run(base + ["--resume", full / "ckpt-epoch-00001.bin", "--epochs", "3",
+                           "--out", resumed]) == 0
+        assert (resumed / "ckpt-final.bin").read_bytes() == (full / "ckpt-final.bin").read_bytes()
+
+    def test_pcd_with_k_writes_valid_checkpoint(self, workdir):
+        from flowbm.model import validate
+
+        out = workdir / "pcd"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-20",
+                    "--method", "pcd", "--k", "2", "--epochs", "2", "--out", out]) == 0
+        assert validate(load_checkpoint(out / "ckpt-final.bin").machine()) == []
+        text = (out / "config.txt").read_text()
+        assert "# method = pcd\n" in text
+        assert "# k = 2\n" in text
 
     def test_same_seed_bit_identical_checkpoints(self, workdir):
         args = ["train", "--images", workdir / "train.idx", "--layout", "784-8",

@@ -17,7 +17,7 @@ from flowbm.metrics import (
 )
 from conftest import zero_machine
 from flowbm.model import BoltzmannMachine, LayerSpec, new_machine
-from flowbm.sampling import RngStream
+from flowbm.sampling import stream
 
 
 def rbm_with_block(block: np.ndarray) -> BoltzmannMachine:
@@ -70,36 +70,36 @@ class TestWeightStatistics:
 class TestCorrupt:
     def test_band_locations(self):
         image = random_bits(np.random.default_rng(0), 784)
-        _, known = corrupt(image, "top", RngStream(0))
+        _, known = corrupt(image, "top", stream(0, 0))
         grid = known.reshape(28, 28)
         assert not grid[:12].any() and grid[12:].all()
-        _, known = corrupt(image, "left", RngStream(0))
+        _, known = corrupt(image, "left", stream(0, 0))
         grid = known.reshape(28, 28)
         assert not grid[:, :12].any() and grid[:, 12:].all()
-        _, known = corrupt(image, "bottom", RngStream(0))
+        _, known = corrupt(image, "bottom", stream(0, 0))
         assert not known.reshape(28, 28)[16:].any()
-        _, known = corrupt(image, "right", RngStream(0))
+        _, known = corrupt(image, "right", stream(0, 0))
         assert not known.reshape(28, 28)[:, 16:].any()
 
     def test_known_region_untouched(self):
         image = random_bits(np.random.default_rng(1), 784)
         for pattern in PATTERNS:
-            corrupted, known = corrupt(image, pattern, RngStream(7))
+            corrupted, known = corrupt(image, pattern, stream(7, 0))
             np.testing.assert_array_equal(corrupted[known], image[known])
             assert np.isin(corrupted, (0, 1)).all()
 
     def test_noise_is_fair_coin(self):
         image = np.zeros(784, dtype=np.uint8)
         means = [
-            corrupt(image, "top", RngStream(3, i))[0][:336].mean() for i in range(200)
+            corrupt(image, "top", stream(3, i))[0][:336].mean() for i in range(200)
         ]
         assert abs(np.mean(means) - 0.5) < 0.01
 
     def test_rejects_wrong_size_and_pattern(self):
         with pytest.raises(ValueError):
-            corrupt(np.zeros(100, dtype=np.uint8), "top", RngStream(0))
+            corrupt(np.zeros(100, dtype=np.uint8), "top", stream(0, 0))
         with pytest.raises(ValueError):
-            corrupt(np.zeros(784, dtype=np.uint8), "diagonal", RngStream(0))
+            corrupt(np.zeros(784, dtype=np.uint8), "diagonal", stream(0, 0))
 
 
 class TestReconError:
@@ -138,14 +138,14 @@ class TestReconstruct:
     def test_all_pixels_known_is_identity(self):
         m = self.small_machine()
         image = random_bits(np.random.default_rng(0), 784)
-        out = reconstruct_batch(m, image[None], np.ones((1, 784), dtype=bool), 3, [RngStream(1)])
+        out = reconstruct_batch(m, image[None], np.ones((1, 784), dtype=bool), 3, [stream(1, 0)])
         np.testing.assert_array_equal(out[0], image)
 
     def test_never_alters_known_pixels(self):
         m = self.small_machine(seed=3, intra=True)
         image = random_bits(np.random.default_rng(5), 784)
-        corrupted, known = corrupt(image, "bottom", RngStream(2))
-        out = reconstruct_batch(m, corrupted[None], known[None], 4, [RngStream(3)])[0]
+        corrupted, known = corrupt(image, "bottom", stream(2, 0))
+        out = reconstruct_batch(m, corrupted[None], known[None], 4, [stream(3, 0)])[0]
         np.testing.assert_array_equal(out[known], image[known])
 
     def test_zero_weight_machine_gives_fair_unknowns(self):
@@ -158,7 +158,7 @@ class TestReconstruct:
         known = np.zeros((trials, 784), dtype=bool)
         known[:, 336:] = True
         out = reconstruct_batch(
-            m, corrupted, known, 2, [RngStream(11, i) for i in range(trials)]
+            m, corrupted, known, 2, [stream(11, i) for i in range(trials)]
         )
         assert abs(out[:, :336].mean() - 0.5) < 0.02
         np.testing.assert_array_equal(out[:, 336:], 0)
@@ -171,7 +171,7 @@ class TestReconstruct:
         known[:336] = False
         draws = reconstruct_batch(
             m, np.tile(image, (50, 1)), np.tile(known, (50, 1)), 1,
-            [RngStream(13, i) for i in range(50)],
+            [stream(13, i) for i in range(50)],
         )
         np.testing.assert_array_equal(draws[:, :336], 1)
 
@@ -179,26 +179,26 @@ class TestReconstruct:
         # The trained-flow evaluation protocol uses 2 Gibbs transitions.
         m = self.small_machine(seed=1)
         image = random_bits(np.random.default_rng(1), 784)
-        corrupted, known = corrupt(image, "top", RngStream(4))
-        out = reconstruct_batch(m, corrupted[None], known[None], 2, [RngStream(5)])
+        corrupted, known = corrupt(image, "top", stream(4, 0))
+        out = reconstruct_batch(m, corrupted[None], known[None], 2, [stream(5, 0)])
         assert out.shape == (1, 784) and np.isin(out, (0, 1)).all()
 
     def test_shape_validation(self):
         m = self.small_machine()
         with pytest.raises(ValueError):
-            reconstruct_batch(m, np.zeros((1, 10)), np.ones((1, 10), dtype=bool), 2, [RngStream(0)])
+            reconstruct_batch(m, np.zeros((1, 10)), np.ones((1, 10), dtype=bool), 2, [stream(0, 0)])
         with pytest.raises(ValueError):
             reconstruct_batch(m, np.zeros((1, 784)), np.ones((1, 784), dtype=bool), 0,
-                              [RngStream(0)])
+                              [stream(0, 0)])
 
     def test_batch_argument_validation(self):
         m = self.small_machine()
         images = np.zeros((3, 784), dtype=np.uint8)
         known = np.ones((3, 784), dtype=bool)
-        streams = [RngStream(0, i) for i in range(3)]
+        streams = [stream(0, i) for i in range(3)]
         with pytest.raises(ValueError, match="gibbs_steps"):
             reconstruct_batch(m, images, known, 0, streams)
-        with pytest.raises(ValueError, match="RngStream per row"):
+        with pytest.raises(ValueError, match="stream per row"):
             reconstruct_batch(m, images, known, 2, streams[:2])
         with pytest.raises(ValueError, match="expected"):
             reconstruct_batch(m, images[:, :700], known[:, :700], 2, streams)
@@ -208,10 +208,10 @@ class TestReconstruct:
         # hidden layer, its intra sweeps, then the visible layer.
         sweeps, steps = 2, 3
         m = make_layered_machine((6, 4), (True,), seed=2)
-        stream = CountingStream(9)
-        reconstruct_batch(m, np.zeros((1, 6)), np.zeros((1, 6), dtype=bool), steps, [stream],
+        counter = CountingStream(9, 0)
+        reconstruct_batch(m, np.zeros((1, 6)), np.zeros((1, 6), dtype=bool), steps, [counter],
                           intra_sweeps=sweeps)
-        assert stream.calls == steps * (1 + sweeps + 1)
+        assert counter.calls == steps * (1 + sweeps + 1)
 
     def test_thread_count_does_not_change_batch(self):
         # 1100 rows make three shards, so threads=3 takes the pooled path.
@@ -219,7 +219,7 @@ class TestReconstruct:
         rng = np.random.default_rng(8)
         images = random_bits(rng, (1100, 20))
         known = rng.random((1100, 20)) < 0.5
-        streams = lambda: [RngStream(21, i) for i in range(1100)]
+        streams = lambda: [stream(21, i) for i in range(1100)]
         a = reconstruct_batch(m, images, known, 2, streams(), threads=1)
         b = reconstruct_batch(m, images, known, 2, streams(), threads=3)
         np.testing.assert_array_equal(a, b)

@@ -89,6 +89,23 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match=f"{key} must be {kind}, got '{value}'"):
                 parse_config_items({key: value})
 
+    def test_name_and_alias_for_one_key_rejected(self):
+        with pytest.raises(ValueError, match="'weight_decay' and 'lambda' both set weight_decay"):
+            parse_config_items({"weight_decay": "0.5", "lambda": "0.001"})
+        with pytest.raises(ValueError, match="'lr' and 'learning_rate' both set eta"):
+            parse_config_items({"lr": "0.5", "learning_rate": "0.1"})
+
+    @pytest.mark.parametrize("text, lineno", [
+        ("eta = 0.5\neta = 0.1\n", 2),
+        ("lr = 0.5\n# note\neta = 0.1\n", 3),
+    ], ids=["repeat", "alias"])
+    def test_key_repeated_in_config_file_rejected(self, tmp_path, text, lineno):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        message = rf"run.cfg:{lineno}: 'eta' sets eta again \(already set on line 1\)"
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+
 
 class TestAdamStep:
     def test_first_step_is_signed_learning_rate(self):

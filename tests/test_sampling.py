@@ -8,7 +8,6 @@ from scipy.stats import chisquare
 from conftest import CountingStream, make_layered_machine, random_bits
 from flowbm.model import BoltzmannMachine, LayerSpec, edge_count, new_machine
 from flowbm.sampling import (
-    RngStream,
     _async_sweep,
     _draw,
     _layer_input,
@@ -16,6 +15,8 @@ from flowbm.sampling import (
     e_step_batch,
     generate_batch,
     mean_activation_prior,
+    row_streams,
+    stream,
 )
 
 
@@ -38,31 +39,55 @@ def sweep_input(m, layer, below, count):
 
 
 class TestRngStream:
+    """`stream` and `row_streams`: one generator per (seed, tag, path)."""
+
     def test_reproducible_sequences(self):
-        a = RngStream(123, 4).uniforms(10)
-        b = RngStream(123, 4).uniforms(10)
+        a = stream(123, 4).random(10)
+        b = stream(123, 4).random(10)
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        assert not np.array_equal(RngStream(1, 0).uniforms(8), RngStream(1, 1).uniforms(8))
-        assert not np.array_equal(RngStream(1, 0).uniforms(8), RngStream(2, 0).uniforms(8))
+        assert not np.array_equal(stream(1, 0).random(8), stream(1, 1).random(8))
+        assert not np.array_equal(stream(1, 0).random(8), stream(2, 0).random(8))
 
     def test_children_are_pure_functions_of_path(self):
-        root = RngStream(7, 2)
         np.testing.assert_array_equal(
-            root.child(3, 5).uniforms(6), RngStream(7, 2).child(3, 5).uniforms(6)
+            stream(7, 2, 3, 5).random(6), stream(7, 2, 3, 5).random(6)
         )
-        assert not np.array_equal(root.child(3).uniforms(6), root.child(4).uniforms(6))
+        assert not np.array_equal(stream(7, 2, 3).random(6), stream(7, 2, 4).random(6))
 
     def test_known_anchor_values(self):
         # Frozen draws guard against platform or library drift.
-        draws = RngStream(2024, 0).uniforms(3)
+        draws = stream(2024, 0).random(3)
         np.testing.assert_allclose(
             draws,
             [0.9519162250141477, 0.8073363654740311, 0.3228850844831094],
             rtol=0,
             atol=1e-15,
         )
+
+    @pytest.mark.parametrize("seed, tag, path, first", [
+        (0, 0, (), [0.5651317655614634, 0.935433136976671, 0.47987454708253907]),
+        (2**64 - 1, 3, (1,), [0.16058536893804187, 0.6474628722242014, 0.22871654059253121]),
+        (-1, 12, (0, 7), [0.5280828472634489, 0.8871955326844335, 0.4737691922908739]),
+        (5, 2, (2**32,), [0.4623050921308316, 0.9566791808998197, 0.8207449228991149]),
+        (5, 2, (2**64 - 1, 9), [0.9650752668460324, 0.24982686358329498, 0.9470615120247678]),
+        (2024, 2, (3, 2**32, 1), [0.7928300549726502, 0.39299529860887383, 0.7284982106316337]),
+    ])
+    def test_pinned_first_draws(self, seed, tag, path, first):
+        # Recorded from the stream class that `stream` replaced, addressed by
+        # the same (seed, tag, path): the spawn-key words must not drift.
+        np.testing.assert_array_equal(stream(seed, tag, *path).random(3), first)
+
+    def test_negative_seed_is_its_64_bit_pattern(self):
+        np.testing.assert_array_equal(stream(-1, 12, 0, 7).random(4),
+                                      stream(2**64 - 1, 12, 0, 7).random(4))
+
+    def test_row_streams_are_streams_with_the_row_last(self):
+        rows = row_streams(9, 2, 4, 1, count=3)
+        assert len(rows) == 3 and row_streams(9, 2, count=0) == []
+        for i, rng in enumerate(rows):
+            np.testing.assert_array_equal(rng.random(5), stream(9, 2, 4, 1, i).random(5))
 
 
 class TestConditionalProb:
@@ -115,7 +140,7 @@ class TestSampleLayer:
     """The samplers' Bernoulli kernel `_draw`, one uniform block per stream."""
 
     def test_deterministic_extremes(self):
-        rng = RngStream(0)
+        rng = stream(0, 0)
         assert not _draw(np.zeros(6), [rng]).any()
         assert _draw(np.ones(6), [rng]).all()
 
@@ -124,18 +149,18 @@ class TestSampleLayer:
         # generation prior, which is checked before any draw.
         m = zero_machine((3, 2), (False,))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            generate_batch(m, np.array([0.5, 1.2]), 1, [RngStream(0)])
+            generate_batch(m, np.array([0.5, 1.2]), 1, [stream(0, 0)])
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            generate_batch(m, np.array([-0.1, 0.5]), 1, [RngStream(0)])
+            generate_batch(m, np.array([-0.1, 0.5]), 1, [stream(0, 0)])
 
     def test_mean_concentration(self):
-        draws = _draw(np.full(10, 0.5), [RngStream(3, i) for i in range(10_000)])
+        draws = _draw(np.full(10, 0.5), [stream(3, i) for i in range(10_000)])
         per_bit = draws.mean(axis=0)
         assert np.abs(per_bit - 0.5).max() < 0.01 * 2  # binomial 4-sigma bound
 
     def test_fixed_seed_bit_identical(self):
-        a = _draw(np.full(32, 0.37), [RngStream(9, 1)])
-        b = _draw(np.full(32, 0.37), [RngStream(9, 1)])
+        a = _draw(np.full(32, 0.37), [stream(9, 1)])
+        b = _draw(np.full(32, 0.37), [stream(9, 1)])
         np.testing.assert_array_equal(a, b)
 
 
@@ -147,9 +172,9 @@ class TestAsyncGibbs:
         # layer takes its one conditional draw and no sweep draws.
         below = [np.zeros((1, 3))]
         for intra, draws in ((False, 1), (True, 1 + 3)):
-            stream = CountingStream(0)
-            _update_hidden(zero_machine((3, 2), (intra,)), 1, below, [stream], intra_sweeps=3)
-            assert stream.calls == draws
+            counter = CountingStream(0, 0)
+            _update_hidden(zero_machine((3, 2), (intra,)), 1, below, [counter], intra_sweeps=3)
+            assert counter.calls == draws
 
     def test_zero_intra_weights_match_factorial_conditional(self):
         # With vanishing intra weights the update degenerates to independent
@@ -171,7 +196,7 @@ class TestAsyncGibbs:
         n_draws = 10_000
         h = np.zeros((n_draws, 2))
         _async_sweep(m, 1, h, sweep_input(m, 1, below, n_draws),
-                     [RngStream(77, i) for i in range(n_draws)])
+                     [stream(77, i) for i in range(n_draws)])
         counts = np.bincount((h[:, 0] + 2 * h[:, 1]).astype(int), minlength=4)
         result = chisquare(counts, f_exp=n_draws * exact)
         assert result.pvalue > 0.01
@@ -185,7 +210,7 @@ class TestAsyncGibbs:
         exact_agree = (1 + math.exp(10.0)) / (3 + math.exp(10.0))
         assert exact_agree > 0.999
         chains = 400
-        streams = [RngStream(13, c) for c in range(chains)]
+        streams = [stream(13, c) for c in range(chains)]
         h = _draw(np.full(2, 0.5), streams)
         below_input = sweep_input(m, 1, np.zeros(1), chains)
         for _ in range(50):
@@ -209,7 +234,7 @@ class TestAsyncGibbs:
         exact = np.exp(logits - logits.max())
         exact /= exact.sum()
         sweeps = 100_000
-        rng = [RngStream(31)]
+        rng = [stream(31, 0)]
         h = _draw(np.full(2, 0.5), rng)
         below_input = sweep_input(m, 1, below, 1)
         counts = np.zeros(4)
@@ -223,8 +248,8 @@ class TestAsyncGibbs:
         m = make_layered_machine((3, 4), (True,), seed=2)
         below_input = sweep_input(m, 1, random_bits(np.random.default_rng(1), 3), 1)
         a, b = np.zeros((1, 4)), np.zeros((1, 4))
-        _async_sweep(m, 1, a, below_input, [RngStream(5, 5)])
-        _async_sweep(m, 1, b, below_input, [RngStream(5, 5)])
+        _async_sweep(m, 1, a, below_input, [stream(5, 5)])
+        _async_sweep(m, 1, b, below_input, [stream(5, 5)])
         np.testing.assert_array_equal(a, b)
 
 
@@ -234,28 +259,28 @@ class TestEStep:
         rows = e_step_batch(
             m,
             np.zeros((10_000, 6), dtype=np.uint8),
-            [RngStream(3, i) for i in range(10_000)],
+            [stream(3, i) for i in range(10_000)],
         )
         assert abs(rows[1].mean() - 0.5) < 0.02
 
     def test_dbm_shape(self):
         m = new_machine(LayerSpec((784, 196, 196, 64), (True, True, True)), seed=0)
         x = random_bits(np.random.default_rng(0), (1, 784))
-        layers = e_step_batch(m, x, [RngStream(1)])
+        layers = e_step_batch(m, x, [stream(1, 0)])
         assert [layer.shape for layer in layers] == [(1, 784), (1, 196), (1, 196), (1, 64)]
 
     def test_bottom_up_ignores_deeper_weights(self):
         m = make_layered_machine((5, 4, 3), (False, False), seed=7)
         x = random_bits(np.random.default_rng(2), (1, 5))
-        h_before = e_step_batch(m, x, [RngStream(4)])[1]
+        h_before = e_step_batch(m, x, [stream(4, 0)])[1]
         m.block(1, 2)[...] *= -2.5
-        h_after = e_step_batch(m, x, [RngStream(4)])[1]
+        h_after = e_step_batch(m, x, [stream(4, 0)])[1]
         np.testing.assert_array_equal(h_before, h_after)
 
     def test_batch_thread_count_invariance(self):
         m = make_layered_machine((8, 5, 4), (True, False), seed=9)
         x = random_bits(np.random.default_rng(3), (1500, 8))
-        streams = lambda: [RngStream(6, i) for i in range(1500)]
+        streams = lambda: [stream(6, i) for i in range(1500)]
         single = e_step_batch(m, x, streams(), threads=1)
         multi = e_step_batch(m, x, streams(), threads=4)
         for a, b in zip(single, multi):
@@ -264,7 +289,7 @@ class TestEStep:
     def test_width_mismatch_rejected(self):
         m = zero_machine((6, 4), (False,))
         with pytest.raises(ValueError, match=r"expected \(\*, 6\)"):
-            e_step_batch(m, np.zeros((1, 5)), [RngStream(0)])
+            e_step_batch(m, np.zeros((1, 5)), [stream(0, 0)])
 
 
 class TestGenerate:
@@ -276,25 +301,25 @@ class TestGenerate:
     def test_zero_weight_machine_returns_visible_bias_probs(self):
         m = zero_machine((5, 3), (False,))
         m.biases[:5] = (0.5, -0.5, 0.0, 2.0, -2.0)
-        probs = generate_batch(m, "uniform", 5, [RngStream(0)])[0]
+        probs = generate_batch(m, "uniform", 5, [stream(0, 0)])[0]
         np.testing.assert_allclose(probs, 1.0 / (1.0 + np.exp(-m.biases[:5])), rtol=1e-14)
 
     def test_output_shape_and_range(self):
         m = new_machine(LayerSpec((784, 16), (False,)), seed=1, init_scale=0.5)
-        probs = generate_batch(m, "uniform", 2, [RngStream(2)])
+        probs = generate_batch(m, "uniform", 2, [stream(2, 0)])
         assert probs.shape == (1, 784)
         assert probs.min() >= 0.0 and probs.max() <= 1.0
 
     def test_prior_initialization_and_validation(self):
         m = zero_machine((4, 3), (False,))
-        probs = generate_batch(m, np.array([0.9, 0.1, 0.5]), 1, [RngStream(1)])
+        probs = generate_batch(m, np.array([0.9, 0.1, 0.5]), 1, [stream(1, 0)])
         assert probs.shape == (1, 4)
         with pytest.raises(ValueError):
-            generate_batch(m, np.array([0.9, 0.1]), 1, [RngStream(1)])
+            generate_batch(m, np.array([0.9, 0.1]), 1, [stream(1, 0)])
         with pytest.raises(ValueError):
-            generate_batch(m, "weird", 1, [RngStream(1)])
+            generate_batch(m, "weird", 1, [stream(1, 0)])
         with pytest.raises(ValueError):
-            generate_batch(m, "uniform", 0, [RngStream(1)])
+            generate_batch(m, "uniform", 0, [stream(1, 0)])
 
     def test_layer_update_count(self):
         # One uniform block per layer update: top init, then per pair r
@@ -302,14 +327,14 @@ class TestGenerate:
         sweeps = 2
         r = 3
         m = make_layered_machine((4, 3, 2), (True, False), seed=11)
-        stream = CountingStream(8)
-        generate_batch(m, "uniform", r, [stream], intra_sweeps=sweeps)
+        counter = CountingStream(8, 0)
+        generate_batch(m, "uniform", r, [counter], intra_sweeps=sweeps)
         expected = 1 + r * (2 + sweeps) + r * 2  # pair (2,1) has intra, pair (1,0) not
-        assert stream.calls == expected
+        assert counter.calls == expected
 
     def test_fixed_seed_bit_identical_batch(self):
         m = make_layered_machine((6, 4, 3), (True, True), seed=3)
-        streams = lambda: [RngStream(12, i) for i in range(700)]
+        streams = lambda: [stream(12, i) for i in range(700)]
         a = generate_batch(m, "uniform", 2, streams(), threads=1)
         b = generate_batch(m, "uniform", 2, streams(), threads=3)
         np.testing.assert_array_equal(a, b)
@@ -319,18 +344,18 @@ class TestMeanActivationPrior:
     def test_zero_machine_prior_is_half(self):
         m = zero_machine((4, 3), (False,))
         data = np.zeros((10_000, 4), dtype=np.uint8)
-        prior = mean_activation_prior(m, data, RngStream(5))
+        prior = mean_activation_prior(m, data, row_streams(5, 0, count=len(data)))
         assert np.abs(prior - 0.5).max() < 0.02
 
     def test_saturated_weights_reproduce_top_state(self):
         m = zero_machine((2, 2), (False,))
         m.biases[2:] = (40.0, -40.0)  # sigmoid saturates to exactly 1 / almost 0
-        prior = mean_activation_prior(m, np.array([[1, 0]], dtype=np.uint8), RngStream(0))
+        prior = mean_activation_prior(m, np.array([[1, 0]], dtype=np.uint8), row_streams(0, 0, count=1))
         np.testing.assert_array_equal(prior, [1.0, 0.0])
 
     def test_range_and_empty_rejection(self):
         m = make_layered_machine((5, 4), (True,), seed=1)
-        prior = mean_activation_prior(m, random_bits(np.random.default_rng(0), (50, 5)), RngStream(2))
+        prior = mean_activation_prior(m, random_bits(np.random.default_rng(0), (50, 5)), row_streams(2, 0, count=50))
         assert prior.min() >= 0.0 and prior.max() <= 1.0
         with pytest.raises(ValueError):
-            mean_activation_prior(m, np.zeros((0, 5)), RngStream(2))
+            mean_activation_prior(m, np.zeros((0, 5)), row_streams(2, 0, count=0))

@@ -8,11 +8,13 @@ from conftest import zero_machine
 from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, validate
 from flowbm.mpf import all_state_energies, enumerate_states, gradient_and_objective
 from flowbm.optim import TrainConfig
-from flowbm.sampling import e_step_batch
+from flowbm.sampling import e_step_batch, row_streams
 from flowbm.training import (
+    TAG_ESTEP,
+    TAG_INIT,
+    TAG_SHUFFLE,
     DivergenceError,
     EpochLog,
-    estep_streams,
     init_state,
     train_cd,
     train_vpf,
@@ -64,6 +66,28 @@ class TestTrainVpf:
         corr = np.corrcoef(truth, fit)[0, 1]
         assert corr > 0.95
         assert len(logs) == 80
+
+    def test_fully_observed_layout_builds_no_estep_stream(self, monkeypatch):
+        # A layout without hidden layers has nothing to infer, and every
+        # stream costs a seeding: the epoch builds only its shuffle stream.
+        import flowbm.training as training
+
+        tags = []
+
+        def counting(make):
+            def wrapped(seed, tag, *args, **kwargs):
+                tags.append(tag)
+                return make(seed, tag, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(training, "stream", counting(training.stream))
+        monkeypatch.setattr(training, "row_streams", counting(training.row_streams))
+        data = bars_data(50, seed=3)
+        train_vpf(data[:, :4], LayerSpec((4,)), TrainConfig(epochs=1), machine=planted_machine(0))
+        assert tags == [TAG_SHUFFLE]
+        tags.clear()
+        train_vpf(data, LayerSpec((12, 3), (False,)), TrainConfig(epochs=1))
+        assert tags == [TAG_INIT, TAG_ESTEP, TAG_SHUFFLE]
 
     def test_same_seed_bit_identical_logs_and_weights(self):
         data = bars_data(200, seed=4)
@@ -124,7 +148,8 @@ class TestTrainVpf:
             nonlocal snapshot
             start = BoltzmannMachine(layout, snapshot[0], snapshot[1])
             layers = e_step_batch(
-                start, data, estep_streams(cfg.seed, epoch, len(data)), cfg.intra_sweeps
+                start, data, row_streams(cfg.seed, TAG_ESTEP, epoch, count=len(data)),
+                cfg.intra_sweeps,
             )
             expected = np.concatenate(layers, axis=1)
             if not np.array_equal(expected, pairs):
