@@ -1,10 +1,10 @@
 """Binary checkpoint container with bit-exact round-trips.
 
-Format version 2, one file, all integers and IEEE-754 doubles
+Format version 3, one file, all integers and IEEE-754 doubles
 little-endian:
 
     magic "FLOWBMCK"        8 bytes
-    format version          u32 = 2
+    format version          u32 = 3
     layer count L, sizes    u32, L x u32
     intra flag count F      u32, F x u8 (one per hidden layer)
     epoch                   u64
@@ -23,9 +23,11 @@ blocks of `model.active_blocks` back to back as in `BoltzmannMachine`.
 Reading checks every length against the layout, runs `model.validate` on
 the parameters and checks that the Adam moments are finite with
 non-negative second moments, so a file that parses but breaks an
-invariant is rejected as corrupt.  Version 1 files (dense n x n arrays)
-are rejected with `CheckpointVersionError`.  Deserializing a serialized
-checkpoint and re-serializing reproduces the bytes exactly.
+invariant is rejected as corrupt.  Version 3 added `method` and `k` to the
+config text, so a file names the trainer that wrote it.  Older files are
+rejected with `CheckpointVersionError`: version 1 holds dense n x n arrays,
+and version 2 does not say whether VPF, CD or PCD trained it.  Deserializing
+a serialized checkpoint and re-serializing reproduces the bytes exactly.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .model import BoltzmannMachine, LayerSpec, edge_count, validate
 from .optim import AdamState, TrainConfig, parse_config_text
 
 MAGIC = b"FLOWBMCK"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(Exception):

@@ -5,10 +5,12 @@ The CLI owns the run directory: fixed file names (config.txt, epochs.csv,
 ckpt-epoch-NNNNN.bin, ckpt-final.bin) so downstream tooling can locate
 outputs, and it alone writes epochs.csv, one `training.EpochLog` per row.
 Every `TrainConfig` field has a string-valued flag of the same name that
-`optim.parse_config_items` parses and checks.  train applies defaults (or
-the resumed checkpoint's config), then an optional key=value config file,
-then the flags; generate, reconstruct and eval-ll apply their --r and
---intra-sweeps over the checkpoint's config the same way.
+`optim.parse_config_items` parses and checks.  The trainer (`method`: vpf,
+cd or pcd) and its Gibbs steps (`k`) are ordinary config keys, so a run's
+config.txt and checkpoints name the method that made them.  train applies
+defaults (or the resumed checkpoint's config), then an optional key=value
+config file, then the flags; generate, reconstruct and eval-ll apply their
+--r and --intra-sweeps over the checkpoint's config the same way.
 """
 
 from __future__ import annotations
@@ -134,18 +136,14 @@ def _restart_epoch_csv(path: Path, kept: list[str]) -> None:
 
 
 def cmd_train(args) -> int:
-    method = args.method
-    if method in ("cd", "pcd"):
-        if args.k < 1:
-            raise UsageError("--k must be at least 1")
-    elif args.k != 1:
-        raise UsageError("--k only applies to --method cd/pcd")
     if args.checkpoint_every < 0:
         raise UsageError(f"--checkpoint-every must be non-negative, got {args.checkpoint_every}")
     if args.resume:
         resume = ckpt_io.load_checkpoint(args.resume)
         layout = _layout(args, resume.layout)
         cfg = _build_config(args, resume.config)
+        if cfg.method == "pcd":
+            raise UsageError("cannot resume a pcd run: its persistent chains are not checkpointed")
         machine, adam, start_epoch = resume.machine(), resume.adam, resume.epoch
     else:
         layout = _layout(args)
@@ -156,6 +154,8 @@ def cmd_train(args) -> int:
         start_epoch = 0
     if cfg.epochs < start_epoch:
         raise UsageError(f"--epochs {cfg.epochs} is below the checkpoint's epoch {start_epoch}")
+    if cfg.method != "vpf":
+        training.require_rbm(layout)
     ds = _load_dataset(args.images, args.labels, args.threshold, args.limit)
     threads = _threads(args)
 
@@ -165,7 +165,6 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.txt", "w", encoding="utf-8") as fh:
         sizes, intra = layout.to_strings()
-        fh.write(f"# method = {method}\n# k = {args.k}\n")
         fh.write(f"# layout = {sizes}\n# intra = {intra}\n")
         fh.write(cfg.to_text())
 
@@ -184,10 +183,10 @@ def cmd_train(args) -> int:
 
     common = dict(machine=machine, adam=adam, start_epoch=start_epoch,
                   epoch_callback=on_epoch)
-    if method == "vpf":
+    if cfg.method == "vpf":
         m, _logs = training.train_vpf(ds, layout, cfg, threads=threads, **common)
     else:
-        m, _logs = training.train_cd(ds, layout, args.k, method == "pcd", cfg, **common)
+        m, _logs = training.train_cd(ds, layout, cfg, **common)
     final = ckpt_io.from_training(m, adam, cfg, cfg.epochs)
     ckpt_io.save_checkpoint(out / "ckpt-final.bin", final)
     print(f"run complete: {out / 'ckpt-final.bin'}")
@@ -243,11 +242,8 @@ def cmd_reconstruct(args) -> int:
     for pattern in patterns:
         total = 0.0
         for trial in range(args.trials):
-            corrupted = np.empty_like(ds)
-            known = np.empty(ds.shape, dtype=bool)
             noise = row_streams(args.seed, TAG_RECON, trial, 0, count=len(ds))
-            for i in range(len(ds)):
-                corrupted[i], known[i] = metrics.corrupt(ds[i], pattern, noise[i])
+            corrupted, known = metrics.corrupt(ds, pattern, noise)
             streams = row_streams(args.seed, TAG_RECON, trial, 1, count=len(ds))
             recon = metrics.reconstruct_batch(
                 m, corrupted, known, args.gibbs_steps, streams, sweeps, threads)
@@ -355,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=None, help="use only the first N images")
     p.add_argument("--layout", default=None, help='e.g. "784-196" or "784-196-196-64"')
     p.add_argument("--intra", default=None, help='per-hidden-layer flags, e.g. "1,1,1"')
-    p.add_argument("--method", choices=("vpf", "cd", "pcd"), default="vpf")
-    p.add_argument("--k", type=int, default=1, help="Gibbs steps for cd/pcd")
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")

@@ -53,17 +53,20 @@ def recon_error(original: np.ndarray, reconstructed: np.ndarray):
 
 
 def corrupt(
-    image: np.ndarray, pattern: str, rng: np.random.Generator
+    images: np.ndarray, pattern: str, streams: list[np.random.Generator]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Replace a 12-row (or column) band with coin flips.
+    """Replace a 12-row (or column) band of each image (row) with coin flips.
 
-    Returns the corrupted image and the known-pixel mask (False on the
-    corrupted band).  The named side is the band's location: "top" corrupts
-    rows 0-11, "left" columns 0-11, and so on.
+    Row i's flips are one uniform block drawn from `streams[i]`.  Returns the
+    corrupted images and the known-pixel mask (False on the corrupted band),
+    a read-only view of one mask for every row.  The named side is the
+    band's location: "top" corrupts rows 0-11, "left" columns 0-11, and so on.
     """
-    image = np.asarray(image)
-    if image.shape != (IMAGE_SIDE * IMAGE_SIDE,):
-        raise ValueError(f"image has shape {image.shape}, expected ({IMAGE_SIDE**2},)")
+    images = np.asarray(images)
+    if images.ndim != 2 or images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
+        raise ValueError(f"images have shape {images.shape}, expected (*, {IMAGE_SIDE**2})")
+    if images.shape[0] != len(streams):
+        raise ValueError("need one stream per row")
     if pattern not in PATTERNS:
         raise ValueError(f"unknown corruption pattern {pattern!r}")
     known = np.ones((IMAGE_SIDE, IMAGE_SIDE), dtype=bool)
@@ -75,11 +78,11 @@ def corrupt(
         known[:, :CORRUPT_BAND] = False
     else:
         known[:, -CORRUPT_BAND:] = False
-    known = known.ravel()
-    corrupted = image.copy().astype(np.uint8)
-    unknown = ~known
-    corrupted[unknown] = rng.random(int(unknown.sum())) < 0.5
-    return corrupted, known
+    unknown = ~known.ravel()
+    count = int(unknown.sum())
+    corrupted = images.astype(np.uint8)
+    corrupted[:, unknown] = np.reshape([s.random(count) for s in streams], (-1, count)) < 0.5
+    return corrupted, np.broadcast_to(~unknown, corrupted.shape)
 
 
 def _reconstruct_rows(

@@ -169,9 +169,6 @@ class BoltzmannMachine:
         flat = np.concatenate([w[sl[a], sl[b]].ravel() for a, b in active_blocks(layout)])
         return cls(layout, flat.astype(np.float64), np.array(biases, dtype=np.float64))
 
-    def copy(self) -> "BoltzmannMachine":
-        return BoltzmannMachine(self.layout, self.weights.copy(), self.biases.copy())
-
 
 def dense_weights(m: BoltzmannMachine) -> np.ndarray:
     """Symmetric (n, n) matrix, zero off the stored blocks; for `energy` and the oracles."""

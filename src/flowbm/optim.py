@@ -28,6 +28,8 @@ class TrainConfig:
     intra_sweeps: int = 1
     init_scale: float = 0.01
     clamp_z: float = 30.0
+    method: str = "vpf"
+    k: int = 1
 
     def __post_init__(self):
         for name in ("eta", "adam_eps", "init_scale", "clamp_z"):
@@ -48,12 +50,16 @@ class TrainConfig:
             raise ValueError(f"r must be at least 1, got {self.r}")
         if self.intra_sweeps < 0:
             raise ValueError(f"intra_sweeps must be non-negative, got {self.intra_sweeps}")
+        if self.method not in ("vpf", "cd", "pcd"):
+            raise ValueError(f"method must be vpf, cd or pcd, got {self.method!r}")
+        if self.k < 1 or (self.k != 1 and self.method == "vpf"):
+            raise ValueError(f"k must be at least 1, and 1 for method vpf, got {self.k}")
 
     def replace(self, **kwargs) -> "TrainConfig":
         return dataclasses.replace(self, **kwargs)
 
     def to_text(self) -> str:
-        lines = [f"{f.name} = {getattr(self, f.name)!r}" for f in dataclasses.fields(self)]
+        lines = [f"{f.name} = {getattr(self, f.name)}" for f in dataclasses.fields(self)]
         return "\n".join(lines) + "\n"
 
 
@@ -74,7 +80,7 @@ def parse_config_items(items: dict[str, str], base: TrainConfig | None = None) -
         if key in spelled:
             raise ValueError(f"config keys {spelled[key]!r} and {raw_key!r} both set {key}")
         spelled[key] = raw_key
-        convert = int if fields[key] in (int, "int") else float
+        convert = {"int": int, "float": float, "str": str}[fields[key]]
         try:
             updates[key] = convert(raw_value.strip())
         except ValueError:
@@ -122,11 +128,6 @@ class AdamState:
     m1_b: np.ndarray
     m2_b: np.ndarray
     t: int = 0
-
-    def copy(self) -> "AdamState":
-        return AdamState(
-            self.m1_w.copy(), self.m2_w.copy(), self.m1_b.copy(), self.m2_b.copy(), self.t
-        )
 
 
 def init_adam(m: BoltzmannMachine) -> AdamState:

@@ -154,6 +154,8 @@ def train_vpf(
     are pure functions of (seed, epoch, parameters), so a resumed run is
     bit-identical to an uninterrupted one.
     """
+    if cfg.method != "vpf":
+        raise ValueError(f"train_vpf runs method vpf, got {cfg.method}")
 
     def run_epoch(m, st, x_rows, epoch):
         pairs = x_rows  # a fully-observed layout has nothing to infer
@@ -170,7 +172,8 @@ def train_vpf(
     return _train(data, layout, cfg, machine, adam, start_epoch, epoch_callback, run_epoch)
 
 
-def _require_rbm(layout: LayerSpec) -> None:
+def require_rbm(layout: LayerSpec) -> None:
+    """Reject a layout that the CD/PCD baselines cannot train."""
     if len(layout.sizes) != 2 or layout.intra_layer[0]:
         raise ValueError(
             "contrastive-divergence baselines support plain one-hidden-layer "
@@ -181,24 +184,23 @@ def _require_rbm(layout: LayerSpec) -> None:
 def train_cd(
     data,
     layout: LayerSpec,
-    k: int,
-    persistent: bool,
     cfg: TrainConfig,
     machine: BoltzmannMachine | None = None,
     adam: AdamState | None = None,
     start_epoch: int = 0,
     epoch_callback=None,
 ) -> tuple[BoltzmannMachine, list[EpochLog]]:
-    """CD-k / PCD-k baseline with the same optimizer and minibatching.
+    """CD-k / PCD-k baseline (`cfg.method`, `cfg.k`), same optimizer and minibatching.
 
     The logged objective_value is the mean visible reconstruction
     cross-entropy of the first negative-chain step (the flow objective does
     not apply to these trainers).  The epoch callback receives None in
     place of the (observed, hidden) pairs.
     """
-    _require_rbm(layout)
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    if cfg.method not in ("cd", "pcd"):
+        raise ValueError(f"train_cd runs method cd or pcd, got {cfg.method}")
+    require_rbm(layout)
+    persistent = cfg.method == "pcd"
     sl0, sl1 = layout.slices()
     n_hid = layout.sizes[1]
     chains = None
@@ -218,7 +220,7 @@ def train_cd(
             else:
                 h = (rng.random(ph0.shape) < ph0).astype(np.float64)
             first_xent = None
-            for _ in range(k):
+            for _ in range(cfg.k):
                 pv = expit(h @ w_block.T + vb)
                 if first_xent is None:
                     eps = 1e-12

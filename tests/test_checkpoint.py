@@ -158,6 +158,20 @@ class TestFailureModes:
         with pytest.raises(CheckpointVersionError, match=f"version {FORMAT_VERSION + 9} "):
             deserialize(doctored)
 
+    def test_version_2_file_is_rejected(self):
+        # A version-2 config text has no method line, so such a file used to
+        # be resumed as VPF whichever trainer wrote it.
+        ck = sample_checkpoint()
+        text = ck.config.to_text().encode()
+        v2_text = b"".join(line for line in text.splitlines(keepends=True)
+                           if not line.startswith((b"method = ", b"k = ")))
+        body = bytearray(serialize(ck)[:-4].replace(
+            struct.pack("<Q", len(text)) + text, struct.pack("<Q", len(v2_text)) + v2_text))
+        struct.pack_into("<I", body, len(MAGIC), 2)
+        v2 = bytes(body) + struct.pack("<I", zlib.crc32(bytes(body)))
+        with pytest.raises(CheckpointVersionError, match="version 2 "):
+            deserialize(v2)
+
     def test_flipped_byte_fails_checksum(self):
         blob = bytearray(serialize(sample_checkpoint()))
         blob[len(blob) // 2] ^= 0xFF

@@ -242,9 +242,10 @@ class TestEndToEnd:
     def test_every_config_field_has_a_train_flag(self, workdir):
         values = {"eta": "0.002", "beta1": "0.8", "beta2": "0.99", "adam_eps": "1e-07",
                   "weight_decay": "0.0003", "minibatch": "25", "epochs": "1", "seed": "7",
-                  "r": "3", "intra_sweeps": "2", "init_scale": "0.02", "clamp_z": "20.0"}
+                  "r": "3", "intra_sweeps": "2", "init_scale": "0.02", "clamp_z": "20.0",
+                  "method": "cd", "k": "2"}
         assert set(values) == {f.name for f in dataclasses.fields(TrainConfig)}
-        assert all(getattr(TrainConfig(), k) != float(v) for k, v in values.items())
+        assert all(str(getattr(TrainConfig(), k)) != v for k, v in values.items())
         flags = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
         out = workdir / "flags"
         assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
@@ -325,8 +326,27 @@ class TestTrainFailures:
         out = workdir / "vpf-k"
         assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
                     "--k", "2", "--out", out]) == 2
-        assert "--k only applies to --method cd/pcd" in capsys.readouterr().err
+        assert "k must be at least 1, and 1 for method vpf, got 2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_cd_on_a_deep_or_intra_layout_exits_2_before_writing(self, workdir, capsys):
+        # The one-hidden-layer check used to run after config.txt and
+        # epochs.csv were written; a resume into the run directory lost rows.
+        for flags in (["--layout", "784-20-10"], ["--layout", "784-20", "--intra", "1"]):
+            out = workdir / "cd-deep"
+            assert run(["train", "--images", workdir / "train.idx", "--method", "cd",
+                        "--out", out] + flags) == 2
+            assert "one-hidden-layer" in capsys.readouterr().err
+            assert not out.exists()
+        run_dir = workdir / "deep"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-20-10",
+                    "--epochs", "3", "--checkpoint-every", "1", "--out", run_dir]) == 0
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / "ckpt-epoch-00001.bin", "--method", "cd", "--out", run_dir]) == 2
+        assert "one-hidden-layer" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
     def test_divergence_exits_2_without_checkpoints(self, workdir, capsys):
         out = workdir / "diverged"
@@ -352,7 +372,7 @@ class TestInspect:
         assert run(["inspect", "--checkpoint", path]) == 0
         printed = capsys.readouterr().out.splitlines()
         lines = dict(line.split(": ", 1) for line in printed if ": " in line)
-        assert lines["format_version"] == "2"
+        assert lines["format_version"] == "3"
         assert lines["block 0-1"].startswith("784x6, |w|_max ")
         assert lines["block 1-2"].startswith("6x4, |w|_max ")
         assert lines["block 2-2"].startswith("4x4, |w|_max ")
@@ -464,13 +484,36 @@ class TestResume:
         assert len(finals) == 1
 
     def test_cd_resume_matches_uninterrupted_run(self, workdir):
-        base = ["train", "--images", workdir / "train.idx", "--method", "cd", "--seed", "5"]
-        full, resumed = workdir / "cd-full", workdir / "cd-resumed"
-        assert run(base + ["--layout", "784-20", "--epochs", "3", "--checkpoint-every", "1",
-                           "--out", full]) == 0
-        assert run(base + ["--resume", full / "ckpt-epoch-00001.bin", "--epochs", "3",
-                           "--out", resumed]) == 0
-        assert (resumed / "ckpt-final.bin").read_bytes() == (full / "ckpt-final.bin").read_bytes()
+        # The checkpoint names its method; a resume without --method used to
+        # continue as VPF on the CD weights.
+        base = ["train", "--images", workdir / "train.idx", "--seed", "5"]
+        full = workdir / "cd-full"
+        assert run(base + ["--method", "cd", "--layout", "784-20", "--epochs", "3",
+                           "--checkpoint-every", "1", "--out", full]) == 0
+        for i, flags in enumerate((["--method", "cd"], [])):
+            resumed = workdir / f"cd-resumed{i}"
+            assert run(base + flags + ["--resume", full / "ckpt-epoch-00001.bin",
+                                       "--epochs", "3", "--out", resumed]) == 0
+            assert ((resumed / "ckpt-final.bin").read_bytes()
+                    == (full / "ckpt-final.bin").read_bytes())
+
+    def test_pcd_resume_exits_2_before_writing(self, workdir, capsys):
+        # The persistent chains are not checkpointed, so a resumed PCD run
+        # used to exit 0 on different weights than an uninterrupted one.
+        out, elsewhere = workdir / "pcd-run", workdir / "pcd-resumed"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-20",
+                    "--method", "pcd", "--epochs", "2", "--checkpoint-every", "1",
+                    "--out", out]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        resume = ["train", "--images", workdir / "train.idx", "--resume",
+                  out / "ckpt-epoch-00001.bin", "--epochs", "3"]
+        for flags in ([], ["--method", "pcd"]):
+            for dest in (out, elsewhere):
+                capsys.readouterr()
+                assert run(resume + flags + ["--out", dest]) == 2
+                assert "persistent chains are not checkpointed" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert not elsewhere.exists()
 
     def test_pcd_with_k_writes_valid_checkpoint(self, workdir):
         from flowbm.model import validate
@@ -480,8 +523,8 @@ class TestResume:
                     "--method", "pcd", "--k", "2", "--epochs", "2", "--out", out]) == 0
         assert validate(load_checkpoint(out / "ckpt-final.bin").machine()) == []
         text = (out / "config.txt").read_text()
-        assert "# method = pcd\n" in text
-        assert "# k = 2\n" in text
+        assert text.endswith("method = pcd\nk = 2\n")
+        assert load_checkpoint(out / "ckpt-final.bin").config.to_text() in text
 
     def test_same_seed_bit_identical_checkpoints(self, workdir):
         args = ["train", "--images", workdir / "train.idx", "--layout", "784-8",

@@ -69,37 +69,47 @@ class TestWeightStatistics:
 
 class TestCorrupt:
     def test_band_locations(self):
-        image = random_bits(np.random.default_rng(0), 784)
-        _, known = corrupt(image, "top", stream(0, 0))
-        grid = known.reshape(28, 28)
+        images = random_bits(np.random.default_rng(0), (1, 784))
+        _, known = corrupt(images, "top", [stream(0, 0)])
+        grid = known[0].reshape(28, 28)
         assert not grid[:12].any() and grid[12:].all()
-        _, known = corrupt(image, "left", stream(0, 0))
-        grid = known.reshape(28, 28)
+        _, known = corrupt(images, "left", [stream(0, 0)])
+        grid = known[0].reshape(28, 28)
         assert not grid[:, :12].any() and grid[:, 12:].all()
-        _, known = corrupt(image, "bottom", stream(0, 0))
-        assert not known.reshape(28, 28)[16:].any()
-        _, known = corrupt(image, "right", stream(0, 0))
-        assert not known.reshape(28, 28)[:, 16:].any()
+        _, known = corrupt(images, "bottom", [stream(0, 0)])
+        assert not known[0].reshape(28, 28)[16:].any()
+        _, known = corrupt(images, "right", [stream(0, 0)])
+        assert not known[0].reshape(28, 28)[:, 16:].any()
 
     def test_known_region_untouched(self):
-        image = random_bits(np.random.default_rng(1), 784)
+        images = random_bits(np.random.default_rng(1), (3, 784))
         for pattern in PATTERNS:
-            corrupted, known = corrupt(image, pattern, stream(7, 0))
-            np.testing.assert_array_equal(corrupted[known], image[known])
+            corrupted, known = corrupt(images, pattern, [stream(7, i) for i in range(3)])
+            assert known.shape == images.shape and (known == known[0]).all()
+            np.testing.assert_array_equal(corrupted[known], images[known])
             assert np.isin(corrupted, (0, 1)).all()
 
+    def test_each_row_flips_one_block_of_its_stream(self):
+        images = random_bits(np.random.default_rng(2), (4, 784))
+        corrupted, known = corrupt(images, "right", [stream(9, i) for i in range(4)])
+        for i in range(4):
+            expected = (stream(9, i).random(336) < 0.5).astype(np.uint8)
+            np.testing.assert_array_equal(corrupted[i][~known[i]], expected)
+
     def test_noise_is_fair_coin(self):
-        image = np.zeros(784, dtype=np.uint8)
-        means = [
-            corrupt(image, "top", stream(3, i))[0][:336].mean() for i in range(200)
-        ]
-        assert abs(np.mean(means) - 0.5) < 0.01
+        images = np.zeros((200, 784), dtype=np.uint8)
+        corrupted, _ = corrupt(images, "top", [stream(3, i) for i in range(200)])
+        assert abs(corrupted[:, :336].mean() - 0.5) < 0.01
 
     def test_rejects_wrong_size_and_pattern(self):
         with pytest.raises(ValueError):
-            corrupt(np.zeros(100, dtype=np.uint8), "top", stream(0, 0))
+            corrupt(np.zeros((1, 100), dtype=np.uint8), "top", [stream(0, 0)])
         with pytest.raises(ValueError):
-            corrupt(np.zeros(784, dtype=np.uint8), "diagonal", stream(0, 0))
+            corrupt(np.zeros(784, dtype=np.uint8), "top", [stream(0, 0)])
+        with pytest.raises(ValueError):
+            corrupt(np.zeros((1, 784), dtype=np.uint8), "diagonal", [stream(0, 0)])
+        with pytest.raises(ValueError, match="one stream per row"):
+            corrupt(np.zeros((2, 784), dtype=np.uint8), "top", [stream(0, 0)])
 
 
 class TestReconError:
@@ -144,9 +154,9 @@ class TestReconstruct:
     def test_never_alters_known_pixels(self):
         m = self.small_machine(seed=3, intra=True)
         image = random_bits(np.random.default_rng(5), 784)
-        corrupted, known = corrupt(image, "bottom", stream(2, 0))
-        out = reconstruct_batch(m, corrupted[None], known[None], 4, [stream(3, 0)])[0]
-        np.testing.assert_array_equal(out[known], image[known])
+        corrupted, known = corrupt(image[None], "bottom", [stream(2, 0)])
+        out = reconstruct_batch(m, corrupted, known, 4, [stream(3, 0)])[0]
+        np.testing.assert_array_equal(out[known[0]], image[known[0]])
 
     def test_zero_weight_machine_gives_fair_unknowns(self):
         # With zero weights and biases the visible probabilities are exactly
@@ -179,8 +189,8 @@ class TestReconstruct:
         # The trained-flow evaluation protocol uses 2 Gibbs transitions.
         m = self.small_machine(seed=1)
         image = random_bits(np.random.default_rng(1), 784)
-        corrupted, known = corrupt(image, "top", stream(4, 0))
-        out = reconstruct_batch(m, corrupted[None], known[None], 2, [stream(5, 0)])
+        corrupted, known = corrupt(image[None], "top", [stream(4, 0)])
+        out = reconstruct_batch(m, corrupted, known, 2, [stream(5, 0)])
         assert out.shape == (1, 784) and np.isin(out, (0, 1)).all()
 
     def test_shape_validation(self):

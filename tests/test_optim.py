@@ -10,6 +10,7 @@ from flowbm.optim import (
     init_adam,
     load_config,
     parse_config_items,
+    parse_config_text,
     step,
 )
 
@@ -39,6 +40,7 @@ class TestTrainConfig:
         assert cfg.intra_sweeps == 1
         assert cfg.init_scale == 0.01
         assert cfg.clamp_z == 30.0
+        assert cfg.method == "vpf" and cfg.k == 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -53,7 +55,7 @@ class TestTrainConfig:
         ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("clamp_z", float("nan")), ("clamp_z", float("inf")),
         ("clamp_z", 0.0), ("weight_decay", -1e-4), ("adam_eps", 0.0), ("init_scale", 0.0),
-        ("r", 0), ("intra_sweeps", -1),
+        ("r", 0), ("intra_sweeps", -1), ("method", "sgd"), ("k", 0),
     ])
     def test_rejects_nonfinite_and_degenerate_values(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -67,6 +69,18 @@ class TestTrainConfig:
         path.write_text(cfg.to_text())
         loaded = load_config(path)
         assert loaded == cfg
+
+    def test_method_and_k_round_trip_through_text(self):
+        cfg = TrainConfig(method="pcd", k=3)
+        assert "method = pcd\nk = 3\n" in cfg.to_text()
+        assert parse_config_items({"method": " cd ", "k": "2"}) == TrainConfig(method="cd", k=2)
+        assert parse_config_text(cfg.to_text()) == cfg
+
+    def test_k_other_than_1_needs_cd_or_pcd(self):
+        with pytest.raises(ValueError, match="1 for method vpf, got 2"):
+            TrainConfig(k=2)
+        with pytest.raises(ValueError, match="1 for method vpf, got 2"):
+            parse_config_items({"method": "vpf"}, TrainConfig(method="cd", k=2))
 
     def test_config_file_aliases_and_comments(self, tmp_path):
         path = tmp_path / "run.cfg"

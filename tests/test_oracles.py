@@ -2,7 +2,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exact_oracles import kl_decomposition_check, random_joint_tables
+from conftest import make_layered_machine, random_bits
+from exact_oracles import kl_decomposition_check, random_joint_tables, upper_bound_check
 
 
 @settings(max_examples=60, deadline=None)
@@ -17,3 +18,23 @@ def test_kl_decomposition(seed, n_obs_states, n_hid_states):
     lhs, term1, term2 = kl_decomposition_check(*tables)
     assert abs(lhs - (term1 + term2)) <= 1e-12
     assert min(term1, term2) >= -1e-12  # both are KL divergences
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3).filter(lambda s: sum(s) <= 8),
+    intra_bits=st.integers(0, 3),
+    eps=st.sampled_from([1e-3, 0.01, 0.1, 1.0]),
+    count=st.integers(1, 6),
+)
+def test_variational_value_bounds_the_marginal_flow(seed, sizes, intra_bits, eps, count):
+    # The joint KL after time eps from q(h|x) p0(x) is at least the KL of
+    # its observed marginal: the difference is E_x KL(q(h|x)||p_eps(h|x)).
+    # Each value sums at most 2^8 terms, so rounding stays far below 1e-12.
+    intra = [bool(intra_bits >> i & 1) for i in range(len(sizes) - 1)]
+    m = make_layered_machine(sizes, intra, seed=seed)
+    data = random_bits(np.random.default_rng(seed), (count, sizes[0]))
+    variational, marginal_flow = upper_bound_check(m, data, eps)
+    assert marginal_flow >= -1e-12
+    assert variational >= marginal_flow - 1e-12

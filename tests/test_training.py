@@ -212,9 +212,9 @@ class TestTrainVpf:
 class TestTrainCd:
     def test_zero_epochs_returns_initialized_machine(self):
         layout = LayerSpec((12, 4), (False,))
-        cfg = TrainConfig(epochs=0, seed=11)
+        cfg = TrainConfig(epochs=0, seed=11, method="cd")
         expected, _ = init_state(layout, cfg)
-        m, logs = train_cd(bars_data(50, seed=0), layout, k=1, persistent=False, cfg=cfg)
+        m, logs = train_cd(bars_data(50, seed=0), layout, cfg)
         np.testing.assert_array_equal(m.weights, expected.weights)
         assert logs == []
 
@@ -222,20 +222,28 @@ class TestTrainCd:
     def test_supported_variants_run(self, k, persistent):
         data = bars_data(80, seed=1)
         layout = LayerSpec((12, 4), (False,))
-        m, logs = train_cd(data, layout, k=k, persistent=persistent,
-                           cfg=TrainConfig(epochs=2, seed=3))
+        method = "pcd" if persistent else "cd"
+        m, logs = train_cd(data, layout, TrainConfig(epochs=2, seed=3, method=method, k=k))
         assert validate(m) == []
         assert len(logs) == 2
         assert all(log.objective_value >= 0 for log in logs)
 
     def test_rejects_non_rbm_layouts(self):
-        cfg = TrainConfig(epochs=1)
-        with pytest.raises(ValueError):
-            train_cd(bars_data(10, 0), LayerSpec((12, 4, 3), (False, False)), 1, False, cfg)
-        with pytest.raises(ValueError):
-            train_cd(bars_data(10, 0), LayerSpec((12, 4), (True,)), 1, False, cfg)
-        with pytest.raises(ValueError):
-            train_cd(bars_data(10, 0), LayerSpec((12, 4), (False,)), 0, False, cfg)
+        cfg = TrainConfig(epochs=1, method="cd")
+        with pytest.raises(ValueError, match="one-hidden-layer"):
+            train_cd(bars_data(10, 0), LayerSpec((12, 4, 3), (False, False)), cfg)
+        with pytest.raises(ValueError, match="one-hidden-layer"):
+            train_cd(bars_data(10, 0), LayerSpec((12, 4), (True,)), cfg)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            TrainConfig(epochs=1, method="cd", k=0)
+
+    def test_each_trainer_rejects_the_other_methods(self):
+        data, layout = bars_data(10, 0), LayerSpec((12, 4), (False,))
+        with pytest.raises(ValueError, match="train_cd runs method cd or pcd, got vpf"):
+            train_cd(data, layout, TrainConfig(epochs=1))
+        for method in ("cd", "pcd"):
+            with pytest.raises(ValueError, match=f"train_vpf runs method vpf, got {method}"):
+                train_vpf(data, layout, TrainConfig(epochs=1, method=method))
 
     def test_hidden_bias_gradient_vanishes_at_origin(self):
         # At w = 0, b = 0 the positive and negative hidden probabilities are
@@ -245,17 +253,17 @@ class TestTrainCd:
         layout = LayerSpec((12, 6), (False,))
         m0 = zero_machine(layout)
         data = bars_data(40, seed=4)
-        m, _ = train_cd(data, layout, k=1, persistent=False,
-                        cfg=TrainConfig(epochs=1, seed=5, minibatch=40), machine=m0)
+        m, _ = train_cd(data, layout, TrainConfig(epochs=1, seed=5, minibatch=40, method="cd"),
+                        machine=m0)
         np.testing.assert_array_equal(m.biases[12:], np.zeros(6))
         assert np.abs(m.biases[:12]).max() > 0
 
     def test_deterministic(self):
         data = bars_data(100, seed=9)
         layout = LayerSpec((12, 4), (False,))
-        cfg = TrainConfig(epochs=2, seed=31)
-        m1, _ = train_cd(data, layout, 2, True, cfg)
-        m2, _ = train_cd(data, layout, 2, True, cfg)
+        cfg = TrainConfig(epochs=2, seed=31, method="pcd", k=2)
+        m1, _ = train_cd(data, layout, cfg)
+        m2, _ = train_cd(data, layout, cfg)
         np.testing.assert_array_equal(m1.weights, m2.weights)
 
 
