@@ -62,7 +62,8 @@ class CheckpointCorruptError(CheckpointError):
 
 @dataclass
 class Checkpoint:
-    format_version: int
+    """The contents of a checkpoint file of version `FORMAT_VERSION`."""
+
     layout: LayerSpec
     weights: np.ndarray
     biases: np.ndarray
@@ -77,7 +78,7 @@ class Checkpoint:
 def from_training(
     m: BoltzmannMachine, adam: AdamState, cfg: TrainConfig, epoch: int
 ) -> Checkpoint:
-    return Checkpoint(FORMAT_VERSION, m.layout, m.weights, m.biases, adam, cfg, epoch)
+    return Checkpoint(m.layout, m.weights, m.biases, adam, cfg, epoch)
 
 
 def _pack_array(out: io.BytesIO, arr: np.ndarray) -> None:
@@ -104,7 +105,7 @@ def _unpack_array(buf: memoryview, offset: int, shape) -> tuple[np.ndarray, int]
 def serialize(ckpt: Checkpoint) -> bytes:
     out = io.BytesIO()
     out.write(MAGIC)
-    out.write(struct.pack("<I", ckpt.format_version))
+    out.write(struct.pack("<I", FORMAT_VERSION))
     sizes = ckpt.layout.sizes
     out.write(struct.pack("<I", len(sizes)))
     out.write(struct.pack(f"<{len(sizes)}I", *sizes))
@@ -202,7 +203,7 @@ def parse(blob: bytes) -> Checkpoint:
     if offset != len(buf):
         raise CheckpointCorruptError(f"{len(buf) - offset} trailing bytes")
     adam = AdamState(m1_w, m2_w, m1_b, m2_b, int(t))
-    return Checkpoint(version, layout, weights, biases, adam, config, int(epoch))
+    return Checkpoint(layout, weights, biases, adam, config, int(epoch))
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

@@ -4,7 +4,9 @@ stdp-curve, inspect.
 The CLI owns the run directory: fixed file names (config.txt, epochs.csv,
 ckpt-epoch-NNNNN.bin, ckpt-final.bin) so downstream tooling can locate
 outputs, and it alone writes epochs.csv, one `training.EpochLog` per row.
-Every `TrainConfig` field has a string-valued flag of the same name that
+Every setting has one spelling: flags are matched whole (no prefixes),
+`--threads` defaults to 1 and no environment variable is read, and every
+`TrainConfig` field has a string-valued flag of its own name only, which
 `optim.parse_config_items` parses and checks.  The trainer (`method`: vpf,
 cd or pcd) and its Gibbs steps (`k`) are ordinary config keys, so a run's
 config.txt and checkpoints name the method that made them.  train applies
@@ -19,7 +21,6 @@ import argparse
 import csv
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -44,20 +45,13 @@ class UsageError(Exception):
     pass
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("FLOWBM_THREADS", "1"))
-
-
 def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: FLOWBM_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
 
 
 def _threads(args) -> int:
-    n = args.threads if args.threads is not None else _default_threads()
-    if n < 1:
-        raise UsageError(f"--threads must be at least 1, got {n}")
-    return n
+    _require_positive("--threads", args.threads)
+    return args.threads
 
 
 def _require_positive(flag: str, value: int) -> None:
@@ -66,7 +60,7 @@ def _require_positive(flag: str, value: int) -> None:
 
 
 def _add_config_flags(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
-    """One flag per config key in `names` (a `TrainConfig` field or an alias)."""
+    """One flag per `TrainConfig` field in `names`."""
     for name in names:
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=str, default=None)
     p.set_defaults(config_flags=names)
@@ -83,10 +77,10 @@ def _build_config(args, base: TrainConfig) -> TrainConfig:
     return parse_config_items(items, cfg)
 
 
-def _load_dataset(images, labels, threshold: float, limit: int | None) -> np.ndarray:
-    if limit is not None and limit < 1:
-        raise UsageError(f"--limit must be at least 1, got {limit}")
-    return load_binary_dataset(images, labels, threshold)[:limit]
+def _load_dataset(images, threshold: float, limit: int | None) -> np.ndarray:
+    if limit is not None:
+        _require_positive("--limit", limit)
+    return load_binary_dataset(images, threshold)[:limit]
 
 
 def _layout(args, resumed: LayerSpec | None = None) -> LayerSpec:
@@ -156,7 +150,7 @@ def cmd_train(args) -> int:
         raise UsageError(f"--epochs {cfg.epochs} is below the checkpoint's epoch {start_epoch}")
     if cfg.method != "vpf":
         training.require_rbm(layout)
-    ds = _load_dataset(args.images, args.labels, args.threshold, args.limit)
+    ds = _load_dataset(args.images, args.threshold, args.limit)
     threads = _threads(args)
 
     out = Path(args.out)
@@ -198,19 +192,21 @@ def _confabulate(args, tag: int, count: int, threads: int) -> np.ndarray:
 
     `r` and `intra_sweeps` are the checkpoint's config under the --r and
     --intra-sweeps flags; the top layer starts uniform or from the
-    mean-activation prior over `--data`.
+    mean-activation prior over `--data`, whose rows `--limit` caps.
     """
+    if args.limit is not None and args.init != "prior":
+        raise UsageError("--limit applies only to the --data images of --init prior")
     ck = ckpt_io.load_checkpoint(args.checkpoint)
     m = ck.machine()
     cfg = _build_config(args, ck.config)
     if args.init == "prior":
         if not args.data:
             raise UsageError("--init prior needs --data with training images")
-        ds = _load_dataset(args.data, None, args.threshold, args.limit)
+        ds = _load_dataset(args.data, args.threshold, args.limit)
         top_init = mean_activation_prior(m, ds, row_streams(args.seed, tag, 0, count=len(ds)),
                                          cfg.intra_sweeps, threads)
     else:
-        top_init = "uniform"
+        top_init = np.full(m.layout.sizes[-1], 0.5)
     streams = row_streams(args.seed, tag, 1, count=count)
     return generate_batch(m, top_init, cfg.r, streams, cfg.intra_sweeps, threads)
 
@@ -232,8 +228,9 @@ def cmd_reconstruct(args) -> int:
     if len(m.layout.sizes) < 2:
         raise UsageError("reconstruction needs a machine with a hidden layer")
     _require_positive("--trials", args.trials)
+    _require_positive("--gibbs-steps", args.gibbs_steps)
     threads = _threads(args)
-    ds = _load_dataset(args.images, None, args.threshold, args.limit)
+    ds = _load_dataset(args.images, args.threshold, args.limit)
     patterns = list(metrics.PATTERNS) if args.pattern == "all" else [args.pattern]
     sweeps = _build_config(args, ck.config).intra_sweeps
     out = Path(args.out)
@@ -268,9 +265,9 @@ def cmd_reconstruct(args) -> int:
 def _eval_images(args, path) -> np.ndarray:
     """Images for Parzen evaluation: thresholded bits, or [0, 1] pixels with --raw."""
     if args.raw:
-        raw, _ = load_idx(path)
+        raw = load_idx(path)
         return raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
-    return _load_dataset(path, None, args.threshold, None)
+    return _load_dataset(path, args.threshold, None)
 
 
 def cmd_eval_ll(args) -> int:
@@ -280,6 +277,8 @@ def cmd_eval_ll(args) -> int:
         raise UsageError(f"--sigma must be positive and finite, got {args.sigma}")
     if args.limit_test is not None:
         _require_positive("--limit-test", args.limit_test)
+    if args.samples_from_data and args.limit is not None:
+        raise UsageError("--limit does not apply to --samples-from-data; use --n-samples")
     test = _eval_images(args, args.test_images)[: args.limit_test]
     if args.samples_from_data:
         if not args.data:
@@ -315,7 +314,7 @@ def cmd_inspect(args) -> int:
     ck = ckpt_io.parse(blob)
     m = BoltzmannMachine(ck.layout, ck.weights, ck.biases)
     sizes, intra = ck.layout.to_strings()
-    print(f"format_version: {ck.format_version}")
+    print(f"format_version: {ckpt_io.FORMAT_VERSION}")
     print(f"layout: {sizes}")
     print(f"intra: {intra or 'none'}")
     print(f"epoch: {ck.epoch}")
@@ -339,14 +338,17 @@ def cmd_inspect(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowbm",
+        allow_abbrev=False,
         description="Training and evaluation for binary Boltzmann machines "
                     "driven by probability-flow gradients.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a machine and write a run directory")
+    def command(name: str, text: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=text, allow_abbrev=False)
+
+    p = command("train", "train a machine and write a run directory")
     p.add_argument("--images", required=True)
-    p.add_argument("--labels", default=None)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--limit", type=int, default=None, help="use only the first N images")
     p.add_argument("--layout", default=None, help='e.g. "784-196" or "784-196-196-64"')
@@ -355,38 +357,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--config", type=str, default=None, help="key=value config file")
-    _add_config_flags(p, CONFIG_FLAGS + ("lambda",))
+    _add_config_flags(p, CONFIG_FLAGS)
     _add_threads(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("generate", help="sample confabulations from a checkpoint")
+    p = command("generate", "sample confabulations from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--init", choices=("uniform", "prior"), default="uniform")
     p.add_argument("--data", default=None, help="training images for --init prior")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int, default=None, help="--init prior: first N --data images")
     _add_config_flags(p, ("r", "intra_sweeps"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_threads(p)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("reconstruct", help="evaluate corrupted-image reconstruction")
+    p = command("reconstruct", "evaluate corrupted-image reconstruction")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--images", required=True, help="test images (IDX)")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--pattern", choices=metrics.PATTERNS + ("all",), default="all")
     p.add_argument("--gibbs-steps", type=int, default=2)
     p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int, default=None, help="use only the first N images")
     _add_config_flags(p, ("intra_sweeps",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_threads(p)
     p.set_defaults(func=cmd_reconstruct)
 
-    p = sub.add_parser("eval-ll", help="Parzen-window log-likelihood of test data")
+    p = command("eval-ll", "Parzen-window log-likelihood of test data")
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--test-images", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
@@ -398,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use --data images directly as Parzen samples")
     p.add_argument("--raw", action="store_true",
                    help="with --samples-from-data: continuous [0,1] pixels, no threshold")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=int, default=None, help="--init prior: first N --data images")
     p.add_argument("--limit-test", type=int, default=None)
     _add_config_flags(p, ("r", "intra_sweeps"))
     p.add_argument("--seed", type=int, default=0)
     _add_threads(p)
     p.set_defaults(func=cmd_eval_ll)
 
-    p = sub.add_parser("stdp-curve", help="closed-form timing-plasticity curve CSV")
+    p = command("stdp-curve", "closed-form timing-plasticity curve CSV")
     p.add_argument("--delta-pre", type=float, required=True)
     p.add_argument("--delta-post", type=float, required=True)
     p.add_argument("--dt-min", type=float, required=True)
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stdp_curve)
 
-    p = sub.add_parser("inspect", help="print checkpoint metadata")
+    p = command("inspect", "print checkpoint metadata")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_inspect)
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+PAD = 2  # pixels between and around the images of a grid
+
 
 def to_grey(values: np.ndarray) -> np.ndarray:
     """Map [0, 1] floats (or bits) to uint8 grey levels."""
@@ -24,7 +26,7 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(img.tobytes())
 
 
-def tile_images(flat_rows: np.ndarray, columns: int = 10, pad: int = 2) -> np.ndarray:
+def tile_images(flat_rows: np.ndarray, columns: int = 10) -> np.ndarray:
     """Arrange flattened 28x28 images into one padded grid."""
     rows = np.atleast_2d(np.asarray(flat_rows, dtype=np.float64))
     count = rows.shape[0]
@@ -33,12 +35,12 @@ def tile_images(flat_rows: np.ndarray, columns: int = 10, pad: int = 2) -> np.nd
         raise ValueError(f"images of length {rows.shape[1]} are not square")
     columns = min(columns, count)
     grid_rows = (count + columns - 1) // columns
-    height = grid_rows * (side + pad) + pad
-    width = columns * (side + pad) + pad
+    height = grid_rows * (side + PAD) + PAD
+    width = columns * (side + PAD) + PAD
     canvas = np.zeros((height, width))
     for idx in range(count):
         r, c = divmod(idx, columns)
-        top = pad + r * (side + pad)
-        left = pad + c * (side + pad)
+        top = PAD + r * (side + PAD)
+        left = PAD + c * (side + PAD)
         canvas[top : top + side, left : left + side] = rows[idx].reshape(side, side)
     return canvas

@@ -15,6 +15,7 @@ IMAGE_SIDE = 28
 CORRUPT_BAND = 12  # rows or columns replaced by noise out of 28
 
 PATTERNS = ("top", "bottom", "left", "right")
+PARZEN_CHUNK = 256  # test points per kernel-matrix block in `parzen_ll`
 
 
 def _first_hidden_block(m: BoltzmannMachine) -> np.ndarray:
@@ -152,9 +153,7 @@ def reconstruct_batch(
     return np.concatenate(parts)
 
 
-def parzen_ll(
-    samples: np.ndarray, test: np.ndarray, sigma: float, chunk: int = 256
-) -> tuple[float, float]:
+def parzen_ll(samples: np.ndarray, test: np.ndarray, sigma: float) -> tuple[float, float]:
     """Gaussian Parzen-window log-likelihood of test points under samples.
 
     For each test point, the log of the mean of isotropic Gaussian kernels
@@ -175,11 +174,11 @@ def parzen_ll(
     log_norm = np.log(samples.shape[0]) + 0.5 * d * np.log(2.0 * np.pi * sigma**2)
     s_sq = np.sum(samples**2, axis=1)
     lls = np.empty(test.shape[0])
-    for start in range(0, test.shape[0], chunk):
-        t = test[start : start + chunk]
+    for start in range(0, test.shape[0], PARZEN_CHUNK):
+        t = test[start : start + PARZEN_CHUNK]
         d2 = np.sum(t**2, axis=1)[:, None] + s_sq[None, :] - 2.0 * t @ samples.T
         np.maximum(d2, 0.0, out=d2)
-        lls[start : start + chunk] = logsumexp(-d2 / (2.0 * sigma**2), axis=1) - log_norm
+        lls[start : start + PARZEN_CHUNK] = logsumexp(-d2 / (2.0 * sigma**2), axis=1) - log_norm
     mean = float(lls.mean())
     stderr = float(lls.std(ddof=1) / np.sqrt(lls.shape[0])) if lls.shape[0] > 1 else 0.0
     return mean, stderr

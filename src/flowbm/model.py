@@ -170,15 +170,6 @@ class BoltzmannMachine:
         return cls(layout, flat.astype(np.float64), np.array(biases, dtype=np.float64))
 
 
-def dense_weights(m: BoltzmannMachine) -> np.ndarray:
-    """Symmetric (n, n) matrix, zero off the stored blocks; for `energy` and the oracles."""
-    sl, w = m.layout.slices(), np.zeros((m.n, m.n))
-    for a, b in active_blocks(m.layout):
-        w[sl[b], sl[a]] = m.block(a, b).T
-        w[sl[a], sl[b]] = m.block(a, b)  # an intra block keeps its own entries
-    return w
-
-
 def new_machine(layout: LayerSpec, seed: int, init_scale: float = 0.01) -> BoltzmannMachine:
     """Fresh machine: uniform(-init_scale, init_scale) weights, zero biases.
 
@@ -194,14 +185,6 @@ def new_machine(layout: LayerSpec, seed: int, init_scale: float = 0.01) -> Boltz
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
     return BoltzmannMachine.from_dense(layout, w, np.zeros(n))
-
-
-def energy(m: BoltzmannMachine, s: np.ndarray) -> float:
-    """Energy of one state: ``-1/2 s^T W s - b^T s`` (W symmetric, zero diag)."""
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (m.n,):
-        raise ValueError(f"state has shape {s.shape}, expected ({m.n},)")
-    return float(-0.5 * s @ dense_weights(m) @ s - m.biases @ s)
 
 
 def validate(m: BoltzmannMachine) -> list[tuple]:

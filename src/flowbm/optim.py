@@ -1,4 +1,6 @@
-"""Adam with weight decay over the machine's flat parameter vectors."""
+"""Training settings, and Adam with weight decay over the machine's flat
+parameter vectors.  A config file or flag sets a `TrainConfig` field by
+its own name only."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import BoltzmannMachine, edge_count
-from .mpf import Gradient
+from .mpf import Z_CLAMP_DEFAULT, Gradient
 
 
 @dataclass
@@ -27,7 +29,7 @@ class TrainConfig:
     r: int = 5
     intra_sweeps: int = 1
     init_scale: float = 0.01
-    clamp_z: float = 30.0
+    clamp_z: float = Z_CLAMP_DEFAULT
     method: str = "vpf"
     k: int = 1
 
@@ -55,44 +57,32 @@ class TrainConfig:
         if self.k < 1 or (self.k != 1 and self.method == "vpf"):
             raise ValueError(f"k must be at least 1, and 1 for method vpf, got {self.k}")
 
-    def replace(self, **kwargs) -> "TrainConfig":
-        return dataclasses.replace(self, **kwargs)
-
     def to_text(self) -> str:
         lines = [f"{f.name} = {getattr(self, f.name)}" for f in dataclasses.fields(self)]
         return "\n".join(lines) + "\n"
 
 
-# Accepted aliases in config files and CLI overrides.
-_CONFIG_ALIASES = {"lambda": "weight_decay", "lr": "eta", "learning_rate": "eta"}
-
-
 def parse_config_items(items: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
-    """Build a TrainConfig from string key/value pairs over `base` defaults;
-    two items that set one field (a name and its alias) are rejected."""
+    """Build a TrainConfig from string key/value pairs over `base` defaults."""
     base = base or TrainConfig()
     fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
-    updates, spelled = {}, {}
-    for raw_key, raw_value in items.items():
-        key = _CONFIG_ALIASES.get(raw_key, raw_key)
+    updates = {}
+    for key, raw_value in items.items():
         if key not in fields:
-            raise ValueError(f"unknown config key {raw_key!r}")
-        if key in spelled:
-            raise ValueError(f"config keys {spelled[key]!r} and {raw_key!r} both set {key}")
-        spelled[key] = raw_key
+            raise ValueError(f"unknown config key {key!r}")
         convert = {"int": int, "float": float, "str": str}[fields[key]]
         try:
             updates[key] = convert(raw_value.strip())
         except ValueError:
-            raise ValueError(f"{raw_key} must be {convert.__name__}, got {raw_value!r}") from None
-    return base.replace(**updates)
+            raise ValueError(f"{key} must be {convert.__name__}, got {raw_value!r}") from None
+    return dataclasses.replace(base, **updates)
 
 
 def parse_config_text(
     text: str, base: TrainConfig | None = None, source: str = "config"
 ) -> TrainConfig:
     """Build a TrainConfig from key = value lines (# starts a comment); a
-    field set on two lines, under one spelling or two, is rejected."""
+    key set on two lines is rejected."""
     items, set_on = {}, {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
@@ -101,11 +91,10 @@ def parse_config_text(
         if "=" not in line:
             raise ValueError(f"{source}:{lineno}: expected key = value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        field = _CONFIG_ALIASES.get(key, key)
-        if field in set_on:
-            raise ValueError(f"{source}:{lineno}: {key!r} sets {field} again "
-                             f"(already set on line {set_on[field]})")
-        set_on[field] = lineno
+        if key in set_on:
+            raise ValueError(f"{source}:{lineno}: {key!r} sets {key} again "
+                             f"(already set on line {set_on[key]})")
+        set_on[key] = lineno
         items[key] = value
     return parse_config_items(items, base)
 
@@ -135,12 +124,10 @@ def init_adam(m: BoltzmannMachine) -> AdamState:
     return AdamState(np.zeros(e), np.zeros(e), np.zeros(n), np.zeros(n), 0)
 
 
-def step(
-    m: BoltzmannMachine, g: Gradient, st: AdamState, cfg: TrainConfig
-) -> tuple[BoltzmannMachine, AdamState]:
-    """One descent step on the objective; mutates machine and state in place.
+def step(m: BoltzmannMachine, g: Gradient, st: AdamState, cfg: TrainConfig) -> None:
+    """One descent step on the objective, in place on machine and state.
 
-    The weight-decay term 2*lambda*w is added to the raw weight gradient
+    The weight-decay term 2*weight_decay*w is added to the raw weight gradient
     (biases are not decayed) before the Adam moments.  The update is
     elementwise over the stored edges, so a symmetric gradient keeps every
     intra block symmetric with a zero diagonal.
@@ -160,4 +147,3 @@ def step(
 
     adam_update(m.weights, g.d_weights + 2.0 * cfg.weight_decay * m.weights, st.m1_w, st.m2_w)
     adam_update(m.biases, g.d_biases, st.m1_b, st.m2_b)
-    return m, st

@@ -206,24 +206,19 @@ def generate_batch(
 ) -> np.ndarray:
     """Independent confabulations, one per stream; rows of visible probs.
 
-    `top_init` is the string "uniform" or a per-unit prior for the top
-    layer's initial Bernoulli draw.
+    `top_init` holds the per-unit probabilities of the top layer's initial
+    Bernoulli draw.
     """
     if r < 1:
         raise ValueError(f"r must be at least 1, got {r}")
     sizes = m.layout.sizes
     if len(sizes) < 2:
         raise ValueError("generation needs at least one hidden layer")
-    if isinstance(top_init, str):
-        if top_init != "uniform":
-            raise ValueError(f"unknown top_init {top_init!r}")
-        top_probs = np.full(sizes[-1], 0.5)
-    else:
-        top_probs = np.asarray(top_init, dtype=np.float64)
-        if top_probs.shape != (sizes[-1],):
-            raise ValueError(f"prior has shape {top_probs.shape}, expected ({sizes[-1]},)")
-        if top_probs.min() < 0.0 or top_probs.max() > 1.0:
-            raise ValueError("prior probabilities must lie in [0, 1]")
+    top_probs = np.asarray(top_init, dtype=np.float64)
+    if top_probs.shape != (sizes[-1],):
+        raise ValueError(f"prior has shape {top_probs.shape}, expected ({sizes[-1]},)")
+    if top_probs.min() < 0.0 or top_probs.max() > 1.0:
+        raise ValueError("prior probabilities must lie in [0, 1]")
     parts = map_shards(
         lambda sh: _generate_rows(m, streams[sh], r, intra_sweeps, top_probs), len(streams), threads
     )

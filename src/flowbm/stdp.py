@@ -23,18 +23,6 @@ class StdpPoint:
     dw: float
 
 
-def stdp_update(y_pre: int, alpha_post: float, delta_post: float) -> float:
-    """Local single-synapse update: -y_pre * alpha_post * delta_post.
-
-    The update fires only when the post-synaptic unit transitions while the
-    pre-synaptic unit is excited; alpha_post = +-1/2 carries the sign of the
-    transition and delta_post its rate before the transition.
-    """
-    if delta_post <= 0:
-        raise ValueError(f"delta_post must be positive, got {delta_post}")
-    return -float(y_pre) * float(alpha_post) * float(delta_post)
-
-
 def stdp_curve(delta_pre: float, delta_post: float, dts) -> list[StdpPoint]:
     """Expected update at each signed interval; singular at dt = 0."""
     if not all(math.isfinite(rate) and rate > 0 for rate in (delta_pre, delta_post)):

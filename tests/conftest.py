@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, edge_count
+from exact_oracles import dense_weights
+from flowbm.model import BoltzmannMachine, LayerSpec, edge_count
 from flowbm.mpf import Z_CLAMP_DEFAULT, _flow_arrays
 from flowbm.sampling import stream
 from flowbm.stdp import StdpPoint

@@ -1,16 +1,121 @@
-"""Enumeration oracles over small joint state spaces.
+"""Enumeration oracles over small state spaces.
 
-Everything here is exact and exponential in the vertex count: joint
-stationary tables, the conditional-KL decomposition of a joint KL
-divergence, and the variational flow bound computed by matrix exponential
-over the full (observed, hidden) space.  Test-tree only.
+Everything here is exact and exponential in the vertex count: the dense
+weight matrix and energy of a state, the one-hop rate matrix and the
+exact flow KL(p0 || p_eps) by matrix exponential, joint stationary
+tables, the conditional-KL decomposition of a joint KL divergence, the
+variational flow bound over the full (observed, hidden) space, and the
+single-synapse timing-plasticity update.  `flowbm` itself never
+enumerates states; these are the references its tests check it against.
 """
 
 import numpy as np
 import scipy.linalg
 
-from flowbm.model import BoltzmannMachine
-from flowbm.mpf import all_state_energies, kl_divergence, rate_matrix, state_index
+from flowbm.model import BoltzmannMachine, active_blocks
+
+
+def dense_weights(m: BoltzmannMachine) -> np.ndarray:
+    """Symmetric (n, n) matrix, zero off the stored blocks."""
+    sl, w = m.layout.slices(), np.zeros((m.n, m.n))
+    for a, b in active_blocks(m.layout):
+        w[sl[b], sl[a]] = m.block(a, b).T
+        w[sl[a], sl[b]] = m.block(a, b)  # an intra block keeps its own entries
+    return w
+
+
+def energy(m: BoltzmannMachine, s: np.ndarray) -> float:
+    """Energy of one state: ``-1/2 s^T W s - b^T s`` (W symmetric, zero diag)."""
+    s = np.asarray(s, dtype=np.float64)
+    if s.shape != (m.n,):
+        raise ValueError(f"state has shape {s.shape}, expected ({m.n},)")
+    return float(-0.5 * s @ dense_weights(m) @ s - m.biases @ s)
+
+
+def enumerate_states(n: int) -> np.ndarray:
+    """All 2^n binary states; state index i has bit j = (i >> j) & 1."""
+    idx = np.arange(2**n, dtype=np.int64)
+    return ((idx[:, None] >> np.arange(n)) & 1).astype(np.float64)
+
+
+def state_index(bits: np.ndarray) -> np.ndarray:
+    """Inverse of `enumerate_states` row order (little-endian bits)."""
+    bits = np.atleast_2d(np.asarray(bits, dtype=np.int64))
+    return bits @ (1 << np.arange(bits.shape[1], dtype=np.int64))
+
+
+def all_state_energies(m: BoltzmannMachine) -> np.ndarray:
+    states = enumerate_states(m.n)
+    w = dense_weights(m)
+    return -0.5 * np.einsum("si,ij,sj->s", states, w, states) - states @ m.biases
+
+
+def rate_matrix(m: BoltzmannMachine) -> np.ndarray:
+    """Dense one-hop transition-rate matrix over all 2^n states.
+
+    Entry [x, y] is the rate from state y to its one-bit-flip neighbor x;
+    diagonals make every column sum to zero.
+    """
+    num = 2**m.n
+    energies = all_state_energies(m)
+    gamma = np.zeros((num, num))
+    idx = np.arange(num)
+    for j in range(m.n):
+        flipped = idx ^ (1 << j)
+        gamma[flipped, idx] = np.exp(0.5 * (energies[idx] - energies[flipped]))
+    np.fill_diagonal(gamma, 0.0)
+    np.fill_diagonal(gamma, -gamma.sum(axis=0))
+    return gamma
+
+
+def observed_empirical(m: BoltzmannMachine, data) -> np.ndarray:
+    """Empirical distribution of `data` over the 2^n_obs observed states
+    (every vertex of a fully-observed machine), in `state_index` order."""
+    n_obs = m.layout.sizes[0]
+    rows = np.atleast_2d(np.asarray(data))
+    if rows.shape[0] == 0 or rows.shape[1] != n_obs:
+        raise ValueError(f"data has shape {rows.shape}, expected (*, {n_obs}), at least one row")
+    p0 = np.zeros(2**n_obs)
+    np.add.at(p0, state_index(rows), 1.0)
+    return p0 / rows.shape[0]
+
+
+def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
+    support = p > 0
+    if np.any(q[support] <= 0):
+        raise ValueError("KL divergence undefined: q vanishes on the support of p")
+    return float(np.sum(p[support] * (np.log(p[support]) - np.log(q[support]))))
+
+
+def brute_force_flow(m: BoltzmannMachine, data, eps: float) -> float:
+    """Exact KL(p0 || p_eps) by dense matrix exponential of the rate matrix.
+
+    Tractable only for small machines; the epsilon-free objective of
+    `mpf.gradient_and_objective` times eps converges to this as eps -> 0
+    when no data point is a one-hop neighbor of another.
+    """
+    if m.n > 20:
+        raise ValueError(f"brute force enumeration capped at 20 vertices, got {m.n}")
+    if eps < 0:
+        raise ValueError(f"eps must be non-negative, got {eps}")
+    p0 = observed_empirical(m, data)
+    if eps == 0:
+        return 0.0
+    p_eps = scipy.linalg.expm(rate_matrix(m) * eps) @ p0
+    return kl_divergence(p0, p_eps)
+
+
+def stdp_update(y_pre: int, alpha_post: float, delta_post: float) -> float:
+    """Local single-synapse update: -y_pre * alpha_post * delta_post.
+
+    The update fires only when the post-synaptic unit transitions while the
+    pre-synaptic unit is excited; alpha_post = +-1/2 carries the sign of the
+    transition and delta_post its rate before the transition.
+    """
+    if delta_post <= 0:
+        raise ValueError(f"delta_post must be positive, got {delta_post}")
+    return -float(y_pre) * float(alpha_post) * float(delta_post)
+
 
 NORM_TOL = 1e-12
 
@@ -70,16 +175,6 @@ def exact_hidden_conditional(m: BoltzmannMachine) -> np.ndarray:
     """Stationary p(h | x) for every observed state; rows sum to 1."""
     table = stationary_table(m)
     return table / table.sum(axis=1, keepdims=True)
-
-
-def observed_empirical(m: BoltzmannMachine, data) -> np.ndarray:
-    n_obs = m.layout.sizes[0]
-    rows = np.atleast_2d(np.asarray(data))
-    if rows.shape[1] != n_obs:
-        raise ValueError("data width does not match the observed layer")
-    p0 = np.zeros(2**n_obs)
-    np.add.at(p0, state_index(rows), 1.0)
-    return p0 / rows.shape[0]
 
 
 def upper_bound_check(m: BoltzmannMachine, data, eps: float):

@@ -43,7 +43,7 @@ class TestRoundTrip:
         path = tmp_path / "model.bin"
         save_checkpoint(path, ck)
         back = load_checkpoint(path)
-        assert back.format_version == FORMAT_VERSION
+        assert struct.unpack_from("<I", path.read_bytes(), len(MAGIC))[0] == FORMAT_VERSION
         assert back.layout == ck.layout
         assert back.epoch == ck.epoch
         assert back.config == ck.config

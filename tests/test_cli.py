@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import os
 import time
@@ -106,6 +107,7 @@ class TestHelpAndUsage:
         assert run(args) == 2
         assert "at least 1" in capsys.readouterr().err
         assert not (workdir / "gen-zero").exists()
+        assert not (workdir / "rec-zero").exists()
 
     def test_unknown_intra_flags_rejected(self, workdir, capsys):
         # Tokens other than 0/1/true/false/yes/no used to run as "no intra
@@ -130,18 +132,45 @@ class TestHelpAndUsage:
           "--data", "{w}/train.idx", "--limit-test", "0"], "--limit-test"),
         (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
           "--data", "{w}/train.idx", "--sigma", "nan"], "--sigma"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
+          "--data", "{w}/train.idx", "--limit", "0"], "--limit"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
+          "--data", "{w}/train.idx", "--limit", "-5"], "--limit"),
         (["stdp-curve", "--delta-pre", "nan", "--delta-post", "1.0", "--dt-min", "-0.1",
           "--dt-max", "0.1", "--out", "{w}/bad"], "firing rates"),
     ], ids=["checkpoint-every", "limit-test-negative", "limit-test-zero", "sigma-nan",
-            "delta-pre-nan"])
+            "limit-from-data-zero", "limit-from-data-negative", "delta-pre-nan"])
     def test_misread_numeric_flags_rejected(self, workdir, cmd, flag, capsys):
         # Each of these used to exit 0: writing every epoch, dropping test
-        # rows, or printing nan.
+        # rows, printing nan, or ignoring --limit.
         assert run([a.format(w=workdir) for a in cmd]) == 2
         captured = capsys.readouterr()
         assert flag in captured.err
         assert "parzen_ll" not in captured.out
         assert not (workdir / "bad").exists()
+
+    @pytest.mark.parametrize("cmd, message", [
+        (["generate", "--init", "uniform", "--limit", "0", "--out", "{w}/gen"],
+         "--limit applies only to the --data images of --init prior"),
+        (["generate", "--init", "uniform", "--limit", "5", "--out", "{w}/gen"],
+         "--limit applies only to the --data images of --init prior"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--init", "uniform", "--limit", "5"],
+         "--limit applies only to the --data images of --init prior"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
+          "--data", "{w}/train.idx", "--limit", "5"], "--limit does not apply"),
+    ], ids=["generate-uniform-zero", "generate-uniform", "eval-ll-uniform", "eval-ll-from-data"])
+    def test_limit_where_nothing_reads_it_exits_2(self, workdir, cmd, message, capsys):
+        # Only the --init prior rows read --limit; elsewhere it was ignored with exit 0.
+        out = workdir / "run-l"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--epochs", "1", "--out", out]) == 0
+        capsys.readouterr()
+        args = [cmd[0], "--checkpoint", out / "ckpt-final.bin"]
+        assert run(args + [a.format(w=workdir) for a in cmd[1:]]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "parzen_ll" not in captured.out
+        assert not (workdir / "gen").exists()
 
     @pytest.mark.parametrize("cmd", [
         ["generate", "--count", "2", "--out", "{w}/bad"],
@@ -166,8 +195,7 @@ class TestEndToEnd:
     def test_full_pipeline(self, workdir):
         out = workdir / "run1"
         code = run(
-            ["train", "--images", workdir / "train.idx", "--labels", workdir / "labels.idx",
-             "--layout", "784-10", "--epochs", "2", "--minibatch", "30",
+            ["train", "--images", workdir / "train.idx", "--layout", "784-10", "--epochs", "2", "--minibatch", "30",
              "--seed", "5", "--checkpoint-every", "1", "--out", out]
         )
         assert code == 0
@@ -254,16 +282,6 @@ class TestEndToEnd:
         written = dict(line.split(" = ") for line in lines if not line.startswith("#"))
         assert written == values
 
-    def test_lambda_is_weight_decay(self, workdir):
-        base = ["train", "--images", workdir / "train.idx", "--layout", "784-6",
-                "--epochs", "1", "--limit", "30"]
-        a, b = workdir / "lambda", workdir / "weight-decay"
-        assert run(base + ["--lambda", "0.003", "--out", a]) == 0
-        assert run(base + ["--weight-decay", "0.003", "--out", b]) == 0
-        assert "weight_decay = 0.003\n" in (a / "config.txt").read_text()
-        assert (a / "config.txt").read_bytes() == (b / "config.txt").read_bytes()
-        assert (a / "ckpt-final.bin").read_bytes() == (b / "ckpt-final.bin").read_bytes()
-
     def test_config_file_sets_epochs_of_deep_layout(self, workdir):
         cfg_file = workdir / "one.cfg"
         cfg_file.write_text("epochs = 1\n")
@@ -279,11 +297,91 @@ class TestEndToEnd:
         out1, out2, out3 = (workdir / f"thr{i}" for i in range(3))
         assert run(args + ["--out", out1, "--threads", "1"]) == 0
         assert run(args + ["--out", out2, "--threads", "3"]) == 0
-        monkeypatch.setenv("FLOWBM_THREADS", "2")
+        # FLOWBM_THREADS used to set the default; 0 made every command exit 2.
+        monkeypatch.setenv("FLOWBM_THREADS", "0")
         assert run(args + ["--out", out3]) == 0
         ref = (out1 / "ckpt-final.bin").read_bytes()
         assert (out2 / "ckpt-final.bin").read_bytes() == ref
         assert (out3 / "ckpt-final.bin").read_bytes() == ref
+
+
+# Every long flag of each subcommand, written out: a new flag is added here too.
+FLAGS = {
+    None: {"--help"},
+    "train": {"--help", "--images", "--threshold", "--limit", "--layout", "--intra", "--out",
+              "--checkpoint-every", "--resume", "--config", "--eta", "--beta1", "--beta2",
+              "--adam-eps", "--weight-decay", "--minibatch", "--epochs", "--seed", "--r",
+              "--intra-sweeps", "--init-scale", "--clamp-z", "--method", "--k", "--threads"},
+    "generate": {"--help", "--checkpoint", "--count", "--init", "--data", "--threshold",
+                 "--limit", "--r", "--intra-sweeps", "--seed", "--out", "--threads"},
+    "reconstruct": {"--help", "--checkpoint", "--images", "--threshold", "--pattern",
+                    "--gibbs-steps", "--trials", "--limit", "--intra-sweeps", "--seed", "--out",
+                    "--threads"},
+    "eval-ll": {"--help", "--checkpoint", "--test-images", "--threshold", "--n-samples",
+                "--sigma", "--init", "--data", "--samples-from-data", "--raw", "--limit",
+                "--limit-test", "--r", "--intra-sweeps", "--seed", "--threads"},
+    "stdp-curve": {"--help", "--delta-pre", "--delta-post", "--dt-min", "--dt-max", "--points",
+                   "--out"},
+    "inspect": {"--help", "--checkpoint"},
+}
+
+# A valid command line for each parser, so that only the flag under test can fail.
+REQUIRED = {
+    None: ["inspect", "--checkpoint", "x"],
+    "train": ["--images", "x", "--out", "y"],
+    "generate": ["--checkpoint", "x", "--out", "y"],
+    "reconstruct": ["--checkpoint", "x", "--images", "y", "--out", "z"],
+    "eval-ll": ["--test-images", "x"],
+    "stdp-curve": ["--delta-pre", "1", "--delta-post", "1", "--dt-min", "-1", "--dt-max", "1",
+                   "--out", "x"],
+    "inspect": ["--checkpoint", "x"],
+}
+
+
+class TestOneSpelling:
+    def test_each_command_has_exactly_the_listed_flags(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parsers = {None: parser, **sub.choices}
+        long_flags = lambda p: {s for a in p._actions for s in a.option_strings
+                                if s.startswith("--")}
+        assert {cmd: long_flags(p) for cmd, p in parsers.items()} == FLAGS
+
+    @pytest.mark.parametrize("cmd", list(FLAGS), ids=lambda cmd: cmd or "top")
+    def test_strict_prefix_of_a_flag_exits_2(self, cmd, capsys):
+        # Prefixes used to be completed: `train --init 0.5` set init_scale.
+        parser = build_parser()
+        prefixes = {flag[:end] for flag in FLAGS[cmd] for end in range(3, len(flag))}
+        for prefix in sorted(prefixes - FLAGS[cmd]):
+            argv = [prefix] + REQUIRED[cmd] if cmd is None else [cmd, *REQUIRED[cmd], prefix, "1"]
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            assert exc.value.code == 2, prefix
+            assert "unrecognized arguments: " + prefix in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--epoch", "1"], ["--lambda", "0.01"], ["--labels", "{w}/labels.idx"],
+    ], ids=["prefix", "lambda", "labels"])
+    def test_removed_spelling_exits_2_before_writing(self, workdir, flags, capsys):
+        # Each of these used to run: --epoch as --epochs, --lambda as
+        # --weight-decay, and --labels read a labels file only to drop it.
+        out = workdir / "spelled"
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--images", workdir / "train.idx", "--layout", "784-6", "--out", out]
+                + [a.format(w=workdir) for a in flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alias", ["lambda", "lr", "learning_rate"])
+    def test_former_alias_in_config_file_exits_2_before_writing(self, workdir, alias, capsys):
+        cfg_file = workdir / "alias.cfg"
+        cfg_file.write_text(f"epochs = 1\n{alias} = 0.01\n")
+        out = workdir / "aliased"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--config", cfg_file, "--out", out]) == 2
+        assert f"unknown config key '{alias}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrainFailures:
@@ -298,11 +396,8 @@ class TestTrainFailures:
             assert not out.exists()
 
     @pytest.mark.parametrize("name, text, flags, message", [
-        ("flags", None, ["--weight-decay", "0.5", "--lambda", "0.001"],
-         "'weight_decay' and 'lambda' both set weight_decay"),
         ("repeat", "eta = 0.5\neta = 0.1\n", [], "repeat.cfg:2: 'eta' sets eta again"),
-        ("alias", "lr = 0.5\neta = 0.1\n", [], "alias.cfg:2: 'eta' sets eta again"),
-    ], ids=["flags", "repeat", "alias"])
+    ], ids=["repeat"])
     def test_config_key_given_twice_exits_2_before_writing(self, workdir, capsys, name, text,
                                                            flags, message):
         if text is not None:

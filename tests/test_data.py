@@ -5,24 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import write_idx_images, write_idx_labels
+from conftest import write_idx_images
 from flowbm.data import IdxFormatError, binarize, load_binary_dataset, load_idx
 
 
 class TestLoadIdx:
     def test_roundtrip(self, synthetic_idx):
-        img_path, lab_path, images, labels = synthetic_idx
-        loaded, loaded_labels = load_idx(img_path, lab_path)
-        np.testing.assert_array_equal(loaded, images)
-        np.testing.assert_array_equal(loaded_labels, labels)
+        img_path, _, images, _ = synthetic_idx
+        np.testing.assert_array_equal(load_idx(img_path), images)
 
     def test_gzip_transparent(self, tmp_path):
         rng = np.random.default_rng(0)
         images = (rng.random((7, 28, 28)) * 255).astype(np.uint8)
         path = tmp_path / "imgs.idx.gz"
         write_idx_images(path, images, gz=True)
-        loaded, _ = load_idx(path)
-        np.testing.assert_array_equal(loaded, images)
+        np.testing.assert_array_equal(load_idx(path), images)
 
     def test_wrong_magic_names_expected_and_found(self, tmp_path):
         path = tmp_path / "bad.idx"
@@ -72,15 +69,6 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError):
             load_idx(path)
 
-    def test_count_mismatch(self, tmp_path):
-        rng = np.random.default_rng(1)
-        img_path = tmp_path / "imgs.idx"
-        lab_path = tmp_path / "labels.idx"
-        write_idx_images(img_path, (rng.random((5, 28, 28)) * 255).astype(np.uint8))
-        write_idx_labels(lab_path, np.zeros(6, dtype=np.uint8))
-        with pytest.raises(IdxFormatError, match="6 labels for 5 images"):
-            load_idx(img_path, lab_path)
-
 
 class TestBinarize:
     def test_extreme_pixels(self):
@@ -111,13 +99,9 @@ class TestBinarize:
         twice = binarize(once * 255, threshold)
         np.testing.assert_array_equal(once, twice)
 
-    def test_flattens_to_bit_matrix(self, synthetic_idx, tmp_path):
-        img_path, lab_path, images, labels = synthetic_idx
-        bits = load_binary_dataset(img_path, lab_path, threshold=0.5)
+    def test_flattens_to_bit_matrix(self, synthetic_idx):
+        img_path, _, images, _ = synthetic_idx
+        bits = load_binary_dataset(img_path, threshold=0.5)
         assert bits.shape == (120, 784) and bits.dtype == np.uint8
         # 128/255 is the smallest byte above the threshold.
         np.testing.assert_array_equal(bits, (images.reshape(120, 784) >= 128).astype(np.uint8))
-        # A labels file is still checked against the image count.
-        write_idx_labels(tmp_path / "short.idx", labels[:-1])
-        with pytest.raises(IdxFormatError, match="119 labels for 120 images"):
-            load_binary_dataset(img_path, tmp_path / "short.idx")

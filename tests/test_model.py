@@ -11,13 +11,12 @@ from conftest import (
     stored_edges,
     zero_machine,
 )
+from exact_oracles import dense_weights, energy
 from flowbm.model import (
     BoltzmannMachine,
     LayerSpec,
     active_blocks,
-    dense_weights,
     edge_count,
-    energy,
     new_machine,
     validate,
 )

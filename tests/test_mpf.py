@@ -13,15 +13,17 @@ from conftest import (
     stored_edges,
     zero_machine,
 )
-from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, energy, validate
-from flowbm.mpf import (
+from exact_oracles import (
     brute_force_flow,
-    empirical_distribution,
+    dense_weights,
+    energy,
     enumerate_states,
-    gradient_and_objective,
+    observed_empirical,
     rate_matrix,
     state_index,
 )
+from flowbm.model import BoltzmannMachine, LayerSpec, validate
+from flowbm.mpf import gradient_and_objective
 
 
 def two_vertex_machine(w12=1.0, b=(0.0, 0.0)):
@@ -270,6 +272,6 @@ class TestBruteForceFlow:
     def test_empirical_distribution_counts_duplicates(self):
         m = make_machine(3, seed=0)
         data = np.array([[1, 0, 0], [1, 0, 0], [0, 1, 1]])
-        p0 = empirical_distribution(m, data)
+        p0 = observed_empirical(m, data)
         assert p0[state_index(np.array([1, 0, 0]))[0]] == pytest.approx(2 / 3)
         assert p0.sum() == pytest.approx(1.0)

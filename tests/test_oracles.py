@@ -3,7 +3,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_layered_machine, random_bits
-from exact_oracles import kl_decomposition_check, random_joint_tables, upper_bound_check
+from exact_oracles import (
+    enumerate_states,
+    exact_hidden_conditional,
+    kl_decomposition_check,
+    random_joint_tables,
+    state_index,
+    upper_bound_check,
+)
+from flowbm.sampling import e_step_batch, row_streams
 
 
 @settings(max_examples=60, deadline=None)
@@ -38,3 +46,24 @@ def test_variational_value_bounds_the_marginal_flow(seed, sizes, intra_bits, eps
     variational, marginal_flow = upper_bound_check(m, data, eps)
     assert marginal_flow >= -1e-12
     assert variational >= marginal_flow - 1e-12
+
+
+def test_e_step_matches_exact_hidden_conditional():
+    # With one hidden layer and no intra edges, zeroing top-down input is
+    # exact: the E-step draws h from the stationary p(h | x).  N draws per
+    # observed state x.  For each x and each of the 2^8 events A over the
+    # 8 hidden states, Hoeffding gives P(|freq(A) - p(A)| >= t) <=
+    # 2 exp(-2 N t^2); the total-variation distance is the largest such
+    # deviation, so a union bound over the 4 * 2^8 (x, A) pairs puts
+    # P(any TV >= t) <= delta at t = sqrt(log(2 * 4 * 2^8 / delta) / (2 N)).
+    n_obs, n_hid, per_x, delta = 2, 3, 10_000, 1e-9
+    m = make_layered_machine((n_obs, n_hid), (False,), seed=5)
+    exact = exact_hidden_conditional(m)
+    x_rows = np.repeat(enumerate_states(n_obs).astype(np.uint8), per_x, axis=0)
+    _, h = e_step_batch(m, x_rows, row_streams(17, 0, count=len(x_rows)))
+    counts = np.zeros_like(exact)
+    np.add.at(counts, (state_index(x_rows), state_index(h)), 1.0)
+    tv = 0.5 * np.abs(counts / per_x - exact).sum(axis=1)
+    events = 2 ** n_obs * 2 ** (2**n_hid)
+    bound = np.sqrt(np.log(2 * events / delta) / (2 * per_x))
+    assert tv.max() <= bound

@@ -301,12 +301,12 @@ class TestGenerate:
     def test_zero_weight_machine_returns_visible_bias_probs(self):
         m = zero_machine((5, 3), (False,))
         m.biases[:5] = (0.5, -0.5, 0.0, 2.0, -2.0)
-        probs = generate_batch(m, "uniform", 5, [stream(0, 0)])[0]
+        probs = generate_batch(m, np.full(3, 0.5), 5, [stream(0, 0)])[0]
         np.testing.assert_allclose(probs, 1.0 / (1.0 + np.exp(-m.biases[:5])), rtol=1e-14)
 
     def test_output_shape_and_range(self):
         m = new_machine(LayerSpec((784, 16), (False,)), seed=1, init_scale=0.5)
-        probs = generate_batch(m, "uniform", 2, [stream(2, 0)])
+        probs = generate_batch(m, np.full(16, 0.5), 2, [stream(2, 0)])
         assert probs.shape == (1, 784)
         assert probs.min() >= 0.0 and probs.max() <= 1.0
 
@@ -319,7 +319,7 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate_batch(m, "weird", 1, [stream(1, 0)])
         with pytest.raises(ValueError):
-            generate_batch(m, "uniform", 0, [stream(1, 0)])
+            generate_batch(m, np.full(3, 0.5), 0, [stream(1, 0)])
 
     def test_layer_update_count(self):
         # One uniform block per layer update: top init, then per pair r
@@ -328,15 +328,15 @@ class TestGenerate:
         r = 3
         m = make_layered_machine((4, 3, 2), (True, False), seed=11)
         counter = CountingStream(8, 0)
-        generate_batch(m, "uniform", r, [counter], intra_sweeps=sweeps)
+        generate_batch(m, np.full(2, 0.5), r, [counter], intra_sweeps=sweeps)
         expected = 1 + r * (2 + sweeps) + r * 2  # pair (2,1) has intra, pair (1,0) not
         assert counter.calls == expected
 
     def test_fixed_seed_bit_identical_batch(self):
         m = make_layered_machine((6, 4, 3), (True, True), seed=3)
         streams = lambda: [stream(12, i) for i in range(700)]
-        a = generate_batch(m, "uniform", 2, streams(), threads=1)
-        b = generate_batch(m, "uniform", 2, streams(), threads=3)
+        a = generate_batch(m, np.full(3, 0.5), 2, streams(), threads=1)
+        b = generate_batch(m, np.full(3, 0.5), 2, streams(), threads=3)
         np.testing.assert_array_equal(a, b)
 
 

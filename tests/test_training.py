@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import zero_machine
-from flowbm.model import BoltzmannMachine, LayerSpec, dense_weights, validate
-from flowbm.mpf import all_state_energies, enumerate_states, gradient_and_objective
+from exact_oracles import all_state_energies, dense_weights, enumerate_states
+from flowbm.model import BoltzmannMachine, LayerSpec, validate
+from flowbm.mpf import gradient_and_objective
 from flowbm.optim import TrainConfig
 from flowbm.sampling import e_step_batch, row_streams
 from flowbm.training import (
