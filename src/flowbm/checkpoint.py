@@ -28,6 +28,10 @@ config text, so a file names the trainer that wrote it.  Older files are
 rejected with `CheckpointVersionError`: version 1 holds dense n x n arrays,
 and version 2 does not say whether VPF, CD or PCD trained it.  Deserializing
 a serialized checkpoint and re-serializing reproduces the bytes exactly.
+
+A `Checkpoint` is also the live training state: the trainers advance one
+in place, so saving it after any epoch writes the state that epoch left.
+`Checkpoint.machine()` is a view over its arrays, not a copy.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ class CheckpointCorruptError(CheckpointError):
 
 @dataclass
 class Checkpoint:
-    """The contents of a checkpoint file of version `FORMAT_VERSION`."""
+    """The contents of a checkpoint file of version `FORMAT_VERSION`, and the
+    training state that `training.train_vpf` and `train_cd` advance."""
 
     layout: LayerSpec
     weights: np.ndarray
@@ -72,13 +77,8 @@ class Checkpoint:
     epoch: int
 
     def machine(self) -> BoltzmannMachine:
-        return BoltzmannMachine(self.layout, self.weights.copy(), self.biases.copy())
-
-
-def from_training(
-    m: BoltzmannMachine, adam: AdamState, cfg: TrainConfig, epoch: int
-) -> Checkpoint:
-    return Checkpoint(m.layout, m.weights, m.biases, adam, cfg, epoch)
+        """The machine over this checkpoint's own arrays; writes land here."""
+        return BoltzmannMachine(self.layout, self.weights, self.biases)
 
 
 def _pack_array(out: io.BytesIO, arr: np.ndarray) -> None:
@@ -132,7 +132,7 @@ def violations(ck: Checkpoint) -> list[tuple]:
     """`model.validate` on the parameters, then the Adam moments: one
     ("nonfinite_moment", array, index) per non-finite entry and one
     ("negative_moment", array, index) per negative second-moment entry."""
-    found = validate(BoltzmannMachine(ck.layout, ck.weights, ck.biases))
+    found = validate(ck.machine())
     for name in ("m1_w", "m2_w", "m1_b", "m2_b"):
         arr = getattr(ck.adam, name)
         found += [("nonfinite_moment", name, int(i)) for i in np.flatnonzero(~np.isfinite(arr))]

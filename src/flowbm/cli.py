@@ -4,15 +4,21 @@ stdp-curve, inspect.
 The CLI owns the run directory: fixed file names (config.txt, epochs.csv,
 ckpt-epoch-NNNNN.bin, ckpt-final.bin) so downstream tooling can locate
 outputs, and it alone writes epochs.csv, one `training.EpochLog` per row.
-Every setting has one spelling: flags are matched whole (no prefixes),
+Every setting has one spelling: flags are matched whole (no prefixes), a
+flag given twice or one that the chosen mode would not read exits 2,
 `--threads` defaults to 1 and no environment variable is read, and every
 `TrainConfig` field has a string-valued flag of its own name only, which
 `optim.parse_config_items` parses and checks.  The trainer (`method`: vpf,
 cd or pcd) and its Gibbs steps (`k`) are ordinary config keys, so a run's
-config.txt and checkpoints name the method that made them.  train applies
-defaults (or the resumed checkpoint's config), then an optional key=value
-config file, then the flags; generate, reconstruct and eval-ll apply their
---r and --intra-sweeps over the checkpoint's config the same way.
+config.txt and checkpoints name the method that made them.
+
+train holds one `checkpoint.Checkpoint`: `training.init_state` for a new
+run, the --resume file otherwise.  Its config is the defaults (or the
+resumed checkpoint's), then an optional key=value config file, then the
+flags; the trainer advances it, and the same object is saved every
+--checkpoint-every epochs and at the end.  generate, reconstruct and
+eval-ll apply their --r and --intra-sweeps over the checkpoint's config
+the same way.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import metrics, stdp, training
 from .data import load_binary_dataset, load_idx
-from .model import BoltzmannMachine, LayerSpec, active_blocks
+from .model import LayerSpec, active_blocks
 from .optim import TrainConfig, load_config, parse_config_items
 from .sampling import generate_batch, mean_activation_prior, row_streams
 from .images import tile_images, write_pgm
@@ -43,6 +49,18 @@ CONFIG_FLAGS = tuple(f.name for f in dataclasses.fields(TrainConfig))
 
 class UsageError(Exception):
     pass
+
+
+class _StoreOnce(argparse.Action):
+    """argparse's default store action, except that a flag given twice is a
+    usage error (exit 2) instead of silently taking its last value."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("flags_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
@@ -133,21 +151,19 @@ def cmd_train(args) -> int:
     if args.checkpoint_every < 0:
         raise UsageError(f"--checkpoint-every must be non-negative, got {args.checkpoint_every}")
     if args.resume:
-        resume = ckpt_io.load_checkpoint(args.resume)
-        layout = _layout(args, resume.layout)
-        cfg = _build_config(args, resume.config)
-        if cfg.method == "pcd":
+        state = ckpt_io.load_checkpoint(args.resume)
+        _layout(args, state.layout)
+        state.config = _build_config(args, state.config)
+        if state.config.method == "pcd":
             raise UsageError("cannot resume a pcd run: its persistent chains are not checkpointed")
-        machine, adam, start_epoch = resume.machine(), resume.adam, resume.epoch
     else:
         layout = _layout(args)
         # Deeper machines default to more epochs; a config file or flag overrides.
         base = TrainConfig(epochs=200) if len(layout.sizes) > 2 else TrainConfig()
-        cfg = _build_config(args, base)
-        machine, adam = training.init_state(layout, cfg)
-        start_epoch = 0
-    if cfg.epochs < start_epoch:
-        raise UsageError(f"--epochs {cfg.epochs} is below the checkpoint's epoch {start_epoch}")
+        state = training.init_state(layout, _build_config(args, base))
+    layout, cfg = state.layout, state.config
+    if cfg.epochs < state.epoch:
+        raise UsageError(f"--epochs {cfg.epochs} is below the checkpoint's epoch {state.epoch}")
     if cfg.method != "vpf":
         training.require_rbm(layout)
     ds = _load_dataset(args.images, args.threshold, args.limit)
@@ -155,7 +171,7 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     csv_path = out / "epochs.csv"
-    kept_rows = _epoch_rows_before(csv_path, start_epoch)
+    kept_rows = _epoch_rows_before(csv_path, state.epoch)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.txt", "w", encoding="utf-8") as fh:
         sizes, intra = layout.to_strings()
@@ -165,24 +181,20 @@ def cmd_train(args) -> int:
     _restart_epoch_csv(csv_path, kept_rows)
     every = args.checkpoint_every
 
-    def on_epoch(epoch, m, st, _pairs, log):
+    def on_epoch(state, _pairs, log):
         with open(csv_path, "a", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerow(log.csv_row())
-        if every and (epoch + 1) % every == 0:
-            ck = ckpt_io.from_training(m, st, cfg, epoch + 1)
-            ckpt_io.save_checkpoint(out / f"ckpt-epoch-{epoch + 1:05d}.bin", ck)
-        print(f"epoch {epoch}: objective {log.objective_value:.6f} "
+        if every and state.epoch % every == 0:
+            ckpt_io.save_checkpoint(out / f"ckpt-epoch-{state.epoch:05d}.bin", state)
+        print(f"epoch {log.epoch}: objective {log.objective_value:.6f} "
               f"rho {log.weight_sparsity:.4f} w2 {log.squared_weight:.4f} "
               f"[{log.wall_time_s:.1f}s]")
 
-    common = dict(machine=machine, adam=adam, start_epoch=start_epoch,
-                  epoch_callback=on_epoch)
     if cfg.method == "vpf":
-        m, _logs = training.train_vpf(ds, layout, cfg, threads=threads, **common)
+        training.train_vpf(ds, state, threads=threads, epoch_callback=on_epoch)
     else:
-        m, _logs = training.train_cd(ds, layout, cfg, **common)
-    final = ckpt_io.from_training(m, adam, cfg, cfg.epochs)
-    ckpt_io.save_checkpoint(out / "ckpt-final.bin", final)
+        training.train_cd(ds, state, epoch_callback=on_epoch)
+    ckpt_io.save_checkpoint(out / "ckpt-final.bin", state)
     print(f"run complete: {out / 'ckpt-final.bin'}")
     return 0
 
@@ -194,8 +206,6 @@ def _confabulate(args, tag: int, count: int, threads: int) -> np.ndarray:
     --intra-sweeps flags; the top layer starts uniform or from the
     mean-activation prior over `--data`, whose rows `--limit` caps.
     """
-    if args.limit is not None and args.init != "prior":
-        raise UsageError("--limit applies only to the --data images of --init prior")
     ck = ckpt_io.load_checkpoint(args.checkpoint)
     m = ck.machine()
     cfg = _build_config(args, ck.config)
@@ -211,7 +221,17 @@ def _confabulate(args, tag: int, count: int, threads: int) -> np.ndarray:
     return generate_batch(m, top_init, cfg.r, streams, cfg.intra_sweeps, threads)
 
 
+def _check_prior_flags(args) -> None:
+    """Reject --data and --limit unless --init prior reads them."""
+    if args.init != "prior":
+        if args.limit is not None:
+            raise UsageError("--limit applies only to the --data images of --init prior")
+        if args.data is not None:
+            raise UsageError("--data applies only to --init prior")
+
+
 def cmd_generate(args) -> int:
+    _check_prior_flags(args)
     _require_positive("--count", args.count)
     probs = _confabulate(args, TAG_GENERATE, args.count, _threads(args))
     out = Path(args.out)
@@ -277,8 +297,13 @@ def cmd_eval_ll(args) -> int:
         raise UsageError(f"--sigma must be positive and finite, got {args.sigma}")
     if args.limit_test is not None:
         _require_positive("--limit-test", args.limit_test)
-    if args.samples_from_data and args.limit is not None:
-        raise UsageError("--limit does not apply to --samples-from-data; use --n-samples")
+    if args.samples_from_data:
+        for name in ("limit", "checkpoint", "r", "intra_sweeps"):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise UsageError(f"{flag} does not apply to --samples-from-data")
+    else:
+        _check_prior_flags(args)
     test = _eval_images(args, args.test_images)[: args.limit_test]
     if args.samples_from_data:
         if not args.data:
@@ -312,7 +337,7 @@ def cmd_inspect(args) -> int:
     """
     blob = Path(args.checkpoint).read_bytes()
     ck = ckpt_io.parse(blob)
-    m = BoltzmannMachine(ck.layout, ck.weights, ck.biases)
+    m = ck.machine()
     sizes, intra = ck.layout.to_strings()
     print(f"format_version: {ckpt_io.FORMAT_VERSION}")
     print(f"layout: {sizes}")
@@ -345,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=text, allow_abbrev=False)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        p.register("action", None, _StoreOnce)
+        return p
 
     p = command("train", "train a machine and write a run directory")
     p.add_argument("--images", required=True)
@@ -399,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-from-data", action="store_true",
                    help="use --data images directly as Parzen samples")
     p.add_argument("--raw", action="store_true",
-                   help="with --samples-from-data: continuous [0,1] pixels, no threshold")
+                   help="continuous [0,1] pixels, no threshold, for --test-images and "
+                        "for --data under --samples-from-data")
     p.add_argument("--limit", type=int, default=None, help="--init prior: first N --data images")
     p.add_argument("--limit-test", type=int, default=None)
     _add_config_flags(p, ("r", "intra_sweeps"))

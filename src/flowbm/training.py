@@ -6,9 +6,13 @@ input zeroed) with minibatched descent on the fully-observed flow
 objective over the concatenated (observed, hidden) vectors.  All layers'
 weights update simultaneously; there is no layer-wise pre-training.
 
-The trainers take the data as the (N, pixels) bit matrix of `data.binarize`
-and a `TrainConfig`, and hand each epoch's `EpochLog` to a callback; they
-write no files.  `EpochLog`'s fields are the columns of a run's epochs.csv.
+The whole training state is a `checkpoint.Checkpoint`: layout, parameters,
+Adam moments, `TrainConfig` and the number of epochs done.  A new run is
+`init_state`, the epoch-0 checkpoint; a resumed run is a loaded one.  The
+trainers take the data as the (N, pixels) bit matrix of `data.binarize`
+and the `Checkpoint` they advance in place, hand it with each epoch's
+`EpochLog` to a callback and write no files.  `EpochLog`'s fields are the
+columns of a run's epochs.csv.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import metrics, mpf, optim
+from .checkpoint import Checkpoint
 from .model import BoltzmannMachine, LayerSpec, new_machine
 from .optim import AdamState, TrainConfig
 from .sampling import e_step_batch, row_streams, stream
@@ -64,44 +69,33 @@ def _data_rows(data) -> np.ndarray:
     return rows
 
 
-def init_state(layout: LayerSpec, cfg: TrainConfig) -> tuple[BoltzmannMachine, AdamState]:
-    """Fresh machine and optimizer state exactly as a new run creates them."""
+def init_state(layout: LayerSpec, cfg: TrainConfig) -> Checkpoint:
+    """The epoch-0 checkpoint of a new run: fresh machine and optimizer state."""
     m = new_machine(layout, stream(cfg.seed, TAG_INIT).integers(2**63), cfg.init_scale)
-    return m, optim.init_adam(m)
+    return Checkpoint(layout, m.weights, m.biases, optim.init_adam(m), cfg, 0)
 
 
-def _train(
-    data,
-    layout: LayerSpec,
-    cfg: TrainConfig,
-    machine: BoltzmannMachine | None,
-    adam: AdamState | None,
-    start_epoch: int,
-    epoch_callback,
-    run_epoch,
-) -> tuple[BoltzmannMachine, list[EpochLog]]:
-    """Epoch loop shared by both trainers.
+def _train(data, state: Checkpoint, epoch_callback, run_epoch) -> list[EpochLog]:
+    """Epoch loop shared by both trainers: from `state.epoch` to
+    `state.config.epochs`, advancing `state` in place.
 
     `run_epoch(m, st, x_rows, epoch)` applies one epoch's updates and
     returns the epoch's mean objective and the rows passed on to
-    `epoch_callback` (the E-step's (observed, hidden) pairs for VPF).  An
-    epoch that leaves the objective or a parameter non-finite raises
+    `epoch_callback(state, pairs, log)` (the E-step's (observed, hidden)
+    pairs for VPF), which sees `state.epoch == log.epoch + 1`.  An epoch
+    that leaves the objective or a parameter non-finite raises
     `DivergenceError` before the callback sees it.
     """
     x_rows = _data_rows(data)
-    if x_rows.shape[1] != layout.sizes[0]:
+    if x_rows.shape[1] != state.layout.sizes[0]:
         raise ValueError(
-            f"data width {x_rows.shape[1]} does not match observed layer {layout.sizes[0]}"
+            f"data width {x_rows.shape[1]} does not match observed layer {state.layout.sizes[0]}"
         )
-    if machine is None:
-        machine, default_adam = init_state(layout, cfg)
-        adam = adam if adam is not None else default_adam
-    m = machine
-    st = adam if adam is not None else optim.init_adam(m)
+    m = state.machine()
     logs: list[EpochLog] = []
-    for epoch in range(start_epoch, cfg.epochs):
+    for epoch in range(state.epoch, state.config.epochs):
         t0 = time.perf_counter()
-        objective, pairs = run_epoch(m, st, x_rows, epoch)
+        objective, pairs = run_epoch(m, state.adam, x_rows, epoch)
         if not (math.isfinite(objective) and np.isfinite(m.weights).all()
                 and np.isfinite(m.biases).all()):
             raise DivergenceError(
@@ -116,9 +110,10 @@ def _train(
             wall_time_s=time.perf_counter() - t0,
         )
         logs.append(log)
+        state.epoch = epoch + 1
         if epoch_callback is not None:
-            epoch_callback(epoch, m, st, pairs, log)
-    return m, logs
+            epoch_callback(state, pairs, log)
+    return logs
 
 
 def _descend(m: BoltzmannMachine, st: AdamState, cfg: TrainConfig, epoch: int, count: int,
@@ -138,22 +133,13 @@ def _descend(m: BoltzmannMachine, st: AdamState, cfg: TrainConfig, epoch: int, c
     return total / batches
 
 
-def train_vpf(
-    data,
-    layout: LayerSpec,
-    cfg: TrainConfig,
-    machine: BoltzmannMachine | None = None,
-    adam: AdamState | None = None,
-    start_epoch: int = 0,
-    threads: int = 1,
-    epoch_callback=None,
-) -> tuple[BoltzmannMachine, list[EpochLog]]:
-    """Train a machine of the given layout; returns it with per-epoch logs.
+def train_vpf(data, state: Checkpoint, threads: int = 1, epoch_callback=None) -> list[EpochLog]:
+    """Advance `state` to `state.config.epochs`; returns the per-epoch logs.
 
-    Pass `machine`/`adam`/`start_epoch` from a checkpoint to resume: epochs
-    are pure functions of (seed, epoch, parameters), so a resumed run is
-    bit-identical to an uninterrupted one.
+    Epochs are pure functions of (seed, epoch, parameters), so advancing a
+    loaded checkpoint is bit-identical to an uninterrupted run.
     """
+    layout, cfg = state.layout, state.config
     if cfg.method != "vpf":
         raise ValueError(f"train_vpf runs method vpf, got {cfg.method}")
 
@@ -169,7 +155,7 @@ def train_vpf(
         )
         return objective, pairs
 
-    return _train(data, layout, cfg, machine, adam, start_epoch, epoch_callback, run_epoch)
+    return _train(data, state, epoch_callback, run_epoch)
 
 
 def require_rbm(layout: LayerSpec) -> None:
@@ -181,22 +167,16 @@ def require_rbm(layout: LayerSpec) -> None:
         )
 
 
-def train_cd(
-    data,
-    layout: LayerSpec,
-    cfg: TrainConfig,
-    machine: BoltzmannMachine | None = None,
-    adam: AdamState | None = None,
-    start_epoch: int = 0,
-    epoch_callback=None,
-) -> tuple[BoltzmannMachine, list[EpochLog]]:
-    """CD-k / PCD-k baseline (`cfg.method`, `cfg.k`), same optimizer and minibatching.
+def train_cd(data, state: Checkpoint, epoch_callback=None) -> list[EpochLog]:
+    """CD-k / PCD-k baseline (`state.config`'s `method` and `k`); same
+    optimizer, minibatching and epoch loop as `train_vpf`.
 
     The logged objective_value is the mean visible reconstruction
     cross-entropy of the first negative-chain step (the flow objective does
     not apply to these trainers).  The epoch callback receives None in
     place of the (observed, hidden) pairs.
     """
+    layout, cfg = state.layout, state.config
     if cfg.method not in ("cd", "pcd"):
         raise ValueError(f"train_cd runs method cd or pcd, got {cfg.method}")
     require_rbm(layout)
@@ -242,4 +222,4 @@ def train_cd(
 
         return _descend(m, st, cfg, epoch, len(x_rows), batch_gradient), None
 
-    return _train(data, layout, cfg, machine, adam, start_epoch, epoch_callback, run_epoch)
+    return _train(data, state, epoch_callback, run_epoch)

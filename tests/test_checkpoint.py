@@ -16,7 +16,6 @@ from flowbm.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
     deserialize,
-    from_training,
     load_checkpoint,
     save_checkpoint,
     serialize,
@@ -28,13 +27,15 @@ from flowbm.training import init_state
 
 def sample_checkpoint(seed=0, epoch=3) -> Checkpoint:
     cfg = TrainConfig(seed=seed, epochs=7, eta=0.00125)
-    m, st = init_state(LayerSpec((6, 4, 2), (True, False)), cfg)
+    ck = init_state(LayerSpec((6, 4, 2), (True, False)), cfg)
+    st = ck.adam
     rng = np.random.default_rng(seed)
     st.m1_w += rng.normal(0, 0.1, st.m1_w.shape)
     st.m2_w += rng.random(st.m2_w.shape)
     st.t = 41
-    m.biases += rng.normal(0, 0.2, m.n)
-    return from_training(m, st, cfg, epoch)
+    ck.biases += rng.normal(0, 0.2, ck.layout.n)
+    ck.epoch = epoch
+    return ck
 
 
 class TestRoundTrip:
@@ -89,8 +90,7 @@ class TestFailureModes:
         ck = sample_checkpoint()
         m = ck.machine()
         m.block(1, 1)[0, 1] += 0.5
-        bad = from_training(m, ck.adam, ck.config, ck.epoch)
-        blob = serialize(bad)  # a valid CRC over invalid parameters
+        blob = serialize(ck)  # a valid CRC over invalid parameters
         with pytest.raises(CheckpointCorruptError, match="asymmetric"):
             deserialize(blob)
         path = tmp_path / "asym.bin"
@@ -128,7 +128,7 @@ class TestFailureModes:
         else:
             m.biases[5] = np.nan
         with pytest.raises(CheckpointCorruptError, match="invalid parameters"):
-            deserialize(serialize(from_training(m, ck.adam, ck.config, ck.epoch)))
+            deserialize(serialize(ck))
 
     def test_wrong_vector_length_rejected(self):
         ck = sample_checkpoint()

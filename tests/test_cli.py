@@ -373,6 +373,66 @@ class TestOneSpelling:
         assert "unrecognized arguments: " + flags[0] in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("form", ["space", "equals"])
+    @pytest.mark.parametrize("cmd, flag, values", [
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--epochs", "1",
+          "--out", "{w}/out"], "--eta", ("0.1", "0.002")),
+        (["generate", "--checkpoint", "{ck}", "--count", "2", "--out", "{w}/out"],
+         "--r", ("1", "2")),
+        (["reconstruct", "--checkpoint", "{ck}", "--images", "{w}/test.idx", "--limit", "2",
+          "--gibbs-steps", "1", "--out", "{w}/out"], "--trials", ("1", "2")),
+        (["eval-ll", "--checkpoint", "{ck}", "--test-images", "{w}/test.idx", "--n-samples", "4",
+          "--init", "uniform"], "--sigma", ("0.2", "0.3")),
+        (["stdp-curve", "--delta-pre", "1", "--delta-post", "1", "--dt-min", "-1", "--dt-max", "1",
+          "--out", "{w}/out"], "--points", ("5", "6")),
+        (["inspect"], "--checkpoint", ("{ck}", "{ck}")),
+    ], ids=["train", "generate", "reconstruct", "eval-ll", "stdp-curve", "inspect"])
+    def test_flag_given_twice_exits_2_before_writing(self, workdir, cmd, flag, values, form,
+                                                     capsys):
+        # Each command used to run with the last value and exit 0.
+        ck = workdir / "run-twice" / "ckpt-final.bin"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--epochs", "1", "--out", ck.parent]) == 0
+        capsys.readouterr()
+        argv = [a.format(w=workdir, ck=ck) for a in cmd]
+        for value in values:
+            value = value.format(ck=ck)
+            argv += [f"{flag}={value}"] if form == "equals" else [flag, value]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: given more than once" in captured.err
+        assert captured.out == ""
+        assert not (workdir / "out").exists()
+
+    @pytest.mark.parametrize("cmd, message", [
+        (["generate", "--checkpoint", "{ck}", "--init", "uniform", "--data", "/nonexistent.idx",
+          "--out", "{w}/out"], "--data applies only to --init prior"),
+        (["eval-ll", "--checkpoint", "{ck}", "--test-images", "{w}/test.idx", "--init", "uniform",
+          "--data", "/nonexistent.idx"], "--data applies only to --init prior"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data", "--data",
+          "{w}/train.idx", "--checkpoint", "/nonexistent.bin"],
+         "--checkpoint does not apply to --samples-from-data"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data", "--data",
+          "{w}/train.idx", "--r", "3"], "--r does not apply to --samples-from-data"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data", "--data",
+          "{w}/train.idx", "--intra-sweeps", "4"],
+         "--intra-sweeps does not apply to --samples-from-data"),
+    ], ids=["generate-uniform-data", "eval-ll-uniform-data", "from-data-checkpoint",
+            "from-data-r", "from-data-intra-sweeps"])
+    def test_flag_the_mode_does_not_read_exits_2(self, workdir, cmd, message, capsys):
+        # Each of these used to be ignored with exit 0, like --limit was.
+        ck = workdir / "run-unread" / "ckpt-final.bin"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--epochs", "1", "--out", ck.parent]) == 0
+        capsys.readouterr()
+        assert run([a.format(w=workdir, ck=ck) for a in cmd]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (workdir / "out").exists()
+
     @pytest.mark.parametrize("alias", ["lambda", "lr", "learning_rate"])
     def test_former_alias_in_config_file_exits_2_before_writing(self, workdir, alias, capsys):
         cfg_file = workdir / "alias.cfg"
