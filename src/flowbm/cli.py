@@ -10,7 +10,8 @@ flag given twice or one that the chosen mode would not read exits 2,
 `TrainConfig` field has a string-valued flag of its own name only, which
 `optim.parse_config_items` parses and checks.  The trainer (`method`: vpf,
 cd or pcd) and its Gibbs steps (`k`) are ordinary config keys, so a run's
-config.txt and checkpoints name the method that made them.
+config.txt and checkpoints name the method that made them.  Image widths
+are checked against the layout or checkpoint before --out is touched.
 
 train holds one `checkpoint.Checkpoint`: `training.init_state` for a new
 run, the --resume file otherwise.  Its config is the defaults (or the
@@ -38,7 +39,7 @@ from .data import load_binary_dataset, load_idx
 from .model import LayerSpec, active_blocks
 from .optim import TrainConfig, load_config, parse_config_items
 from .sampling import generate_batch, mean_activation_prior, row_streams
-from .images import tile_images, write_pgm
+from .images import square_side, tile_images, write_pgm
 
 TAG_GENERATE = 11
 TAG_RECON = 12
@@ -166,7 +167,10 @@ def cmd_train(args) -> int:
         raise UsageError(f"--epochs {cfg.epochs} is below the checkpoint's epoch {state.epoch}")
     if cfg.method != "vpf":
         training.require_rbm(layout)
+        _reject_unread(args, {"threads": f"does not apply to method {cfg.method}"})
     ds = _load_dataset(args.images, args.threshold, args.limit)
+    if ds.shape[1] != layout.sizes[0]:
+        raise UsageError(f"data width {ds.shape[1]} does not match observed layer {layout.sizes[0]}")
     threads = _threads(args)
 
     out = Path(args.out)
@@ -199,14 +203,13 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _confabulate(args, tag: int, count: int, threads: int) -> np.ndarray:
-    """Confabulations from `args.checkpoint` as set by the generate/eval-ll flags.
+def _confabulate(args, ck, tag: int, count: int, threads: int) -> np.ndarray:
+    """Confabulations from checkpoint `ck` as set by the generate/eval-ll flags.
 
     `r` and `intra_sweeps` are the checkpoint's config under the --r and
     --intra-sweeps flags; the top layer starts uniform or from the
     mean-activation prior over `--data`, whose rows `--limit` caps.
     """
-    ck = ckpt_io.load_checkpoint(args.checkpoint)
     m = ck.machine()
     cfg = _build_config(args, ck.config)
     if args.init == "prior":
@@ -221,19 +224,42 @@ def _confabulate(args, tag: int, count: int, threads: int) -> np.ndarray:
     return generate_batch(m, top_init, cfg.r, streams, cfg.intra_sweeps, threads)
 
 
-def _check_prior_flags(args) -> None:
-    """Reject --data and --limit unless --init prior reads them."""
-    if args.init != "prior":
-        if args.limit is not None:
-            raise UsageError("--limit applies only to the --data images of --init prior")
-        if args.data is not None:
-            raise UsageError("--data applies only to --init prior")
+def _reject_unread(args, unread: dict[str, str]) -> None:
+    """Exit 2 on the first given flag in `unread`, which maps each flag that
+    the chosen mode would not read to the reason."""
+    for name, reason in unread.items():
+        if name in getattr(args, "flags_given", ()):
+            raise UsageError(f"--{name.replace('_', '-')} {reason}")
+
+
+PRIOR_DATA = "applies only to the --data images of --init prior"
+
+
+def _unread_sampling_flags(args) -> dict[str, str]:
+    """The generate or eval-ll flags that the chosen mode would not read."""
+    if getattr(args, "samples_from_data", False):
+        names = ("limit", "checkpoint", "r", "intra_sweeps", "seed", "init", "threads")
+        unread = dict.fromkeys(names, "does not apply to --samples-from-data")
+    elif args.init != "prior":
+        unread = {"limit": PRIOR_DATA, "data": "applies only to --init prior"}
+    else:
+        return {}
+    # No --init prior --data is read: generate thresholds no images, and
+    # eval-ll thresholds its test (and --samples-from-data) images unless --raw.
+    if args.command == "generate":
+        unread["threshold"] = PRIOR_DATA
+    elif args.raw:
+        unread["threshold"] = "does not apply: every image read is --raw"
+    return unread
 
 
 def cmd_generate(args) -> int:
-    _check_prior_flags(args)
+    _reject_unread(args, _unread_sampling_flags(args))
     _require_positive("--count", args.count)
-    probs = _confabulate(args, TAG_GENERATE, args.count, _threads(args))
+    threads = _threads(args)
+    ck = ckpt_io.load_checkpoint(args.checkpoint)
+    square_side(ck.layout.sizes[0])
+    probs = _confabulate(args, ck, TAG_GENERATE, args.count, threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     np.savetxt(out / "probabilities.csv", probs, delimiter=",", fmt="%.8f")
@@ -251,6 +277,10 @@ def cmd_reconstruct(args) -> int:
     _require_positive("--gibbs-steps", args.gibbs_steps)
     threads = _threads(args)
     ds = _load_dataset(args.images, args.threshold, args.limit)
+    for width, what in ((m.layout.sizes[0], "the checkpoint's visible layer"),
+                        (metrics.IMAGE_SIDE**2, "the 28x28 images that reconstruction corrupts")):
+        if ds.shape[1] != width:
+            raise UsageError(f"images of width {ds.shape[1]} do not match {what} ({width})")
     patterns = list(metrics.PATTERNS) if args.pattern == "all" else [args.pattern]
     sweeps = _build_config(args, ck.config).intra_sweeps
     out = Path(args.out)
@@ -291,19 +321,13 @@ def _eval_images(args, path) -> np.ndarray:
 
 
 def cmd_eval_ll(args) -> int:
+    _reject_unread(args, _unread_sampling_flags(args))
     _require_positive("--n-samples", args.n_samples)
     threads = _threads(args)
     if not (math.isfinite(args.sigma) and args.sigma > 0):
         raise UsageError(f"--sigma must be positive and finite, got {args.sigma}")
     if args.limit_test is not None:
         _require_positive("--limit-test", args.limit_test)
-    if args.samples_from_data:
-        for name in ("limit", "checkpoint", "r", "intra_sweeps"):
-            if getattr(args, name) is not None:
-                flag = "--" + name.replace("_", "-")
-                raise UsageError(f"{flag} does not apply to --samples-from-data")
-    else:
-        _check_prior_flags(args)
     test = _eval_images(args, args.test_images)[: args.limit_test]
     if args.samples_from_data:
         if not args.data:
@@ -312,7 +336,8 @@ def cmd_eval_ll(args) -> int:
     else:
         if not args.checkpoint:
             raise UsageError("--checkpoint required unless --samples-from-data")
-        samples = _confabulate(args, TAG_EVAL, args.n_samples, threads)
+        ck = ckpt_io.load_checkpoint(args.checkpoint)
+        samples = _confabulate(args, ck, TAG_EVAL, args.n_samples, threads)
     mean, stderr = metrics.parzen_ll(samples, test, args.sigma)
     print(f"parzen_ll {mean:.4f} stderr {stderr:.4f} "
           f"(samples={len(samples)}, test={len(test)}, sigma={args.sigma})")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 PAD = 2  # pixels between and around the images of a grid
@@ -26,13 +28,19 @@ def write_pgm(path, image: np.ndarray) -> None:
         fh.write(img.tobytes())
 
 
+def square_side(length: int) -> int:
+    """The side of a square image of `length` pixels; ValueError if none."""
+    side = math.isqrt(length)
+    if side * side != length:
+        raise ValueError(f"images of length {length} are not square")
+    return side
+
+
 def tile_images(flat_rows: np.ndarray, columns: int = 10) -> np.ndarray:
     """Arrange flattened 28x28 images into one padded grid."""
     rows = np.atleast_2d(np.asarray(flat_rows, dtype=np.float64))
     count = rows.shape[0]
-    side = int(np.sqrt(rows.shape[1]))
-    if side * side != rows.shape[1]:
-        raise ValueError(f"images of length {rows.shape[1]} are not square")
+    side = square_side(rows.shape[1])
     columns = min(columns, count)
     grid_rows = (count + columns - 1) // columns
     height = grid_rows * (side + PAD) + PAD

@@ -4,7 +4,10 @@ The main loop alternates, once per epoch, a full-dataset inference pass
 (hidden states sampled with the previous epoch's parameters, top-down
 input zeroed) with minibatched descent on the fully-observed flow
 objective over the concatenated (observed, hidden) vectors.  All layers'
-weights update simultaneously; there is no layer-wise pre-training.
+weights update simultaneously; there is no layer-wise pre-training.  The
+CD/PCD baselines run the same loop, `_train`, which alone shuffles, cuts
+minibatches and steps Adam: a trainer supplies only an epoch's rows (the
+E-step pairs, or the data rows) and a minibatch's gradient.
 
 The whole training state is a `checkpoint.Checkpoint`: layout, parameters,
 Adam moments, `TrainConfig` and the number of epochs done.  A new run is
@@ -27,8 +30,8 @@ from scipy.special import expit
 
 from . import metrics, mpf, optim
 from .checkpoint import Checkpoint
-from .model import BoltzmannMachine, LayerSpec, new_machine
-from .optim import AdamState, TrainConfig
+from .model import LayerSpec, new_machine
+from .optim import TrainConfig
 from .sampling import e_step_batch, row_streams, stream
 
 # Stream namespace tags; part of the determinism contract (a checkpoint at
@@ -75,27 +78,37 @@ def init_state(layout: LayerSpec, cfg: TrainConfig) -> Checkpoint:
     return Checkpoint(layout, m.weights, m.biases, optim.init_adam(m), cfg, 0)
 
 
-def _train(data, state: Checkpoint, epoch_callback, run_epoch) -> list[EpochLog]:
-    """Epoch loop shared by both trainers: from `state.epoch` to
-    `state.config.epochs`, advancing `state` in place.
+def _train(data, state: Checkpoint, epoch_callback, epoch_rows, gradient) -> list[EpochLog]:
+    """The one training loop: from `state.epoch` to `state.config.epochs`,
+    advancing `state` in place.
 
-    `run_epoch(m, st, x_rows, epoch)` applies one epoch's updates and
-    returns the epoch's mean objective and the rows passed on to
-    `epoch_callback(state, pairs, log)` (the E-step's (observed, hidden)
-    pairs for VPF), which sees `state.epoch == log.epoch + 1`.  An epoch
-    that leaves the objective or a parameter non-finite raises
-    `DivergenceError` before the callback sees it.
+    Each epoch takes its rows from `epoch_rows(m, x_rows, epoch)`, shuffles
+    them (`TAG_SHUFFLE`) and cuts them into minibatches; `gradient(m,
+    epoch, index, batch)` returns minibatch `index`'s `mpf.Gradient` and
+    objective term, and one Adam step follows each.  The logged objective
+    is the mean term.  `epoch_callback(state, rows, log)` gets the epoch's
+    rows and sees `state.epoch == log.epoch + 1`.  An epoch that leaves the
+    objective or a parameter non-finite raises `DivergenceError` before
+    the callback sees it.
     """
     x_rows = _data_rows(data)
     if x_rows.shape[1] != state.layout.sizes[0]:
         raise ValueError(
             f"data width {x_rows.shape[1]} does not match observed layer {state.layout.sizes[0]}"
         )
-    m = state.machine()
+    m, cfg = state.machine(), state.config
     logs: list[EpochLog] = []
-    for epoch in range(state.epoch, state.config.epochs):
+    for epoch in range(state.epoch, cfg.epochs):
         t0 = time.perf_counter()
-        objective, pairs = run_epoch(m, state.adam, x_rows, epoch)
+        rows = epoch_rows(m, x_rows, epoch)
+        perm = stream(cfg.seed, TAG_SHUFFLE, epoch).permutation(len(rows))
+        starts = range(0, len(rows), cfg.minibatch)
+        total = 0.0
+        for index, start in enumerate(starts):
+            g, value = gradient(m, epoch, index, rows[perm[start : start + cfg.minibatch]])
+            optim.step(m, g, state.adam, cfg)
+            total += value
+        objective = total / len(starts)
         if not (math.isfinite(objective) and np.isfinite(m.weights).all()
                 and np.isfinite(m.biases).all()):
             raise DivergenceError(
@@ -112,50 +125,34 @@ def _train(data, state: Checkpoint, epoch_callback, run_epoch) -> list[EpochLog]
         logs.append(log)
         state.epoch = epoch + 1
         if epoch_callback is not None:
-            epoch_callback(state, pairs, log)
+            epoch_callback(state, rows, log)
     return logs
-
-
-def _descend(m: BoltzmannMachine, st: AdamState, cfg: TrainConfig, epoch: int, count: int,
-             batch_gradient) -> float:
-    """One Adam step per shuffled minibatch; returns the mean objective term.
-
-    `batch_gradient(index, rows)` gives the gradient and objective term of
-    minibatch `index`, whose row indices are `rows`.
-    """
-    perm = stream(cfg.seed, TAG_SHUFFLE, epoch).permutation(count)
-    total, batches = 0.0, 0
-    for bi, start in enumerate(range(0, count, cfg.minibatch)):
-        g, value = batch_gradient(bi, perm[start : start + cfg.minibatch])
-        optim.step(m, g, st, cfg)
-        total += value
-        batches += 1
-    return total / batches
 
 
 def train_vpf(data, state: Checkpoint, threads: int = 1, epoch_callback=None) -> list[EpochLog]:
     """Advance `state` to `state.config.epochs`; returns the per-epoch logs.
 
-    Epochs are pure functions of (seed, epoch, parameters), so advancing a
-    loaded checkpoint is bit-identical to an uninterrupted run.
+    An epoch's rows are the E-step's (observed, hidden) pairs, sampled with
+    the epoch's starting parameters (the data rows themselves for a
+    fully-observed layout), and its minibatch gradient is the flow
+    gradient on them.  Epochs are pure functions of (seed, epoch,
+    parameters), so advancing a loaded checkpoint is bit-identical to an
+    uninterrupted run.
     """
     layout, cfg = state.layout, state.config
     if cfg.method != "vpf":
         raise ValueError(f"train_vpf runs method vpf, got {cfg.method}")
 
-    def run_epoch(m, st, x_rows, epoch):
-        pairs = x_rows  # a fully-observed layout has nothing to infer
-        if len(layout.sizes) > 1:
-            streams = row_streams(cfg.seed, TAG_ESTEP, epoch, count=len(x_rows))
-            layers = e_step_batch(m, x_rows, streams, cfg.intra_sweeps, threads)
-            pairs = np.concatenate(layers, axis=1)
-        objective = _descend(
-            m, st, cfg, epoch, len(pairs),
-            lambda _bi, rows: mpf.gradient_and_objective(m, pairs[rows], cfg.clamp_z),
-        )
-        return objective, pairs
+    def epoch_rows(m, x_rows, epoch):
+        if len(layout.sizes) == 1:
+            return x_rows  # a fully-observed layout has nothing to infer
+        streams = row_streams(cfg.seed, TAG_ESTEP, epoch, count=len(x_rows))
+        return np.concatenate(e_step_batch(m, x_rows, streams, cfg.intra_sweeps, threads), axis=1)
 
-    return _train(data, state, epoch_callback, run_epoch)
+    def gradient(m, _epoch, _index, batch):
+        return mpf.gradient_and_objective(m, batch, cfg.clamp_z)
+
+    return _train(data, state, epoch_callback, epoch_rows, gradient)
 
 
 def require_rbm(layout: LayerSpec) -> None:
@@ -168,13 +165,14 @@ def require_rbm(layout: LayerSpec) -> None:
 
 
 def train_cd(data, state: Checkpoint, epoch_callback=None) -> list[EpochLog]:
-    """CD-k / PCD-k baseline (`state.config`'s `method` and `k`); same
-    optimizer, minibatching and epoch loop as `train_vpf`.
+    """CD-k / PCD-k baseline (`state.config`'s `method` and `k`); the same
+    loop, shuffling, minibatches and optimizer as `train_vpf`, on the data
+    rows, with the contrastive-divergence gradient.
 
     The logged objective_value is the mean visible reconstruction
     cross-entropy of the first negative-chain step (the flow objective does
-    not apply to these trainers).  The epoch callback receives None in
-    place of the (observed, hidden) pairs.
+    not apply to these trainers).  The epoch callback receives the data
+    rows in place of the (observed, hidden) pairs.
     """
     layout, cfg = state.layout, state.config
     if cfg.method not in ("cd", "pcd"):
@@ -188,38 +186,34 @@ def train_cd(data, state: Checkpoint, epoch_callback=None) -> list[EpochLog]:
         chains = (stream(cfg.seed, TAG_CHAIN).random(cfg.minibatch * n_hid) < 0.5
                   ).astype(np.float64).reshape(cfg.minibatch, n_hid)
 
-    def run_epoch(m, st, x_rows, epoch):
-        def batch_gradient(bi, rows):
-            rng = stream(cfg.seed, TAG_CD, epoch, bi)
-            v0 = x_rows[rows].astype(np.float64)
-            w_block = m.block(0, 1)
-            vb, hb = m.biases[sl0], m.biases[sl1]
-            ph0 = expit(v0 @ w_block + hb)
-            if persistent:
-                h = chains[: v0.shape[0]].copy()
-            else:
-                h = (rng.random(ph0.shape) < ph0).astype(np.float64)
-            first_xent = None
-            for _ in range(cfg.k):
-                pv = expit(h @ w_block.T + vb)
-                if first_xent is None:
-                    eps = 1e-12
-                    first_xent = float(-np.mean(np.sum(
-                        v0 * np.log(pv + eps) + (1.0 - v0) * np.log(1.0 - pv + eps), axis=1)))
-                v = (rng.random(pv.shape) < pv).astype(np.float64)
-                ph = expit(v @ w_block + hb)
-                h = (rng.random(ph.shape) < ph).astype(np.float64)
-            if persistent:
-                chains[: v0.shape[0]] = h
-            b = v0.shape[0]
-            g_block = (v.T @ ph - v0.T @ ph0) / b  # descent direction
-            gw = np.zeros_like(m.weights)
-            m.block(0, 1, gw)[...] = g_block
-            gb = np.zeros_like(m.biases)
-            gb[sl0] = (v - v0).mean(axis=0)
-            gb[sl1] = (ph - ph0).mean(axis=0)
-            return mpf.Gradient(gw, gb), first_xent
+    def gradient(m, epoch, index, batch):
+        rng = stream(cfg.seed, TAG_CD, epoch, index)
+        v0 = batch.astype(np.float64)
+        w_block = m.block(0, 1)
+        vb, hb = m.biases[sl0], m.biases[sl1]
+        ph0 = expit(v0 @ w_block + hb)
+        if persistent:
+            h = chains[: v0.shape[0]].copy()
+        else:
+            h = (rng.random(ph0.shape) < ph0).astype(np.float64)
+        first_xent = None
+        for _ in range(cfg.k):
+            pv = expit(h @ w_block.T + vb)
+            if first_xent is None:
+                eps = 1e-12
+                first_xent = float(-np.mean(np.sum(
+                    v0 * np.log(pv + eps) + (1.0 - v0) * np.log(1.0 - pv + eps), axis=1)))
+            v = (rng.random(pv.shape) < pv).astype(np.float64)
+            ph = expit(v @ w_block + hb)
+            h = (rng.random(ph.shape) < ph).astype(np.float64)
+        if persistent:
+            chains[: v0.shape[0]] = h
+        b = v0.shape[0]
+        g_block = (v.T @ ph - v0.T @ ph0) / b  # descent direction
+        gb = np.zeros_like(m.biases)
+        gb[sl0] = (v - v0).mean(axis=0)
+        gb[sl1] = (ph - ph0).mean(axis=0)
+        # require_rbm leaves block (0, 1) as the only stored block.
+        return mpf.Gradient(g_block.ravel(), gb), first_xent
 
-        return _descend(m, st, cfg, epoch, len(x_rows), batch_gradient), None
-
-    return _train(data, state, epoch_callback, run_epoch)
+    return _train(data, state, epoch_callback, lambda _m, x_rows, _epoch: x_rows, gradient)

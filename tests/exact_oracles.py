@@ -11,6 +11,7 @@ enumerates states; these are the references its tests check it against.
 
 import numpy as np
 import scipy.linalg
+import scipy.special
 
 from flowbm.model import BoltzmannMachine, active_blocks
 
@@ -223,3 +224,16 @@ def random_joint_tables(rng, n_obs_states: int, n_hid_states: int):
     p0 = rng.random(n_obs_states) + 0.05
     p0 /= p0.sum()
     return q_cond, p_joint, p0
+
+
+def rbm_log_likelihood(m: BoltzmannMachine, v) -> np.ndarray:
+    """Exact log p(v) of each row of `v` under a one-hidden-layer machine
+    without intra edges, the hidden layer summed out: ``log p*(v) = b_v.v +
+    sum_j softplus(b_j + v.W_j)``, less a ``log Z`` enumerated over the 2^H
+    hidden states.  Exponential in H only, so any visible width works."""
+    (vis, hid), w = m.layout.slices(), m.block(0, 1)
+    h = enumerate_states(m.layout.sizes[1])
+    log_z = scipy.special.logsumexp(
+        h @ m.biases[hid] + np.logaddexp(0.0, h @ w.T + m.biases[vis]).sum(axis=1))
+    v = np.asarray(v, dtype=np.float64)
+    return v @ m.biases[vis] + np.logaddexp(0.0, v @ w + m.biases[hid]).sum(axis=1) - log_z

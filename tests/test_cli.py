@@ -419,10 +419,32 @@ class TestOneSpelling:
         (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data", "--data",
           "{w}/train.idx", "--intra-sweeps", "4"],
          "--intra-sweeps does not apply to --samples-from-data"),
+        (["generate", "--checkpoint", "{ck}", "--init", "uniform", "--threshold", "0.9",
+          "--out", "{w}/out"], "--threshold applies only to the --data images of --init prior"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data", "--data",
+          "{w}/train.idx", "--seed", "3"], "--seed does not apply to --samples-from-data"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data", "--data",
+          "{w}/train.idx", "--init", "uniform"], "--init does not apply to --samples-from-data"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data", "--data",
+          "{w}/train.idx", "--init", "prior"], "--init does not apply to --samples-from-data"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data", "--data",
+          "{w}/train.idx", "--threads", "2"], "--threads does not apply to --samples-from-data"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data", "--data",
+          "{w}/train.idx", "--raw", "--threshold", "0.9"], "--threshold does not apply"),
+        (["eval-ll", "--checkpoint", "{ck}", "--test-images", "{w}/test.idx", "--init",
+          "uniform", "--raw", "--threshold", "0.9"], "--threshold does not apply"),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--method", "cd",
+          "--threads", "2", "--out", "{w}/out"], "--threads does not apply to method cd"),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--method", "pcd",
+          "--threads", "1", "--out", "{w}/out"], "--threads does not apply to method pcd"),
     ], ids=["generate-uniform-data", "eval-ll-uniform-data", "from-data-checkpoint",
-            "from-data-r", "from-data-intra-sweeps"])
+            "from-data-r", "from-data-intra-sweeps", "generate-uniform-threshold",
+            "from-data-seed", "from-data-init-uniform", "from-data-init-prior",
+            "from-data-threads", "from-data-raw-threshold", "uniform-raw-threshold",
+            "train-cd-threads", "train-pcd-threads"])
     def test_flag_the_mode_does_not_read_exits_2(self, workdir, cmd, message, capsys):
-        # Each of these used to be ignored with exit 0, like --limit was.
+        # Each of these used to be ignored with exit 0, like --limit was.  A
+        # flag with a default counts as given only when it is on the command line.
         ck = workdir / "run-unread" / "ckpt-final.bin"
         assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
                     "--epochs", "1", "--out", ck.parent]) == 0
@@ -432,6 +454,23 @@ class TestOneSpelling:
         assert message in captured.err
         assert captured.out == ""
         assert not (workdir / "out").exists()
+
+    def test_flags_that_the_mode_reads_stay_accepted(self, workdir, capsys):
+        ck = workdir / "run-read" / "ckpt-final.bin"
+        train, test = workdir / "train.idx", workdir / "test.idx"
+        assert run(["train", "--images", train, "--layout", "784-6", "--method", "cd",
+                    "--epochs", "1", "--out", ck.parent]) == 0
+        for argv in (
+            ["generate", "--checkpoint", ck, "--init", "prior", "--data", train, "--limit", "5",
+             "--threshold", "0.9", "--seed", "3", "--count", "2", "--out", workdir / "gen"],
+            ["eval-ll", "--checkpoint", ck, "--test-images", test, "--raw", "--init", "prior",
+             "--data", train, "--limit", "5", "--threshold", "0.9", "--n-samples", "4"],
+            ["eval-ll", "--checkpoint", ck, "--test-images", test, "--init", "uniform",
+             "--threshold", "0.9", "--seed", "2", "--n-samples", "4"],
+            ["eval-ll", "--test-images", test, "--samples-from-data", "--data", train,
+             "--threshold", "0.9"],
+        ):
+            assert run(argv) == 0
 
     @pytest.mark.parametrize("alias", ["lambda", "lr", "learning_rate"])
     def test_former_alias_in_config_file_exits_2_before_writing(self, workdir, alias, capsys):
@@ -514,6 +553,68 @@ class TestTrainFailures:
         # Epoch 0 would have written ckpt-epoch-00001.bin.
         assert sorted(p.name for p in out.glob("*.bin")) == []
         assert len((out / "epochs.csv").read_text().strip().splitlines()) == 1
+
+
+@pytest.fixture
+def small_images(tmp_path):
+    """3x4 images, 12 pixels wide: neither square nor 28x28."""
+    path = tmp_path / "small.idx"
+    write_idx_images(path, np.random.default_rng(3).integers(0, 256, (20, 3, 4)))
+    return path
+
+
+def snapshot(directory):
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
+class TestShapeChecks:
+    def test_train_on_data_of_the_wrong_width_leaves_the_run_directory_as_it_was(
+            self, workdir, small_images, capsys):
+        # The check used to run after config.txt was rewritten and
+        # epochs.csv lost the rows of epochs 2-3.
+        r2 = workdir / "r2"
+        assert run(["train", "--images", small_images, "--layout", "12-4", "--epochs", "4",
+                    "--checkpoint-every", "1", "--out", r2]) == 0
+        before = snapshot(workdir)
+        capsys.readouterr()
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    r2 / "ckpt-epoch-00002.bin", "--epochs", "4", "--out", r2]) == 2
+        assert "data width 784 does not match observed layer 12" in capsys.readouterr().err
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "12-4",
+                    "--epochs", "1", "--out", workdir / "fresh"]) == 2
+        assert snapshot(workdir) == before
+
+    def test_generate_from_a_visible_layer_that_is_no_square_image_exits_2(
+            self, workdir, small_images, capsys):
+        # probabilities.csv used to be written before the image grid failed.
+        run_dir = workdir / "small-run"
+        assert run(["train", "--images", small_images, "--layout", "12-4", "--epochs", "1",
+                    "--out", run_dir]) == 0
+        capsys.readouterr()
+        assert run(["generate", "--checkpoint", run_dir / "ckpt-final.bin", "--count", "2",
+                    "--out", workdir / "gen"]) == 2
+        assert "images of length 12 are not square" in capsys.readouterr().err
+        assert not (workdir / "gen").exists()
+
+    @pytest.mark.parametrize("layout, images, message", [
+        ("784-6", "small", "do not match the checkpoint's visible layer (784)"),
+        ("12-4", "small", "do not match the 28x28 images that reconstruction corrupts"),
+        ("12-4", "digits", "do not match the checkpoint's visible layer (12)"),
+    ], ids=["small-images-784-machine", "small-images-12-machine", "digits-12-machine"])
+    def test_reconstruct_images_of_the_wrong_width_exit_2_before_writing(
+            self, workdir, small_images, layout, images, message, capsys):
+        # Each used to leave an empty --out directory behind.
+        paths = {"small": small_images, "digits": workdir / "train.idx"}
+        train_images = small_images if layout == "12-4" else workdir / "train.idx"
+        run_dir = workdir / "rec-run"
+        assert run(["train", "--images", train_images, "--layout", layout, "--epochs", "1",
+                    "--out", run_dir]) == 0
+        capsys.readouterr()
+        assert run(["reconstruct", "--checkpoint", run_dir / "ckpt-final.bin",
+                    "--images", paths[images], "--out", workdir / "rec"]) == 2
+        err = capsys.readouterr().err
+        assert not (workdir / "rec").exists()
+        assert message in err
 
 
 class TestInspect:

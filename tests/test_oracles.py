@@ -1,13 +1,16 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from conftest import make_layered_machine, random_bits
 from exact_oracles import (
+    all_state_energies,
     enumerate_states,
     exact_hidden_conditional,
     kl_decomposition_check,
     random_joint_tables,
+    rbm_log_likelihood,
     state_index,
     upper_bound_check,
 )
@@ -67,3 +70,15 @@ def test_e_step_matches_exact_hidden_conditional():
     events = 2 ** n_obs * 2 ** (2**n_hid)
     bound = np.sqrt(np.log(2 * events / delta) / (2 * per_x))
     assert tv.max() <= bound
+
+
+def test_rbm_log_likelihood_matches_full_enumeration():
+    # Summing the hidden layer out in closed form gives the same log p(v)
+    # as a logsumexp over all 2^(5+3) joint states.
+    n_obs, n_hid = 5, 3
+    m = make_layered_machine((n_obs, n_hid), (False,), seed=8)
+    joint = -all_state_energies(m)  # state index = v index + 2^n_obs * h index
+    by_v = joint.reshape(2**n_hid, 2**n_obs)
+    expected = logsumexp(by_v, axis=0) - logsumexp(joint)
+    got = rbm_log_likelihood(m, enumerate_states(n_obs))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
