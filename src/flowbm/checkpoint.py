@@ -8,7 +8,7 @@ little-endian:
     layer count L, sizes    u32, L x u32
     intra flag count F      u32, F x u8 (one per hidden layer)
     epoch                   u64
-    config text             u64 byte length, UTF-8 key = value lines
+    config text             u64 byte length, `TrainConfig.to_text()` in UTF-8
     vertex count n          u32
     weights                 array of E doubles
     biases                  array of n doubles
@@ -17,17 +17,21 @@ little-endian:
     m1_b, m2_b              arrays of n doubles
     CRC-32 of all the above u32
 
-An array is a u64 byte count followed by the doubles.  E is the stored-edge
-count of the layout (`model.edge_count`), and the weight arrays hold the
-blocks of `model.active_blocks` back to back as in `BoltzmannMachine`.
-Reading checks every length against the layout, runs `model.validate` on
-the parameters and checks that the Adam moments are finite with
-non-negative second moments, so a file that parses but breaks an
-invariant is rejected as corrupt.  Version 3 added `method` and `k` to the
-config text, so a file names the trainer that wrote it.  Older files are
-rejected with `CheckpointVersionError`: version 1 holds dense n x n arrays,
-and version 2 does not say whether VPF, CD or PCD trained it.  Deserializing
-a serialized checkpoint and re-serializing reproduces the bytes exactly.
+Everything before the weights is the header (`_header`).  An array is a
+u64 byte count followed by the doubles.  E is the stored-edge count of the
+layout (`model.edge_count`), and the weight arrays hold the blocks of
+`model.active_blocks` back to back as in `BoltzmannMachine`.
+
+`parse` reads the CRC-checked body through one bounds-checked `_Reader`
+and accepts a header only as `_header` writes it for the layout, config
+and epoch that it holds: an intra byte other than 0/1, a wrong vertex
+count or config text other than `TrainConfig.to_text()` (a missing key, a
+comment, `0.0010`) is corrupt, so any change to `TrainConfig`'s fields is
+a format change.  Every file that `parse` accepts re-serializes to its own
+bytes; `deserialize` also rejects what `violations` finds.  Version 3
+added `method` and `k` to the config text.  Older files are rejected with
+`CheckpointVersionError`: version 1 holds dense n x n arrays, and version
+2 does not say whether VPF, CD or PCD trained it.
 
 A `Checkpoint` is also the live training state: the trainers advance one
 in place, so saving it after any epoch writes the state that epoch left.
@@ -36,8 +40,6 @@ in place, so saving it after any epoch writes the state that epoch left.
 
 from __future__ import annotations
 
-import io
-import math
 import os
 import struct
 import zlib
@@ -81,51 +83,58 @@ class Checkpoint:
         return BoltzmannMachine(self.layout, self.weights, self.biases)
 
 
-def _pack_array(out: io.BytesIO, arr: np.ndarray) -> None:
-    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    out.write(struct.pack("<Q", len(data)))
-    out.write(data)
+def _header(layout: LayerSpec, config: TrainConfig, epoch: int) -> bytes:
+    """Magic through vertex count, the one way they are written."""
+    sizes, intra = layout.sizes, layout.intra_layer
+    text = config.to_text().encode("utf-8")
+    return b"".join((
+        MAGIC,
+        struct.pack(f"<II{len(sizes)}I", FORMAT_VERSION, len(sizes), *sizes),
+        struct.pack(f"<I{len(intra)}B", len(intra), *intra),
+        struct.pack("<QQ", epoch, len(text)),
+        text,
+        struct.pack("<I", layout.n),
+    ))
 
 
-def _unpack_array(buf: memoryview, offset: int, shape) -> tuple[np.ndarray, int]:
-    if offset + 8 > len(buf):
-        raise CheckpointCorruptError("truncated array header")
-    (nbytes,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    expected = 8 * math.prod(shape)
-    if nbytes != expected:
-        raise CheckpointCorruptError(f"array has {nbytes} bytes, expected {expected}")
-    if offset + nbytes > len(buf):
-        raise CheckpointCorruptError("truncated array payload")
-    arr = np.frombuffer(buf, dtype="<f8", count=nbytes // 8, offset=offset)
-    offset += nbytes
-    return arr.reshape(shape).astype(np.float64), offset
+def _array(arr: np.ndarray) -> list:
+    """A u64 byte count and the doubles, as buffers for `bytes.join`."""
+    data = np.ascontiguousarray(arr, dtype="<f8")
+    return [struct.pack("<Q", data.nbytes), data]
 
 
 def serialize(ckpt: Checkpoint) -> bytes:
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<I", FORMAT_VERSION))
-    sizes = ckpt.layout.sizes
-    out.write(struct.pack("<I", len(sizes)))
-    out.write(struct.pack(f"<{len(sizes)}I", *sizes))
-    intra = ckpt.layout.intra_layer
-    out.write(struct.pack("<I", len(intra)))
-    if intra:
-        out.write(struct.pack(f"<{len(intra)}B", *(int(f) for f in intra)))
-    out.write(struct.pack("<Q", ckpt.epoch))
-    config_blob = ckpt.config.to_text().encode("utf-8")
-    out.write(struct.pack("<Q", len(config_blob)))
-    out.write(config_blob)
-    n = ckpt.biases.shape[0]
-    out.write(struct.pack("<I", n))
-    _pack_array(out, ckpt.weights)
-    _pack_array(out, ckpt.biases)
-    out.write(struct.pack("<Q", ckpt.adam.t))
-    for arr in (ckpt.adam.m1_w, ckpt.adam.m2_w, ckpt.adam.m1_b, ckpt.adam.m2_b):
-        _pack_array(out, arr)
-    body = out.getvalue()
+    adam = ckpt.adam
+    body = b"".join([
+        _header(ckpt.layout, ckpt.config, ckpt.epoch),
+        *_array(ckpt.weights), *_array(ckpt.biases), struct.pack("<Q", adam.t),
+        *_array(adam.m1_w), *_array(adam.m2_w), *_array(adam.m1_b), *_array(adam.m2_b),
+    ])
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+class _Reader:
+    """Consumes a checkpoint body front to back; a read past its end is
+    "truncated <what>"."""
+
+    def __init__(self, body: memoryview):
+        self.body, self.pos = body, 0
+
+    def take(self, nbytes: int, what: str) -> memoryview:
+        if nbytes > len(self.body) - self.pos:
+            raise CheckpointCorruptError(f"truncated {what}")
+        self.pos += nbytes
+        return self.body[self.pos - nbytes : self.pos]
+
+    def ints(self, code: str, count: int, what: str) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}{code}", self.take(count * struct.calcsize(code), what))
+
+    def array(self, count: int, what: str) -> np.ndarray:
+        """A length-prefixed array that must hold `count` doubles."""
+        (nbytes,) = self.ints("Q", 1, f"{what} length")
+        if nbytes != 8 * count:
+            raise CheckpointCorruptError(f"{what} has {nbytes} bytes, expected {8 * count}")
+        return np.frombuffer(self.take(nbytes, what), dtype="<f8").astype(np.float64)
 
 
 def violations(ck: Checkpoint) -> list[tuple]:
@@ -151,59 +160,46 @@ def deserialize(blob: bytes) -> Checkpoint:
 
 
 def parse(blob: bytes) -> Checkpoint:
-    """Decode the byte layout without validating the parameters."""
+    """Decode the byte layout without validating the parameters.
+
+    The header must equal `_header` of the layout, config and epoch read
+    from it, and every array must have the length that the layout gives it.
+    """
     if len(blob) < len(MAGIC) + 8:
         raise CheckpointCorruptError("file too short to be a checkpoint")
-    body, (crc,) = blob[:-4], struct.unpack_from("<I", blob, len(blob) - 4)
+    body, (crc,) = memoryview(blob)[:-4], struct.unpack_from("<I", blob, len(blob) - 4)
     if zlib.crc32(body) != crc:
         raise CheckpointCorruptError("checksum mismatch")
-    buf = memoryview(body)
-    if bytes(buf[: len(MAGIC)]) != MAGIC:
-        raise CheckpointCorruptError(f"bad magic {bytes(buf[:len(MAGIC)])!r}")
-    offset = len(MAGIC)
-    (version,) = struct.unpack_from("<I", buf, offset)
-    offset += 4
+    read = _Reader(body)
+    magic = bytes(read.take(len(MAGIC), "magic"))
+    if magic != MAGIC:
+        raise CheckpointCorruptError(f"bad magic {magic!r}")
+    (version,) = read.ints("I", 1, "format version")
     if version != FORMAT_VERSION:
         raise CheckpointVersionError(
             f"format version {version} not supported (expected {FORMAT_VERSION})"
         )
+    sizes = read.ints("I", read.ints("I", 1, "layer count")[0], "layer sizes")
+    intra = read.ints("B", read.ints("I", 1, "intra flag count")[0], "intra flags")
+    epoch, config_len = read.ints("Q", 2, "epoch and config length")
+    config_text = read.take(config_len, "config text")
+    read.ints("I", 1, "vertex count")
     try:
-        (n_layers,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        sizes = struct.unpack_from(f"<{n_layers}I", buf, offset)
-        offset += 4 * n_layers
-        (n_intra,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        intra = struct.unpack_from(f"<{n_intra}B", buf, offset) if n_intra else ()
-        offset += n_intra
-        layout = LayerSpec(sizes, tuple(bool(f) for f in intra))
-        (epoch,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        (config_len,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        if offset + config_len > len(buf):
-            raise CheckpointCorruptError("truncated config text")
-        config = parse_config_text(bytes(buf[offset : offset + config_len]).decode("utf-8"))
-        offset += config_len
-        (n,) = struct.unpack_from("<I", buf, offset)
-        offset += 4
-        if n != sum(sizes):
-            raise CheckpointCorruptError(f"vertex count {n} does not match layout {sizes}")
-        edges = (edge_count(layout),)
-        weights, offset = _unpack_array(buf, offset, edges)
-        biases, offset = _unpack_array(buf, offset, (n,))
-        (t,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        m1_w, offset = _unpack_array(buf, offset, edges)
-        m2_w, offset = _unpack_array(buf, offset, edges)
-        m1_b, offset = _unpack_array(buf, offset, (n,))
-        m2_b, offset = _unpack_array(buf, offset, (n,))
-    except (struct.error, UnicodeDecodeError, ValueError) as exc:
+        layout = LayerSpec(sizes, intra)
+        config = parse_config_text(bytes(config_text).decode("utf-8"))
+        canonical = _header(layout, config, epoch)
+    except (ValueError, struct.error) as exc:  # struct.error: more than 2**32 - 1 vertices
         raise CheckpointCorruptError(f"malformed checkpoint: {exc}") from exc
-    if offset != len(buf):
-        raise CheckpointCorruptError(f"{len(buf) - offset} trailing bytes")
-    adam = AdamState(m1_w, m2_w, m1_b, m2_b, int(t))
-    return Checkpoint(layout, weights, biases, adam, config, int(epoch))
+    if body[: read.pos] != canonical:
+        raise CheckpointCorruptError("header is not as serialize writes it for its own fields")
+    edges, n = edge_count(layout), layout.n
+    weights, biases = read.array(edges, "weights"), read.array(n, "biases")
+    (t,) = read.ints("Q", 1, "Adam step")
+    moments = [read.array(count, name) for count, name in
+               ((edges, "m1_w"), (edges, "m2_w"), (n, "m1_b"), (n, "m2_b"))]
+    if read.pos != len(body):
+        raise CheckpointCorruptError(f"{len(body) - read.pos} trailing bytes")
+    return Checkpoint(layout, weights, biases, AdamState(*moments, t), config, epoch)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

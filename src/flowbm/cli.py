@@ -8,10 +8,12 @@ Every setting has one spelling: flags are matched whole (no prefixes), a
 flag given twice or one that the chosen mode would not read exits 2,
 `--threads` defaults to 1 and no environment variable is read, and every
 `TrainConfig` field has a string-valued flag of its own name only, which
-`optim.parse_config_items` parses and checks.  The trainer (`method`: vpf,
+`optim.parse_config_items` parses and checks; `--intra` is one 0 or 1 per
+hidden layer, like the checkpoint's intra bytes.  The trainer (`method`: vpf,
 cd or pcd) and its Gibbs steps (`k`) are ordinary config keys, so a run's
 config.txt and checkpoints name the method that made them.  Image widths
-are checked against the layout or checkpoint before --out is touched.
+are checked against the layout or checkpoint before --out is touched or
+anything is sampled.
 
 train holds one `checkpoint.Checkpoint`: `training.init_state` for a new
 run, the --resume file otherwise.  Its config is the defaults (or the
@@ -337,6 +339,9 @@ def cmd_eval_ll(args) -> int:
         if not args.checkpoint:
             raise UsageError("--checkpoint required unless --samples-from-data")
         ck = ckpt_io.load_checkpoint(args.checkpoint)
+        if ck.layout.sizes[0] != test.shape[1]:
+            raise UsageError(f"test images of width {test.shape[1]} do not match "
+                             f"the checkpoint's visible layer ({ck.layout.sizes[0]})")
         samples = _confabulate(args, ck, TAG_EVAL, args.n_samples, threads)
     mean, stderr = metrics.parzen_ll(samples, test, args.sigma)
     print(f"parzen_ll {mean:.4f} stderr {stderr:.4f} "
@@ -404,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--limit", type=int, default=None, help="use only the first N images")
     p.add_argument("--layout", default=None, help='e.g. "784-196" or "784-196-196-64"')
-    p.add_argument("--intra", default=None, help='per-hidden-layer flags, e.g. "1,1,1"')
+    p.add_argument("--intra", default=None, help='one 0 or 1 per hidden layer, e.g. "1,1,1"')
     p.add_argument("--out", required=True, help="run directory")
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")

@@ -24,9 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# The accepted spellings of one `--intra` flag; any other token is an error.
-_INTRA_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -76,7 +73,8 @@ class LayerSpec:
 
     @classmethod
     def from_strings(cls, layout: str, intra: str = "") -> "LayerSpec":
-        """Parse CLI-style specs such as ``"784-196-196-64"`` / ``"1,1,1"``."""
+        """Parse CLI-style specs such as ``"784-196-196-64"`` / ``"1,1,1"``:
+        one 0 or 1 per hidden layer, or ``""`` for no intra edges."""
         try:
             sizes = tuple(int(tok) for tok in layout.split("-"))
         except ValueError:
@@ -85,19 +83,15 @@ class LayerSpec:
         if not intra:
             flags = (False,) * n_hidden
         else:
-            toks = [tok.strip() for tok in intra.split(",")]
-            if len(toks) == 1 and n_hidden > 1:
-                toks = toks * n_hidden
+            toks = intra.split(",")
+            unknown = [tok for tok in toks if tok not in ("0", "1")]
+            if unknown:
+                raise ValueError(f"bad intra flag {unknown[0]!r} in {intra!r}; use 0 or 1")
             if len(toks) != n_hidden:
                 raise ValueError(
                     f"intra flags {intra!r} do not match {n_hidden} hidden layers"
                 )
-            unknown = [tok for tok in toks if tok not in _INTRA_FLAGS]
-            if unknown:
-                raise ValueError(
-                    f"bad intra flag {unknown[0]!r} in {intra!r}; use 0/1/true/false/yes/no"
-                )
-            flags = tuple(_INTRA_FLAGS[tok] for tok in toks)
+            flags = tuple(tok == "1" for tok in toks)
         return cls(sizes, flags)
 
     def to_strings(self) -> tuple[str, str]:

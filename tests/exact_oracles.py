@@ -3,10 +3,11 @@
 Everything here is exact and exponential in the vertex count: the dense
 weight matrix and energy of a state, the one-hop rate matrix and the
 exact flow KL(p0 || p_eps) by matrix exponential, joint stationary
-tables, the conditional-KL decomposition of a joint KL divergence, the
-variational flow bound over the full (observed, hidden) space, and the
-single-synapse timing-plasticity update.  `flowbm` itself never
-enumerates states; these are the references its tests check it against.
+tables, the E-step's bottom-up q(h|x), the conditional-KL decomposition
+of a joint KL divergence, the variational flow bound over the full
+(observed, hidden) space, and the single-synapse timing-plasticity
+update.  `flowbm` itself never enumerates states; these are the
+references its tests check it against.
 """
 
 import numpy as np
@@ -178,19 +179,39 @@ def exact_hidden_conditional(m: BoltzmannMachine) -> np.ndarray:
     return table / table.sum(axis=1, keepdims=True)
 
 
-def upper_bound_check(m: BoltzmannMachine, data, eps: float):
-    """(variational objective, marginal flow) for q = stationary p(h|x).
+def bottom_up_conditional(m: BoltzmannMachine) -> np.ndarray:
+    """The E-step's q(h | x) for a layout without intra edges, with the axes
+    of `exact_hidden_conditional`: each hidden layer is a product of
+    sigmoids of the layer below, top-down input zeroed."""
+    if any(m.layout.intra_layer):
+        raise ValueError("bottom-up q is a product of sigmoids only without intra edges")
+    n_obs = m.layout.sizes[0]
+    x, h = enumerate_states(n_obs), enumerate_states(m.n - n_obs)
+    shape = (len(x), len(h))
+    s = np.concatenate([np.broadcast_to(x[:, None], shape + (n_obs,)),
+                        np.broadcast_to(h[None, :], shape + (m.n - n_obs,))], axis=2)
+    sl, q = m.layout.slices(), np.ones(shape)
+    for k in range(1, len(sl)):
+        on = scipy.special.expit(s[..., sl[k - 1]] @ m.block(k - 1, k) + m.biases[sl[k]])
+        q *= np.where(s[..., sl[k]] == 1, on, 1.0 - on).prod(axis=2)
+    return q
+
+
+def upper_bound_check(m: BoltzmannMachine, data, eps: float, q_cond=None):
+    """(variational objective, marginal flow) for q = `q_cond`, by default
+    the stationary p(h|x).
 
     The joint chain starts at q(h|x) p0(x); the variational value is the
     joint KL after time eps and can never drop below the observed-marginal
-    KL.  Exponential in m.n; keep machines small.
+    KL, whatever q is.  Exponential in m.n; keep machines small.
     """
     if m.n > 12:
         raise ValueError(f"joint enumeration capped at 12 vertices, got {m.n}")
     n_obs = m.layout.sizes[0]
     n_hid = m.n - n_obs
     p0 = observed_empirical(m, data)
-    q_cond = exact_hidden_conditional(m)
+    if q_cond is None:
+        q_cond = exact_hidden_conditional(m)
     p_init_table = p0[:, None] * q_cond  # (x, h)
     p_init = p_init_table.T.reshape(-1)  # joint index = x + (h << n_obs)
     p_eps = scipy.linalg.expm(rate_matrix(m) * eps) @ p_init

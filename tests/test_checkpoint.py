@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 import struct
 import zlib
@@ -67,6 +69,68 @@ class TestRoundTrip:
         save_checkpoint(path, ck)
         m = load_checkpoint(path).machine()
         assert validate(m) == []
+
+    @pytest.mark.parametrize("sizes, intra, digest", [
+        ((784, 196, 196, 64), (True, True, True), "2e6802b16c395e4e"),
+        ((784, 196), (False,), "1c74d5b3424685af"),
+    ])
+    def test_pinned_bytes_of_a_fresh_state(self, sizes, intra, digest):
+        blob = serialize(init_state(LayerSpec(sizes, intra), TrainConfig(seed=1)))
+        assert hashlib.sha256(blob).hexdigest().startswith(digest)
+
+
+def with_crc(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def with_config_text(ck: Checkpoint, edit) -> bytes:
+    """`serialize(ck)` with its config text replaced by `edit(text)`."""
+    text = ck.config.to_text().encode()
+    body = serialize(ck)[:-4].replace(struct.pack("<Q", len(text)) + text,
+                                      struct.pack("<Q", len(edit(text))) + edit(text))
+    return with_crc(body)
+
+
+def cd_checkpoint() -> Checkpoint:
+    ck = sample_checkpoint()
+    ck.config = dataclasses.replace(ck.config, eta=0.001, method="cd", k=2)
+    return ck
+
+
+def intra_byte_2() -> bytes:
+    ck = sample_checkpoint()
+    body = bytearray(serialize(ck)[:-4])
+    at = len(MAGIC) + 4 + 4 + 4 * len(ck.layout.sizes) + 4
+    assert body[at] == 1  # the first hidden layer has intra edges
+    body[at] = 2
+    return with_crc(bytes(body))
+
+
+class TestHeaderAsWritten:
+    # Each file has a valid CRC and decodes to a valid checkpoint, and each
+    # used to load: the intra byte as True, the config text through
+    # defaults and comment stripping, so the file without method and k
+    # resumed a CD run as VPF.
+    @pytest.mark.parametrize("make", [
+        intra_byte_2,
+        lambda: with_config_text(cd_checkpoint(), lambda text: b"".join(
+            line for line in text.splitlines(keepends=True)
+            if not line.startswith((b"method = ", b"k = ")))),
+        lambda: with_config_text(cd_checkpoint(), lambda text: text.replace(
+            b"eta = 0.001\n", b"eta = 0.0010\n")),
+        lambda: with_config_text(cd_checkpoint(), lambda text: b"# comment\n" + text),
+    ], ids=["intra-byte-2", "no-method-and-k", "eta-0.0010", "comment-line"])
+    def test_header_not_as_serialize_writes_it_is_rejected(self, make, tmp_path, capsys):
+        blob = make()
+        assert blob != serialize(cd_checkpoint())
+        with pytest.raises(CheckpointCorruptError, match="header"):
+            deserialize(blob)
+        path = tmp_path / "misread.bin"
+        path.write_bytes(blob)
+        assert main(["inspect", "--checkpoint", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "validate: ok" not in captured.out
+        assert "error" in captured.err
 
 
 class TestFailureModes:
@@ -230,6 +294,13 @@ class TestFailureModes:
         with pytest.raises(CheckpointCorruptError, match="config"):
             deserialize(bytes(body) + struct.pack("<I", zlib.crc32(bytes(body))))
 
+    def test_more_vertices_than_a_u32_counts_is_corrupt(self):
+        # The header of such a layout cannot be written, so it cannot match.
+        body = bytearray(serialize(sample_checkpoint())[:-4])
+        struct.pack_into("<3I", body, len(MAGIC) + 8, 2**32 - 1, 2**32 - 1, 2)
+        with pytest.raises(CheckpointCorruptError, match="malformed"):
+            deserialize(with_crc(bytes(body)))
+
     def test_array_length_must_match_shape(self):
         # The last array's length field claims 3 bytes more than its shape
         # holds; the 3 appended bytes used to be skipped without notice.
@@ -255,7 +326,9 @@ def test_mutated_body_with_valid_crc_fails_only_as_checkpoint_error(edits, keep)
     for pos, value in edits:
         body[pos] = value
     body = bytes(body[:keep])
+    blob = body + struct.pack("<I", zlib.crc32(body))
     try:
-        deserialize(body + struct.pack("<I", zlib.crc32(body)))
+        accepted = deserialize(blob)
     except CheckpointError:
-        pass
+        return
+    assert serialize(accepted) == blob

@@ -120,8 +120,22 @@ class TestHelpAndUsage:
             assert "bad intra flag" in capsys.readouterr().err
             assert not out.exists()
         out = workdir / "good-intra"
-        assert run(base + ["--intra", "no,yes", "--out", out]) == 0
+        assert run(base + ["--intra", "0,1", "--out", out]) == 0
         assert "# intra = 0,1\n" in (out / "config.txt").read_text()
+
+    @pytest.mark.parametrize("intra, message", [
+        ("true", "bad intra flag 'true'"),
+        ("no,yes", "bad intra flag 'no'"),
+        ("1", "intra flags '1' do not match 2 hidden layers"),
+    ])
+    def test_intra_is_one_0_or_1_per_hidden_layer(self, workdir, intra, message, capsys):
+        # true/yes/false/no used to be read as 1/0, and a single flag was
+        # copied to every hidden layer.
+        out = workdir / "intra"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6-4",
+                    "--epochs", "1", "--intra", intra, "--out", out]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("cmd, flag", [
         (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--epochs", "1",
@@ -617,6 +631,25 @@ class TestShapeChecks:
         assert message in err
 
 
+    def test_eval_ll_on_test_images_of_the_wrong_width_exits_2_before_sampling(
+            self, workdir, small_images, monkeypatch, capsys):
+        # All --n-samples confabulations used to be drawn before parzen_ll
+        # found the widths apart.
+        run_dir = workdir / "ll-run"
+        assert run(["train", "--images", small_images, "--layout", "12-4", "--epochs", "1",
+                    "--out", run_dir]) == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the width check")
+
+        monkeypatch.setattr("flowbm.cli.generate_batch", refuse)
+        assert run(["eval-ll", "--checkpoint", run_dir / "ckpt-final.bin", "--test-images",
+                    workdir / "test.idx", "--init", "uniform", "--n-samples", "3000"]) == 2
+        assert ("test images of width 784 do not match the checkpoint's visible layer (12)"
+                in capsys.readouterr().err)
+
+
 class TestInspect:
     def test_describes_the_block_store(self, workdir, capsys):
         out = workdir / "insp"
@@ -734,7 +767,7 @@ class TestResume:
         resume = ["train", "--images", workdir / "train.idx", "--resume",
                   out / "ckpt-final.bin", "--epochs", "2"]
         for i, flags in enumerate((["--layout", "784-20", "--intra", "1"],
-                                   ["--layout", "784-20"], ["--intra", "yes"])):
+                                   ["--layout", "784-20"], ["--intra", "1"])):
             assert run(resume + flags + ["--out", workdir / f"agreed{i}"]) == 0
         finals = {(workdir / f"agreed{i}" / "ckpt-final.bin").read_bytes() for i in range(3)}
         assert len(finals) == 1

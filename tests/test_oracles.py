@@ -6,6 +6,7 @@ from scipy.special import logsumexp
 from conftest import make_layered_machine, random_bits
 from exact_oracles import (
     all_state_energies,
+    bottom_up_conditional,
     enumerate_states,
     exact_hidden_conditional,
     kl_decomposition_check,
@@ -51,6 +52,40 @@ def test_variational_value_bounds_the_marginal_flow(seed, sizes, intra_bits, eps
     assert variational >= marginal_flow - 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 3), min_size=3, max_size=4).filter(lambda s: sum(s) <= 9),
+    eps=st.sampled_from([1e-3, 0.01, 0.1, 1.0]),
+    count=st.integers(1, 6),
+)
+def test_variational_value_bounds_the_marginal_flow_for_the_bottom_up_q(seed, sizes, eps,
+                                                                        count):
+    # The bound holds for any q, so also for the q that the E-step samples
+    # on 2-3 hidden layers without intra edges, where it is not p(h|x).
+    m = make_layered_machine(sizes, [False] * (len(sizes) - 1), seed=seed)
+    q_cond = bottom_up_conditional(m)
+    np.testing.assert_allclose(q_cond.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    data = random_bits(np.random.default_rng(seed), (count, sizes[0]))
+    variational, marginal_flow = upper_bound_check(m, data, eps, q_cond)
+    assert marginal_flow >= -1e-12
+    assert variational >= marginal_flow - 1e-12
+
+
+def hidden_tv_and_bound(m, q_cond, per_x: int, delta: float):
+    """Largest total-variation distance between `e_step_batch`'s h | x
+    frequencies (per_x draws for each observed state x) and `q_cond`, and
+    the limit it exceeds with probability at most `delta`."""
+    n_obs = m.layout.sizes[0]
+    x_rows = np.repeat(enumerate_states(n_obs).astype(np.uint8), per_x, axis=0)
+    _, *hidden = e_step_batch(m, x_rows, row_streams(17, 0, count=len(x_rows)))
+    counts = np.zeros_like(q_cond)
+    np.add.at(counts, (state_index(x_rows), state_index(np.hstack(hidden))), 1.0)
+    tv = 0.5 * np.abs(counts / per_x - q_cond).sum(axis=1)
+    events = 2 ** n_obs * 2 ** q_cond.shape[1]
+    return tv.max(), np.sqrt(np.log(2 * events / delta) / (2 * per_x))
+
+
 def test_e_step_matches_exact_hidden_conditional():
     # With one hidden layer and no intra edges, zeroing top-down input is
     # exact: the E-step draws h from the stationary p(h | x).  N draws per
@@ -59,17 +94,20 @@ def test_e_step_matches_exact_hidden_conditional():
     # 2 exp(-2 N t^2); the total-variation distance is the largest such
     # deviation, so a union bound over the 4 * 2^8 (x, A) pairs puts
     # P(any TV >= t) <= delta at t = sqrt(log(2 * 4 * 2^8 / delta) / (2 N)).
-    n_obs, n_hid, per_x, delta = 2, 3, 10_000, 1e-9
-    m = make_layered_machine((n_obs, n_hid), (False,), seed=5)
-    exact = exact_hidden_conditional(m)
-    x_rows = np.repeat(enumerate_states(n_obs).astype(np.uint8), per_x, axis=0)
-    _, h = e_step_batch(m, x_rows, row_streams(17, 0, count=len(x_rows)))
-    counts = np.zeros_like(exact)
-    np.add.at(counts, (state_index(x_rows), state_index(h)), 1.0)
-    tv = 0.5 * np.abs(counts / per_x - exact).sum(axis=1)
-    events = 2 ** n_obs * 2 ** (2**n_hid)
-    bound = np.sqrt(np.log(2 * events / delta) / (2 * per_x))
-    assert tv.max() <= bound
+    m = make_layered_machine((2, 3), (False,), seed=5)
+    tv, bound = hidden_tv_and_bound(m, exact_hidden_conditional(m), 10_000, 1e-9)
+    assert tv <= bound
+
+
+def test_deep_e_step_matches_the_bottom_up_conditional():
+    # The same limit on a 2-2-2 machine, whose E-step draws each hidden
+    # layer from the one below alone: q(h | x) = bottom_up_conditional,
+    # which lies more than twice the limit from the stationary p(h | x).
+    m = make_layered_machine((2, 2, 2), (False, False), seed=6)
+    q_cond = bottom_up_conditional(m)
+    tv, bound = hidden_tv_and_bound(m, q_cond, 10_000, 1e-9)
+    assert tv <= bound
+    assert 0.5 * np.abs(q_cond - exact_hidden_conditional(m)).sum(axis=1).max() > 2 * bound
 
 
 def test_rbm_log_likelihood_matches_full_enumeration():
