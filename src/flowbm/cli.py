@@ -31,6 +31,7 @@ import csv
 import dataclasses
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import metrics, stdp, training
 from .data import load_binary_dataset, load_idx
-from .model import LayerSpec, active_blocks
+from .model import LayerSpec, active_blocks, parse_number
 from .optim import TrainConfig, load_config, parse_config_items
 from .sampling import generate_batch, mean_activation_prior, row_streams
 from .images import square_side, tile_images, write_pgm
@@ -135,7 +136,7 @@ def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
             continue
         first = line.split(",", 1)[0]
         try:
-            epoch = int(first)
+            epoch = parse_number(first, int)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: expected an epoch number, got {first!r}") from None
         if epoch < start_epoch:
@@ -402,6 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.register("action", None, _StoreOnce)
+        # A type=int or type=float flag reads its value with parse_number.
+        for kind in (int, float):
+            p.register("type", kind, partial(parse_number, kind=kind))
         return p
 
     p = command("train", "train a machine and write a run directory")

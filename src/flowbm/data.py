@@ -59,13 +59,19 @@ def load_idx(path) -> np.ndarray:
 
 
 def binarize(raw, threshold: float = 0.5) -> np.ndarray:
-    """Threshold byte images to a (N, pixels) uint8 bit matrix:
-    bit = 1 iff pixel/255 > threshold."""
+    """Threshold uint8 images to a (N, pixels) uint8 bit matrix:
+    bit = 1 iff pixel/255 > threshold.
+
+    Each pixel indexes a table of that comparison for the 256 byte values,
+    so no float copy of the images is made.
+    """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
     raw = np.asarray(raw)
-    flat = raw.reshape(raw.shape[0], -1)
-    return (flat.astype(np.float64) / 255.0 > threshold).astype(np.uint8)
+    if raw.dtype != np.uint8:
+        raise ValueError(f"images must be uint8 bytes, got {raw.dtype}")
+    table = (np.arange(256) / 255.0 > threshold).astype(np.uint8)
+    return table[raw.reshape(raw.shape[0], -1)]
 
 
 def load_binary_dataset(path, threshold: float = 0.5) -> np.ndarray:

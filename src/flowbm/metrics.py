@@ -1,20 +1,33 @@
 """Evaluation suite: sparsity statistics, corruption patterns, image
-reconstruction and its L1 error, and Parzen log-likelihood."""
+reconstruction and its L1 error, and Parzen log-likelihood.
+
+`corrupt` draws one block of coin flips per row through
+`sampling.uniforms`, and `reconstruct_batch` runs `sampling`'s clamped
+Gibbs schedule under the batch samplers' row contract (`map_shards`).
+"""
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
-from scipy.special import expit, logsumexp
+from scipy.special import logsumexp
 
 from .model import BoltzmannMachine
-from .sampling import _draw, _layer_input, _update_hidden, map_shards
+from .sampling import map_shards, reconstruct_rows, uniforms
 
 IMAGE_SIDE = 28
 CORRUPT_BAND = 12  # rows or columns replaced by noise out of 28
 
-PATTERNS = ("top", "bottom", "left", "right")
+# The band of the 28x28 grid that each pattern corrupts.
+BANDS = {
+    "top": np.s_[:CORRUPT_BAND, :],
+    "bottom": np.s_[-CORRUPT_BAND:, :],
+    "left": np.s_[:, :CORRUPT_BAND],
+    "right": np.s_[:, -CORRUPT_BAND:],
+}
+PATTERNS = tuple(BANDS)
 PARZEN_CHUNK = 256  # test points per kernel-matrix block in `parzen_ll`
 
 
@@ -68,49 +81,14 @@ def corrupt(
         raise ValueError(f"images have shape {images.shape}, expected (*, {IMAGE_SIDE**2})")
     if images.shape[0] != len(streams):
         raise ValueError("need one stream per row")
-    if pattern not in PATTERNS:
+    if pattern not in BANDS:
         raise ValueError(f"unknown corruption pattern {pattern!r}")
     known = np.ones((IMAGE_SIDE, IMAGE_SIDE), dtype=bool)
-    if pattern == "top":
-        known[:CORRUPT_BAND, :] = False
-    elif pattern == "bottom":
-        known[-CORRUPT_BAND:, :] = False
-    elif pattern == "left":
-        known[:, :CORRUPT_BAND] = False
-    else:
-        known[:, -CORRUPT_BAND:] = False
+    known[BANDS[pattern]] = False
     unknown = ~known.ravel()
-    count = int(unknown.sum())
     corrupted = images.astype(np.uint8)
-    corrupted[:, unknown] = np.reshape([s.random(count) for s in streams], (-1, count)) < 0.5
+    corrupted[:, unknown] = uniforms(streams, int(unknown.sum())) < 0.5
     return corrupted, np.broadcast_to(~unknown, corrupted.shape)
-
-
-def _reconstruct_rows(
-    m: BoltzmannMachine,
-    corrupted: np.ndarray,
-    known: np.ndarray,
-    gibbs_steps: int,
-    streams: list[np.random.Generator],
-    intra_sweeps: int,
-) -> np.ndarray:
-    """Clamped alternating Gibbs for a block of images (rows)."""
-    given = corrupted.astype(np.float64)
-    rows = [given] + [np.zeros((given.shape[0], w)) for w in m.layout.sizes[1:]]
-    for t in range(gibbs_steps):
-        rows[1] = _update_hidden(m, 1, rows, streams, intra_sweeps)
-        probs_v = expit(_layer_input(m, 0, rows, zero_above=False))
-        sampled = _draw(probs_v, streams)
-        if t < gibbs_steps - 1:
-            rows[0] = np.where(known, given, sampled)
-        else:
-            # Final update is the 0.5-thresholded probability; an exact tie
-            # (probability 1/2) keeps the sampled bit, so a degenerate
-            # zero-weight machine yields fair coin flips.
-            up = (probs_v > 0.5).astype(np.float64)
-            thresholded = np.where(probs_v == 0.5, sampled, up)
-            rows[0] = np.where(known, given, thresholded)
-    return rows[0].astype(np.uint8)
 
 
 def reconstruct_batch(
@@ -139,18 +117,10 @@ def reconstruct_batch(
         )
     if known.shape != corrupted.shape:
         raise ValueError("corrupted image / mask shape mismatch")
-    if corrupted.shape[0] != len(streams):
-        raise ValueError("need one stream per row")
     if gibbs_steps < 1:
         raise ValueError(f"gibbs_steps must be at least 1, got {gibbs_steps}")
-    parts = map_shards(
-        lambda sh: _reconstruct_rows(
-            m, corrupted[sh], known[sh], gibbs_steps, streams[sh], intra_sweeps
-        ),
-        len(streams),
-        threads,
-    )
-    return np.concatenate(parts)
+    return map_shards(partial(reconstruct_rows, m, gibbs_steps, intra_sweeps), streams,
+                      corrupted, known, threads=threads)
 
 
 def parzen_ll(samples: np.ndarray, test: np.ndarray, sigma: float) -> tuple[float, float]:

@@ -25,6 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def parse_number(text: str, kind: type[int] | type[float]) -> int | float:
+    """`kind(text)` for `kind` int or float, with one spelling per number:
+    `_`, a leading `+` and non-ASCII characters, which `int` and `float`
+    accept, raise `ValueError`.  Surrounding spaces are allowed."""
+    if "_" in text or text.strip().startswith("+") or not text.isascii():
+        raise ValueError(f"{text!r} is not a plain {kind.__name__}")
+    return kind(text)
+
+
 @dataclass(frozen=True)
 class LayerSpec:
     """Layer widths plus per-hidden-layer intra-connectivity flags.
@@ -76,7 +85,7 @@ class LayerSpec:
         """Parse CLI-style specs such as ``"784-196-196-64"`` / ``"1,1,1"``:
         one 0 or 1 per hidden layer, or ``""`` for no intra edges."""
         try:
-            sizes = tuple(int(tok) for tok in layout.split("-"))
+            sizes = tuple(parse_number(tok, int) for tok in layout.split("-"))
         except ValueError:
             raise ValueError(f"bad layout string {layout!r}") from None
         n_hidden = len(sizes) - 1

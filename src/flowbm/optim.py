@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoltzmannMachine, edge_count
+from .model import BoltzmannMachine, edge_count, parse_number
 from .mpf import Z_CLAMP_DEFAULT, Gradient
 
 
@@ -70,11 +70,12 @@ def parse_config_items(items: dict[str, str], base: TrainConfig | None = None) -
     for key, raw_value in items.items():
         if key not in fields:
             raise ValueError(f"unknown config key {key!r}")
-        convert = {"int": int, "float": float, "str": str}[fields[key]]
+        kind = {"int": int, "float": float, "str": str}[fields[key]]
+        value = raw_value.strip()
         try:
-            updates[key] = convert(raw_value.strip())
+            updates[key] = value if kind is str else parse_number(value, kind)
         except ValueError:
-            raise ValueError(f"{key} must be {convert.__name__}, got {raw_value!r}") from None
+            raise ValueError(f"{key} must be {kind.__name__}, got {raw_value!r}") from None
     return dataclasses.replace(base, **updates)
 
 

@@ -147,7 +147,7 @@ def train_vpf(data, state: Checkpoint, threads: int = 1, epoch_callback=None) ->
         if len(layout.sizes) == 1:
             return x_rows  # a fully-observed layout has nothing to infer
         streams = row_streams(cfg.seed, TAG_ESTEP, epoch, count=len(x_rows))
-        return np.concatenate(e_step_batch(m, x_rows, streams, cfg.intra_sweeps, threads), axis=1)
+        return e_step_batch(m, x_rows, streams, cfg.intra_sweeps, threads)
 
     def gradient(m, _epoch, _index, batch):
         return mpf.gradient_and_objective(m, batch, cfg.clamp_z)

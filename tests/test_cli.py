@@ -486,6 +486,41 @@ class TestOneSpelling:
         ):
             assert run(argv) == 0
 
+    @pytest.mark.parametrize("cmd, config", [
+        (["train", "--images", "{w}/train.idx", "--layout", "784-+1_6", "--out", "{w}/out"], None),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--epochs", "0_1",
+          "--out", "{w}/out"], None),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--seed", "1_0",
+          "--out", "{w}/out"], None),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--eta", "0_001",
+          "--out", "{w}/out"], None),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--config", "{w}/n.cfg",
+          "--out", "{w}/out"], "epochs = \u0661\n"),
+        (["generate", "--checkpoint", "{ck}", "--count", "\uff13", "--out", "{w}/out"], None),
+        (["eval-ll", "--checkpoint", "{ck}", "--test-images", "{w}/test.idx", "--init", "uniform",
+          "--n-samples", "4", "--sigma", "0_2"], None),
+    ], ids=["layout", "epochs", "seed", "eta", "config-epochs", "count", "sigma"])
+    def test_number_in_another_spelling_exits_2_before_writing(self, workdir, cmd, config,
+                                                                capsys):
+        # int() and float() read each of these, and each command exited 0:
+        # train --layout 784-+1_6 --epochs 0_1 --seed 1_0 --eta 0_001 ran
+        # 784-16 for 1 epoch with seed 10 and eta 1.0.
+        ck = workdir / "run-spelled" / "ckpt-final.bin"
+        if "{ck}" in cmd:
+            assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                        "--epochs", "1", "--out", ck.parent]) == 0
+            capsys.readouterr()
+        if config is not None:
+            (workdir / "n.cfg").write_text(config, encoding="utf-8")
+        try:
+            code = run([a.format(w=workdir, ck=ck) for a in cmd])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
+        assert not (workdir / "out").exists()
+
     @pytest.mark.parametrize("alias", ["lambda", "lr", "learning_rate"])
     def test_former_alias_in_config_file_exits_2_before_writing(self, workdir, alias, capsys):
         cfg_file = workdir / "alias.cfg"
@@ -735,6 +770,19 @@ class TestResume:
                     "--out", run_dir]) == 2
         assert f"{log}:4:" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_resume_rejects_an_epoch_number_in_another_spelling(self, workdir, capsys):
+        # int() read the epoch "+1_0" as 10, and the row was dropped as an
+        # epoch after the checkpoint's.
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]
+        run_dir = workdir / "spelled-log"
+        assert run(base + ["--epochs", "2", "--checkpoint-every", "1", "--out", run_dir]) == 0
+        log = run_dir / "epochs.csv"
+        log.write_text(log.read_text() + "+1_0,1.0,0.5,0.1,0.0\n")
+        capsys.readouterr()
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / "ckpt-epoch-00001.bin", "--epochs", "3", "--out", run_dir]) == 2
+        assert f"{log}:4: expected an epoch number, got '+1_0'" in capsys.readouterr().err
 
     def test_resume_below_checkpoint_epoch_rejected(self, workdir, capsys):
         out = workdir / "ahead"

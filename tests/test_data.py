@@ -87,6 +87,23 @@ class TestBinarize:
         with pytest.raises(ValueError):
             binarize(raw, 1.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+           | st.integers(1, 254).map(lambda k: k / 255.0))
+    def test_every_byte_matches_the_float_comparison(self, threshold):
+        # The lookup table must give the bits of pixel/255 > threshold,
+        # also at a threshold equal to some pixel/255.
+        raw = np.arange(256, dtype=np.uint8).reshape(2, 8, 16)
+        expected = (raw.reshape(2, -1).astype(np.float64) / 255.0 > threshold).astype(np.uint8)
+        bits = binarize(raw, threshold)
+        assert bits.dtype == np.uint8
+        np.testing.assert_array_equal(bits, expected)
+
+    def test_rejects_images_that_are_not_bytes(self):
+        for dtype in (np.int64, np.float64, np.uint16, bool):
+            with pytest.raises(ValueError, match="uint8"):
+                binarize(np.zeros((1, 2, 2), dtype=dtype), 0.5)
+
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 1000),

@@ -18,6 +18,7 @@ from flowbm.model import (
     active_blocks,
     edge_count,
     new_machine,
+    parse_number,
     validate,
 )
 
@@ -60,6 +61,26 @@ class TestLayerSpec:
         assert LayerSpec.from_strings("784-196").intra_layer == (False,)
         with pytest.raises(ValueError):
             LayerSpec.from_strings("784-abc")
+
+    @pytest.mark.parametrize("text, kind, value", [
+        ("-1", int, -1), (" 7 ", int, 7), ("1e-3", float, 1e-3), ("0.0010", float, 0.001),
+        ("1e+3", float, 1000.0),
+    ])
+    def test_parse_number_reads_plain_spellings(self, text, kind, value):
+        assert parse_number(text, kind) == value and type(parse_number(text, kind)) is kind
+
+    @pytest.mark.parametrize("text, kind", [
+        ("1_6", int), ("+16", int), (" +1", int), ("\uff13", int), ("\u0661", int),
+        ("0_001", float), ("+0.5", float), ("1\u00a0", float),
+    ])
+    def test_parse_number_rejects_other_spellings(self, text, kind):
+        # int() and float() accept each of these.
+        kind(text)
+        with pytest.raises(ValueError, match="not a plain"):
+            parse_number(text, kind)
+        if kind is int:
+            with pytest.raises(ValueError, match="bad layout string"):
+                LayerSpec.from_strings(f"784-{text}")
 
     def test_slices_cover_vertices(self):
         spec = LayerSpec((5, 3, 2), (False, True))

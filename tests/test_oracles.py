@@ -78,9 +78,9 @@ def hidden_tv_and_bound(m, q_cond, per_x: int, delta: float):
     the limit it exceeds with probability at most `delta`."""
     n_obs = m.layout.sizes[0]
     x_rows = np.repeat(enumerate_states(n_obs).astype(np.uint8), per_x, axis=0)
-    _, *hidden = e_step_batch(m, x_rows, row_streams(17, 0, count=len(x_rows)))
+    hidden = e_step_batch(m, x_rows, row_streams(17, 0, count=len(x_rows)))[:, n_obs:]
     counts = np.zeros_like(q_cond)
-    np.add.at(counts, (state_index(x_rows), state_index(np.hstack(hidden))), 1.0)
+    np.add.at(counts, (state_index(x_rows), state_index(hidden)), 1.0)
     tv = 0.5 * np.abs(counts / per_x - q_cond).sum(axis=1)
     events = 2 ** n_obs * 2 ** q_cond.shape[1]
     return tv.max(), np.sqrt(np.log(2 * events / delta) / (2 * per_x))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.special import expit
 from scipy.stats import chisquare
 
 from conftest import CountingStream, make_layered_machine, random_bits
+from flowbm import metrics
 from flowbm.model import BoltzmannMachine, LayerSpec, edge_count, new_machine
 from flowbm.sampling import (
     _async_sweep,
@@ -261,20 +263,20 @@ class TestEStep:
             np.zeros((10_000, 6), dtype=np.uint8),
             [stream(3, i) for i in range(10_000)],
         )
-        assert abs(rows[1].mean() - 0.5) < 0.02
+        assert abs(rows[:, 6:].mean() - 0.5) < 0.02
 
     def test_dbm_shape(self):
         m = new_machine(LayerSpec((784, 196, 196, 64), (True, True, True)), seed=0)
         x = random_bits(np.random.default_rng(0), (1, 784))
-        layers = e_step_batch(m, x, [stream(1, 0)])
-        assert [layer.shape for layer in layers] == [(1, 784), (1, 196), (1, 196), (1, 64)]
+        rows = e_step_batch(m, x, [stream(1, 0)])
+        assert rows.shape == (1, 784 + 196 + 196 + 64) and rows.dtype == np.uint8
 
     def test_bottom_up_ignores_deeper_weights(self):
         m = make_layered_machine((5, 4, 3), (False, False), seed=7)
         x = random_bits(np.random.default_rng(2), (1, 5))
-        h_before = e_step_batch(m, x, [stream(4, 0)])[1]
+        h_before = e_step_batch(m, x, [stream(4, 0)])[:, 5:9]
         m.block(1, 2)[...] *= -2.5
-        h_after = e_step_batch(m, x, [stream(4, 0)])[1]
+        h_after = e_step_batch(m, x, [stream(4, 0)])[:, 5:9]
         np.testing.assert_array_equal(h_before, h_after)
 
     def test_batch_thread_count_invariance(self):
@@ -283,8 +285,7 @@ class TestEStep:
         streams = lambda: [stream(6, i) for i in range(1500)]
         single = e_step_batch(m, x, streams(), threads=1)
         multi = e_step_batch(m, x, streams(), threads=4)
-        for a, b in zip(single, multi):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(single, multi)
 
     def test_width_mismatch_rejected(self):
         m = zero_machine((6, 4), (False,))
@@ -359,3 +360,66 @@ class TestMeanActivationPrior:
         assert prior.min() >= 0.0 and prior.max() <= 1.0
         with pytest.raises(ValueError):
             mean_activation_prior(m, np.zeros((0, 5)), row_streams(2, 0, count=0))
+
+
+class TestRowContract:
+    """`map_shards` checks every batch sampler's rows against its streams."""
+
+    SAMPLERS = {
+        "e_step": lambda m, images, streams: e_step_batch(m, images, streams),
+        "reconstruct": lambda m, images, streams: metrics.reconstruct_batch(
+            m, images, np.ones(images.shape, dtype=bool), 2, streams),
+    }
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_one_stream_fewer_than_rows_is_rejected(self, name):
+        m = make_layered_machine((784, 6), (False,), seed=1)
+        images = random_bits(np.random.default_rng(0), (3, 784))
+        with pytest.raises(ValueError, match="need one stream per row"):
+            self.SAMPLERS[name](m, images, row_streams(0, 0, count=2))
+
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_zero_rows_are_rejected(self, name):
+        m = make_layered_machine((784, 6), (False,), seed=1)
+        with pytest.raises(ValueError, match="at least one row"):
+            self.SAMPLERS[name](m, np.zeros((0, 784), dtype=np.uint8), [])
+
+
+class TestPinnedBytes:
+    """SHA-256 of every batch sampler's output on 600 rows (two shards) of a
+    784-12-8 machine with intra edges, recorded before `map_shards` took
+    over the shards and `e_step_batch` returned one pair matrix (then its
+    layers joined along axis 1): no row's draw sequence may change."""
+
+    ROWS = 600
+
+    @staticmethod
+    def sha(a, dtype) -> str:
+        return hashlib.sha256(np.ascontiguousarray(a, dtype=dtype).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pinned_bytes_of_the_batch_samplers(self, threads):
+        m = make_layered_machine((784, 12, 8), (True, True), seed=15, w_scale=0.2)
+        x = random_bits(np.random.default_rng(15), (self.ROWS, 784))
+        rows = e_step_batch(m, x, row_streams(3, 1, count=self.ROWS), threads=threads)
+        assert rows.dtype == np.uint8 and rows.shape == (self.ROWS, 804)
+        assert self.sha(rows, np.uint8) == (
+            "e9fa651b5a4bb3a57c4be81f1ccc61de2ff1a9bf9c1de52ed2552e480bdd7057")
+        probs = generate_batch(m, np.full(8, 0.5), 2, row_streams(3, 2, count=self.ROWS),
+                               threads=threads)
+        assert self.sha(probs, "<f8") == (
+            "fd30ae42b8ec80bcbfbe4d74f32ed540c3f3a97e4a79b96314241e9b1f78be9b")
+        corrupted_sha, recon_sha = hashlib.sha256(), hashlib.sha256()
+        for i, pattern in enumerate(metrics.PATTERNS):
+            corrupted, known = metrics.corrupt(x, pattern, row_streams(3, 3, i, count=self.ROWS))
+            recon = metrics.reconstruct_batch(
+                m, corrupted, known, 2, row_streams(3, 4, i, count=self.ROWS), threads=threads)
+            corrupted_sha.update(np.ascontiguousarray(corrupted, dtype=np.uint8).tobytes())
+            recon_sha.update(np.ascontiguousarray(recon, dtype=np.uint8).tobytes())
+        assert corrupted_sha.hexdigest() == (
+            "6a23d442d9156b73150e817f23fc5c3568ac8a11b3234fc70029805a58c6901e")
+        assert recon_sha.hexdigest() == (
+            "5fd742db17fe07155691bdcf61ca6876e5853b8920824348df56cdca1ab5f6f0")
+        prior = mean_activation_prior(m, x, row_streams(3, 5, count=self.ROWS), threads=threads)
+        assert self.sha(prior, "<f8") == (
+            "5e071779e39604891f3f66e078ccd9756d90c7e003515f87fee4749f2b72938f")

@@ -167,11 +167,10 @@ class TestTrainVpf:
             nonlocal snapshot
             epoch, m = log.epoch, state.machine()
             start = BoltzmannMachine(layout, snapshot[0], snapshot[1])
-            layers = e_step_batch(
+            expected = e_step_batch(
                 start, data, row_streams(cfg.seed, TAG_ESTEP, epoch, count=len(data)),
                 cfg.intra_sweeps,
             )
-            expected = np.concatenate(layers, axis=1)
             if not np.array_equal(expected, pairs):
                 failures.append(epoch)
             snapshot = (m.weights.copy(), m.biases.copy())
