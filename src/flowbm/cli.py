@@ -435,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_threads(p)
     p.set_defaults(func=cmd_generate)
 
-    p = command("reconstruct", "evaluate corrupted-image reconstruction")
+    p = command("reconstruct", "evaluate corrupted-image reconstruction (a deep "
+                "checkpoint reconstructs through its first hidden layer only)")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--images", required=True, help="test images (IDX)")
     p.add_argument("--threshold", type=float, default=0.5)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .model import BoltzmannMachine
-from .sampling import map_shards, reconstruct_rows, uniforms
+from .sampling import RowStreams, map_shards, reconstruct_rows, uniforms
 
 IMAGE_SIDE = 28
 CORRUPT_BAND = 12  # rows or columns replaced by noise out of 28
@@ -67,11 +67,11 @@ def recon_error(original: np.ndarray, reconstructed: np.ndarray):
 
 
 def corrupt(
-    images: np.ndarray, pattern: str, streams: list[np.random.Generator]
+    images: np.ndarray, pattern: str, streams: RowStreams
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replace a 12-row (or column) band of each image (row) with coin flips.
 
-    Row i's flips are one uniform block drawn from `streams[i]`.  Returns the
+    Row i's flips are one block of uniforms from row i of `streams`.  Returns the
     corrupted images and the known-pixel mask (False on the corrupted band),
     a read-only view of one mask for every row.  The named side is the
     band's location: "top" corrupts rows 0-11, "left" columns 0-11, and so on.
@@ -96,16 +96,20 @@ def reconstruct_batch(
     corrupted: np.ndarray,
     known: np.ndarray,
     gibbs_steps: int,
-    streams: list[np.random.Generator],
+    streams: RowStreams,
     intra_sweeps: int = 1,
     threads: int = 1,
 ) -> np.ndarray:
     """Fill in the unknown pixels of each image (row) by clamped Gibbs sampling.
 
-    One stream per row.  Known pixels are re-clamped to their given values
-    after every visible update; the unknown pixels of the final visible
-    update are thresholded at 0.5 from the Bernoulli probabilities instead
-    of sampled.
+    One stream per row.  Each Gibbs step resamples the first hidden layer
+    from the visible one (top-down input zeroed, then its intra sweeps),
+    then the visible layer.  Layers above the first hidden one take no
+    part, so a deep machine reconstructs exactly as its sub-machine of the
+    visible and first hidden layers does.  Known pixels are re-clamped to
+    their given values after every visible update; the unknown pixels of
+    the final visible update are thresholded at 0.5 from the Bernoulli
+    probabilities instead of sampled.
     """
     if len(m.layout.sizes) < 2:
         raise ValueError("reconstruction needs a hidden layer")

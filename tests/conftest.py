@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from exact_oracles import dense_weights
+from flowbm import sampling
 from flowbm.model import BoltzmannMachine, LayerSpec, edge_count
 from flowbm.mpf import Z_CLAMP_DEFAULT, _flow_arrays
-from flowbm.sampling import stream
 from flowbm.stdp import StdpPoint
 
 
@@ -55,16 +55,19 @@ def flow_row(m: BoltzmannMachine, y, clamp: float = Z_CLAMP_DEFAULT):
     return alpha[0], z[0], delta[0]
 
 
-class CountingStream:
-    """A `stream` generator that tallies how many layer-update draws it serves."""
+@pytest.fixture
+def drawn_widths(monkeypatch):
+    """The width of every block that the samplers draw through
+    `sampling.uniforms`, in call order: one entry per layer update."""
+    widths = []
+    draw = sampling.uniforms
 
-    def __init__(self, seed: int, tag: int, *path: int):
-        self._gen = stream(seed, tag, *path)
-        self.calls = 0
+    def recording(streams, width):
+        widths.append(width)
+        return draw(streams, width)
 
-    def random(self, n):
-        self.calls += 1
-        return self._gen.random(n)
+    monkeypatch.setattr(sampling, "uniforms", recording)
+    return widths
 
 
 def random_bits(rng, shape, p: float = 0.5) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CountingStream, make_layered_machine, random_bits
+from conftest import make_layered_machine, random_bits
 from flowbm.metrics import (
     PATTERNS,
     corrupt,
@@ -17,7 +17,7 @@ from flowbm.metrics import (
 )
 from conftest import zero_machine
 from flowbm.model import BoltzmannMachine, LayerSpec, new_machine
-from flowbm.sampling import stream
+from flowbm.sampling import row_streams, stream
 
 
 def rbm_with_block(block: np.ndarray) -> BoltzmannMachine:
@@ -70,46 +70,46 @@ class TestWeightStatistics:
 class TestCorrupt:
     def test_band_locations(self):
         images = random_bits(np.random.default_rng(0), (1, 784))
-        _, known = corrupt(images, "top", [stream(0, 0)])
+        _, known = corrupt(images, "top", row_streams(0, 0, count=1))
         grid = known[0].reshape(28, 28)
         assert not grid[:12].any() and grid[12:].all()
-        _, known = corrupt(images, "left", [stream(0, 0)])
+        _, known = corrupt(images, "left", row_streams(0, 0, count=1))
         grid = known[0].reshape(28, 28)
         assert not grid[:, :12].any() and grid[:, 12:].all()
-        _, known = corrupt(images, "bottom", [stream(0, 0)])
+        _, known = corrupt(images, "bottom", row_streams(0, 0, count=1))
         assert not known[0].reshape(28, 28)[16:].any()
-        _, known = corrupt(images, "right", [stream(0, 0)])
+        _, known = corrupt(images, "right", row_streams(0, 0, count=1))
         assert not known[0].reshape(28, 28)[:, 16:].any()
 
     def test_known_region_untouched(self):
         images = random_bits(np.random.default_rng(1), (3, 784))
         for pattern in PATTERNS:
-            corrupted, known = corrupt(images, pattern, [stream(7, i) for i in range(3)])
+            corrupted, known = corrupt(images, pattern, row_streams(7, 0, count=3))
             assert known.shape == images.shape and (known == known[0]).all()
             np.testing.assert_array_equal(corrupted[known], images[known])
             assert np.isin(corrupted, (0, 1)).all()
 
     def test_each_row_flips_one_block_of_its_stream(self):
         images = random_bits(np.random.default_rng(2), (4, 784))
-        corrupted, known = corrupt(images, "right", [stream(9, i) for i in range(4)])
+        corrupted, known = corrupt(images, "right", row_streams(9, 0, count=4))
         for i in range(4):
-            expected = (stream(9, i).random(336) < 0.5).astype(np.uint8)
+            expected = (stream(9, 0, i).random(336) < 0.5).astype(np.uint8)
             np.testing.assert_array_equal(corrupted[i][~known[i]], expected)
 
     def test_noise_is_fair_coin(self):
         images = np.zeros((200, 784), dtype=np.uint8)
-        corrupted, _ = corrupt(images, "top", [stream(3, i) for i in range(200)])
+        corrupted, _ = corrupt(images, "top", row_streams(3, 0, count=200))
         assert abs(corrupted[:, :336].mean() - 0.5) < 0.01
 
     def test_rejects_wrong_size_and_pattern(self):
         with pytest.raises(ValueError):
-            corrupt(np.zeros((1, 100), dtype=np.uint8), "top", [stream(0, 0)])
+            corrupt(np.zeros((1, 100), dtype=np.uint8), "top", row_streams(0, 0, count=1))
         with pytest.raises(ValueError):
-            corrupt(np.zeros(784, dtype=np.uint8), "top", [stream(0, 0)])
+            corrupt(np.zeros(784, dtype=np.uint8), "top", row_streams(0, 0, count=1))
         with pytest.raises(ValueError):
-            corrupt(np.zeros((1, 784), dtype=np.uint8), "diagonal", [stream(0, 0)])
+            corrupt(np.zeros((1, 784), dtype=np.uint8), "diagonal", row_streams(0, 0, count=1))
         with pytest.raises(ValueError, match="one stream per row"):
-            corrupt(np.zeros((2, 784), dtype=np.uint8), "top", [stream(0, 0)])
+            corrupt(np.zeros((2, 784), dtype=np.uint8), "top", row_streams(0, 0, count=1))
 
 
 class TestReconError:
@@ -148,14 +148,15 @@ class TestReconstruct:
     def test_all_pixels_known_is_identity(self):
         m = self.small_machine()
         image = random_bits(np.random.default_rng(0), 784)
-        out = reconstruct_batch(m, image[None], np.ones((1, 784), dtype=bool), 3, [stream(1, 0)])
+        out = reconstruct_batch(m, image[None], np.ones((1, 784), dtype=bool), 3,
+                                row_streams(1, 0, count=1))
         np.testing.assert_array_equal(out[0], image)
 
     def test_never_alters_known_pixels(self):
         m = self.small_machine(seed=3, intra=True)
         image = random_bits(np.random.default_rng(5), 784)
-        corrupted, known = corrupt(image[None], "bottom", [stream(2, 0)])
-        out = reconstruct_batch(m, corrupted, known, 4, [stream(3, 0)])[0]
+        corrupted, known = corrupt(image[None], "bottom", row_streams(2, 0, count=1))
+        out = reconstruct_batch(m, corrupted, known, 4, row_streams(3, 0, count=1))[0]
         np.testing.assert_array_equal(out[known[0]], image[known[0]])
 
     def test_zero_weight_machine_gives_fair_unknowns(self):
@@ -168,7 +169,7 @@ class TestReconstruct:
         known = np.zeros((trials, 784), dtype=bool)
         known[:, 336:] = True
         out = reconstruct_batch(
-            m, corrupted, known, 2, [stream(11, i) for i in range(trials)]
+            m, corrupted, known, 2, row_streams(11, 0, count=trials)
         )
         assert abs(out[:, :336].mean() - 0.5) < 0.02
         np.testing.assert_array_equal(out[:, 336:], 0)
@@ -181,7 +182,7 @@ class TestReconstruct:
         known[:336] = False
         draws = reconstruct_batch(
             m, np.tile(image, (50, 1)), np.tile(known, (50, 1)), 1,
-            [stream(13, i) for i in range(50)],
+            row_streams(13, 0, count=50),
         )
         np.testing.assert_array_equal(draws[:, :336], 1)
 
@@ -189,39 +190,40 @@ class TestReconstruct:
         # The trained-flow evaluation protocol uses 2 Gibbs transitions.
         m = self.small_machine(seed=1)
         image = random_bits(np.random.default_rng(1), 784)
-        corrupted, known = corrupt(image[None], "top", [stream(4, 0)])
-        out = reconstruct_batch(m, corrupted, known, 2, [stream(5, 0)])
+        corrupted, known = corrupt(image[None], "top", row_streams(4, 0, count=1))
+        out = reconstruct_batch(m, corrupted, known, 2, row_streams(5, 0, count=1))
         assert out.shape == (1, 784) and np.isin(out, (0, 1)).all()
 
     def test_shape_validation(self):
         m = self.small_machine()
         with pytest.raises(ValueError):
-            reconstruct_batch(m, np.zeros((1, 10)), np.ones((1, 10), dtype=bool), 2, [stream(0, 0)])
+            reconstruct_batch(m, np.zeros((1, 10)), np.ones((1, 10), dtype=bool), 2,
+                              row_streams(0, 0, count=1))
         with pytest.raises(ValueError):
             reconstruct_batch(m, np.zeros((1, 784)), np.ones((1, 784), dtype=bool), 0,
-                              [stream(0, 0)])
+                              row_streams(0, 0, count=1))
 
     def test_batch_argument_validation(self):
         m = self.small_machine()
         images = np.zeros((3, 784), dtype=np.uint8)
         known = np.ones((3, 784), dtype=bool)
-        streams = [stream(0, i) for i in range(3)]
+        streams = lambda count=3: row_streams(0, 0, count=count)
         with pytest.raises(ValueError, match="gibbs_steps"):
-            reconstruct_batch(m, images, known, 0, streams)
+            reconstruct_batch(m, images, known, 0, streams())
         with pytest.raises(ValueError, match="stream per row"):
-            reconstruct_batch(m, images, known, 2, streams[:2])
+            reconstruct_batch(m, images, known, 2, streams(2))
         with pytest.raises(ValueError, match="expected"):
-            reconstruct_batch(m, images[:, :700], known[:, :700], 2, streams)
+            reconstruct_batch(m, images[:, :700], known[:, :700], 2, streams())
 
-    def test_layer_update_count(self):
-        # One uniform block per layer update: each Gibbs step draws the
-        # hidden layer, its intra sweeps, then the visible layer.
+    def test_layer_update_count(self, drawn_widths):
+        # One uniform block per layer update, as wide as the layer: each
+        # Gibbs step draws the hidden layer, its intra sweeps, then the
+        # visible layer.
         sweeps, steps = 2, 3
         m = make_layered_machine((6, 4), (True,), seed=2)
-        counter = CountingStream(9, 0)
-        reconstruct_batch(m, np.zeros((1, 6)), np.zeros((1, 6), dtype=bool), steps, [counter],
-                          intra_sweeps=sweeps)
-        assert counter.calls == steps * (1 + sweeps + 1)
+        reconstruct_batch(m, np.zeros((1, 6)), np.zeros((1, 6), dtype=bool), steps,
+                          row_streams(9, 0, count=1), intra_sweeps=sweeps)
+        assert drawn_widths == [4, 4, 4, 6] * steps
 
     def test_thread_count_does_not_change_batch(self):
         # 1100 rows make three shards, so threads=3 takes the pooled path.
@@ -229,7 +231,7 @@ class TestReconstruct:
         rng = np.random.default_rng(8)
         images = random_bits(rng, (1100, 20))
         known = rng.random((1100, 20)) < 0.5
-        streams = lambda: [stream(21, i) for i in range(1100)]
+        streams = lambda: row_streams(21, 0, count=1100)
         a = reconstruct_batch(m, images, known, 2, streams(), threads=1)
         b = reconstruct_batch(m, images, known, 2, streams(), threads=3)
         np.testing.assert_array_equal(a, b)

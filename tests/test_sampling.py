@@ -3,22 +3,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import chisquare
 
-from conftest import CountingStream, make_layered_machine, random_bits
+from conftest import make_layered_machine, random_bits
 from flowbm import metrics
 from flowbm.model import BoltzmannMachine, LayerSpec, edge_count, new_machine
 from flowbm.sampling import (
+    _AHEAD,
     _async_sweep,
     _draw,
+    _key_words,
     _layer_input,
+    _pcg_states,
     _update_hidden,
     e_step_batch,
     generate_batch,
     mean_activation_prior,
     row_streams,
     stream,
+    uniforms,
 )
 
 
@@ -41,7 +47,7 @@ def sweep_input(m, layer, below, count):
 
 
 class TestRngStream:
-    """`stream` and `row_streams`: one generator per (seed, tag, path)."""
+    """`stream` and `row_streams`: one stream per (seed, tag, path)."""
 
     def test_reproducible_sequences(self):
         a = stream(123, 4).random(10)
@@ -87,9 +93,35 @@ class TestRngStream:
 
     def test_row_streams_are_streams_with_the_row_last(self):
         rows = row_streams(9, 2, 4, 1, count=3)
-        assert len(rows) == 3 and row_streams(9, 2, count=0) == []
-        for i, rng in enumerate(rows):
-            np.testing.assert_array_equal(rng.random(5), stream(9, 2, 4, 1, i).random(5))
+        assert len(rows) == 3 and len(row_streams(9, 2, count=0)) == 0
+        block = uniforms(rows, 5)
+        assert block.shape == (3, 5)
+        for i in range(3):
+            np.testing.assert_array_equal(block[i], stream(9, 2, 4, 1, i).random(5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), tag=st.integers(0, 2**64 - 1),
+           prefix=st.lists(st.integers(0, 2**64 - 1), max_size=3),
+           rows=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+    @example(seed=0, tag=0, prefix=[], rows=[0, 1])
+    @example(seed=2**64 - 1, tag=2**32, prefix=[2**32 + 5, 7], rows=[2**32, 2**64 - 1])
+    def test_batched_seeding_matches_seed_sequence(self, seed, tag, prefix, rows):
+        # Row streams are seeded without a `SeedSequence` per row; each
+        # row's PCG64 state must be the one `stream` builds for its path.
+        state, inc = _pcg_states(seed, _key_words(tag, *prefix), np.array(rows, dtype=np.uint64))
+        for i, row in enumerate(rows):
+            expected = stream(seed, tag, *prefix, row).bit_generator.state["state"]
+            assert expected == {"state": state[i], "inc": inc[i]}
+
+    def test_blocks_join_into_each_rows_stream(self):
+        # The widths sum to several times the draw-ahead bound, and cross it
+        # with blocks wider and narrower than the bound, and empty.
+        widths = [196, 196, 700, 0, 1, _AHEAD, 1500, 64, 3 * _AHEAD + 1, 5, 900]
+        assert sum(widths) > 6 * _AHEAD
+        streams = row_streams(7, 2, 3, count=4)
+        joined = np.concatenate([uniforms(streams, w) for w in widths], axis=1)
+        for i in range(4):
+            np.testing.assert_array_equal(joined[i], stream(7, 2, 3, i).random(sum(widths)))
 
 
 class TestConditionalProb:
@@ -142,41 +174,42 @@ class TestSampleLayer:
     """The samplers' Bernoulli kernel `_draw`, one uniform block per stream."""
 
     def test_deterministic_extremes(self):
-        rng = stream(0, 0)
-        assert not _draw(np.zeros(6), [rng]).any()
-        assert _draw(np.ones(6), [rng]).all()
+        rng = row_streams(0, 0, count=1)
+        assert not _draw(np.zeros(6), rng).any()
+        assert _draw(np.ones(6), rng).all()
 
     def test_rejects_bad_probabilities(self):
         # Caller-supplied probabilities enter the samplers only as the
         # generation prior, which is checked before any draw.
         m = zero_machine((3, 2), (False,))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            generate_batch(m, np.array([0.5, 1.2]), 1, [stream(0, 0)])
+            generate_batch(m, np.array([0.5, 1.2]), 1, row_streams(0, 0, count=1))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            generate_batch(m, np.array([-0.1, 0.5]), 1, [stream(0, 0)])
+            generate_batch(m, np.array([-0.1, 0.5]), 1, row_streams(0, 0, count=1))
 
     def test_mean_concentration(self):
-        draws = _draw(np.full(10, 0.5), [stream(3, i) for i in range(10_000)])
+        draws = _draw(np.full(10, 0.5), row_streams(3, 0, count=10_000))
         per_bit = draws.mean(axis=0)
         assert np.abs(per_bit - 0.5).max() < 0.01 * 2  # binomial 4-sigma bound
 
     def test_fixed_seed_bit_identical(self):
-        a = _draw(np.full(32, 0.37), [stream(9, 1)])
-        b = _draw(np.full(32, 0.37), [stream(9, 1)])
+        a = _draw(np.full(32, 0.37), row_streams(9, 1, count=1))
+        b = _draw(np.full(32, 0.37), row_streams(9, 1, count=1))
         np.testing.assert_array_equal(a, b)
 
 
 class TestAsyncGibbs:
     """The intra-layer sweep kernel `_async_sweep`, one row per chain."""
 
-    def test_requires_intra_connections(self):
+    def test_requires_intra_connections(self, drawn_widths):
         # `_update_hidden` sweeps only layers with intra-layer edges: a plain
         # layer takes its one conditional draw and no sweep draws.
         below = [np.zeros((1, 3))]
-        for intra, draws in ((False, 1), (True, 1 + 3)):
-            counter = CountingStream(0, 0)
-            _update_hidden(zero_machine((3, 2), (intra,)), 1, below, [counter], intra_sweeps=3)
-            assert counter.calls == draws
+        for intra, widths in ((False, [2]), (True, [2] + [2] * 3)):
+            drawn_widths.clear()
+            _update_hidden(zero_machine((3, 2), (intra,)), 1, below, row_streams(0, 0, count=1),
+                           intra_sweeps=3)
+            assert drawn_widths == widths
 
     def test_zero_intra_weights_match_factorial_conditional(self):
         # With vanishing intra weights the update degenerates to independent
@@ -198,7 +231,7 @@ class TestAsyncGibbs:
         n_draws = 10_000
         h = np.zeros((n_draws, 2))
         _async_sweep(m, 1, h, sweep_input(m, 1, below, n_draws),
-                     [stream(77, i) for i in range(n_draws)])
+                     row_streams(77, 0, count=n_draws))
         counts = np.bincount((h[:, 0] + 2 * h[:, 1]).astype(int), minlength=4)
         result = chisquare(counts, f_exp=n_draws * exact)
         assert result.pvalue > 0.01
@@ -212,7 +245,7 @@ class TestAsyncGibbs:
         exact_agree = (1 + math.exp(10.0)) / (3 + math.exp(10.0))
         assert exact_agree > 0.999
         chains = 400
-        streams = [stream(13, c) for c in range(chains)]
+        streams = row_streams(13, 0, count=chains)
         h = _draw(np.full(2, 0.5), streams)
         below_input = sweep_input(m, 1, np.zeros(1), chains)
         for _ in range(50):
@@ -236,7 +269,7 @@ class TestAsyncGibbs:
         exact = np.exp(logits - logits.max())
         exact /= exact.sum()
         sweeps = 100_000
-        rng = [stream(31, 0)]
+        rng = row_streams(31, 0, count=1)
         h = _draw(np.full(2, 0.5), rng)
         below_input = sweep_input(m, 1, below, 1)
         counts = np.zeros(4)
@@ -250,8 +283,8 @@ class TestAsyncGibbs:
         m = make_layered_machine((3, 4), (True,), seed=2)
         below_input = sweep_input(m, 1, random_bits(np.random.default_rng(1), 3), 1)
         a, b = np.zeros((1, 4)), np.zeros((1, 4))
-        _async_sweep(m, 1, a, below_input, [stream(5, 5)])
-        _async_sweep(m, 1, b, below_input, [stream(5, 5)])
+        _async_sweep(m, 1, a, below_input, row_streams(5, 5, count=1))
+        _async_sweep(m, 1, b, below_input, row_streams(5, 5, count=1))
         np.testing.assert_array_equal(a, b)
 
 
@@ -261,28 +294,28 @@ class TestEStep:
         rows = e_step_batch(
             m,
             np.zeros((10_000, 6), dtype=np.uint8),
-            [stream(3, i) for i in range(10_000)],
+            row_streams(3, 0, count=10_000),
         )
         assert abs(rows[:, 6:].mean() - 0.5) < 0.02
 
     def test_dbm_shape(self):
         m = new_machine(LayerSpec((784, 196, 196, 64), (True, True, True)), seed=0)
         x = random_bits(np.random.default_rng(0), (1, 784))
-        rows = e_step_batch(m, x, [stream(1, 0)])
+        rows = e_step_batch(m, x, row_streams(1, 0, count=1))
         assert rows.shape == (1, 784 + 196 + 196 + 64) and rows.dtype == np.uint8
 
     def test_bottom_up_ignores_deeper_weights(self):
         m = make_layered_machine((5, 4, 3), (False, False), seed=7)
         x = random_bits(np.random.default_rng(2), (1, 5))
-        h_before = e_step_batch(m, x, [stream(4, 0)])[:, 5:9]
+        h_before = e_step_batch(m, x, row_streams(4, 0, count=1))[:, 5:9]
         m.block(1, 2)[...] *= -2.5
-        h_after = e_step_batch(m, x, [stream(4, 0)])[:, 5:9]
+        h_after = e_step_batch(m, x, row_streams(4, 0, count=1))[:, 5:9]
         np.testing.assert_array_equal(h_before, h_after)
 
     def test_batch_thread_count_invariance(self):
         m = make_layered_machine((8, 5, 4), (True, False), seed=9)
         x = random_bits(np.random.default_rng(3), (1500, 8))
-        streams = lambda: [stream(6, i) for i in range(1500)]
+        streams = lambda: row_streams(6, 0, count=1500)
         single = e_step_batch(m, x, streams(), threads=1)
         multi = e_step_batch(m, x, streams(), threads=4)
         np.testing.assert_array_equal(single, multi)
@@ -290,7 +323,7 @@ class TestEStep:
     def test_width_mismatch_rejected(self):
         m = zero_machine((6, 4), (False,))
         with pytest.raises(ValueError, match=r"expected \(\*, 6\)"):
-            e_step_batch(m, np.zeros((1, 5)), [stream(0, 0)])
+            e_step_batch(m, np.zeros((1, 5)), row_streams(0, 0, count=1))
 
 
 class TestGenerate:
@@ -302,40 +335,39 @@ class TestGenerate:
     def test_zero_weight_machine_returns_visible_bias_probs(self):
         m = zero_machine((5, 3), (False,))
         m.biases[:5] = (0.5, -0.5, 0.0, 2.0, -2.0)
-        probs = generate_batch(m, np.full(3, 0.5), 5, [stream(0, 0)])[0]
+        probs = generate_batch(m, np.full(3, 0.5), 5, row_streams(0, 0, count=1))[0]
         np.testing.assert_allclose(probs, 1.0 / (1.0 + np.exp(-m.biases[:5])), rtol=1e-14)
 
     def test_output_shape_and_range(self):
         m = new_machine(LayerSpec((784, 16), (False,)), seed=1, init_scale=0.5)
-        probs = generate_batch(m, np.full(16, 0.5), 2, [stream(2, 0)])
+        probs = generate_batch(m, np.full(16, 0.5), 2, row_streams(2, 0, count=1))
         assert probs.shape == (1, 784)
         assert probs.min() >= 0.0 and probs.max() <= 1.0
 
     def test_prior_initialization_and_validation(self):
         m = zero_machine((4, 3), (False,))
-        probs = generate_batch(m, np.array([0.9, 0.1, 0.5]), 1, [stream(1, 0)])
+        probs = generate_batch(m, np.array([0.9, 0.1, 0.5]), 1, row_streams(1, 0, count=1))
         assert probs.shape == (1, 4)
         with pytest.raises(ValueError):
-            generate_batch(m, np.array([0.9, 0.1]), 1, [stream(1, 0)])
+            generate_batch(m, np.array([0.9, 0.1]), 1, row_streams(1, 0, count=1))
         with pytest.raises(ValueError):
-            generate_batch(m, "weird", 1, [stream(1, 0)])
+            generate_batch(m, "weird", 1, row_streams(1, 0, count=1))
         with pytest.raises(ValueError):
-            generate_batch(m, np.full(3, 0.5), 0, [stream(1, 0)])
+            generate_batch(m, np.full(3, 0.5), 0, row_streams(1, 0, count=1))
 
-    def test_layer_update_count(self):
-        # One uniform block per layer update: top init, then per pair r
-        # rounds of (down, up) plus intra sweeps on the upper layer.
+    def test_layer_update_count(self, drawn_widths):
+        # One uniform block per layer update, as wide as the layer: the top
+        # init, then per pair r rounds of (down, up), the upper layer's
+        # intra sweeps after its draw.  Layer 1 has intra edges, layer 2 not.
         sweeps = 2
         r = 3
         m = make_layered_machine((4, 3, 2), (True, False), seed=11)
-        counter = CountingStream(8, 0)
-        generate_batch(m, np.full(2, 0.5), r, [counter], intra_sweeps=sweeps)
-        expected = 1 + r * (2 + sweeps) + r * 2  # pair (2,1) has intra, pair (1,0) not
-        assert counter.calls == expected
+        generate_batch(m, np.full(2, 0.5), r, row_streams(8, 0, count=1), intra_sweeps=sweeps)
+        assert drawn_widths == [2] + [3, 2] * r + [4, 3, 3, 3] * r
 
     def test_fixed_seed_bit_identical_batch(self):
         m = make_layered_machine((6, 4, 3), (True, True), seed=3)
-        streams = lambda: [stream(12, i) for i in range(700)]
+        streams = lambda: row_streams(12, 0, count=700)
         a = generate_batch(m, np.full(3, 0.5), 2, streams(), threads=1)
         b = generate_batch(m, np.full(3, 0.5), 2, streams(), threads=3)
         np.testing.assert_array_equal(a, b)
@@ -382,7 +414,29 @@ class TestRowContract:
     def test_zero_rows_are_rejected(self, name):
         m = make_layered_machine((784, 6), (False,), seed=1)
         with pytest.raises(ValueError, match="at least one row"):
-            self.SAMPLERS[name](m, np.zeros((0, 784), dtype=np.uint8), [])
+            self.SAMPLERS[name](m, np.zeros((0, 784), dtype=np.uint8), row_streams(0, 0, count=0))
+
+    def test_row_streams_move_to_their_slices(self):
+        streams = row_streams(4, 1, count=6)
+        head, tail = streams[:4], streams[4:]
+        np.testing.assert_array_equal(uniforms(tail, 3)[1], stream(4, 1, 5).random(3))
+        with pytest.raises(ValueError, match="already sliced out"):
+            streams[3:5]
+        with pytest.raises(ValueError, match="sliced out cannot draw"):
+            uniforms(streams, 3)
+        uniforms(head, 2)
+        with pytest.raises(ValueError, match="drawn cannot be sliced"):
+            head[:1]
+
+    def test_a_sampler_cannot_reuse_its_streams(self):
+        # A second call on the same streams would repeat the first call's
+        # draws; the shards took the rows, so it raises before drawing.
+        m = make_layered_machine((5, 4), (False,), seed=2)
+        x = random_bits(np.random.default_rng(1), (3, 5))
+        streams = row_streams(2, 0, count=3)
+        e_step_batch(m, x, streams)
+        with pytest.raises(ValueError, match="already sliced out"):
+            e_step_batch(m, x, streams)
 
 
 class TestPinnedBytes:
