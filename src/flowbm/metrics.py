@@ -43,11 +43,11 @@ def weight_sparsity(m: BoltzmannMachine) -> float:
     with no nonzero weight contribute 0.  rho = 1 for a constant matrix and
     1/|x| when each hidden unit touches a single visible unit.
     """
-    w = _first_hidden_block(m)
-    sq = np.sum(w**2, axis=0)
-    quart = np.sum(w**4, axis=0)
+    w2 = np.square(_first_hidden_block(m))
+    sq = w2.sum(axis=0)
+    quart = np.square(w2, out=w2).sum(axis=0)  # (w^2)^2: w**4 takes numpy's slow pow
     ratios = np.divide(sq**2, quart, out=np.zeros_like(sq), where=quart > 0)
-    return float(ratios.sum() / (w.shape[0] * w.shape[1]))
+    return float(ratios.sum() / w2.size)
 
 
 def squared_weight(m: BoltzmannMachine) -> float:

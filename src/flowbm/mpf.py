@@ -86,19 +86,23 @@ def gradient_and_objective(
     the mean over data points of sum_j delta_j (epsilon-free value)."""
     y = _as_batch(m, batch)
     alpha, _, delta, hits = _flow_arrays(m, y, clamp)
-    a = alpha * delta  # (B, n)
+    objective = float(delta.sum(axis=1).mean())
+    a = np.multiply(alpha, delta, out=alpha)  # (B, n)
     b_grad = a.mean(axis=0)
     count = y.shape[0]
     # d/dw_ij = mean_k(y_j alpha_i delta_i + y_i alpha_j delta_j), one
-    # stored block at a time.
+    # stored block at a time, built in its place in the flat vector.
     sl = m.layout.slices()
     w_grad = np.empty(edge_count(m.layout))
     for la, lb in active_blocks(m.layout):
         sa, sb, out = sl[la], sl[lb], m.block(la, lb, w_grad)
         if la == lb:
-            half = a[:, sa].T @ y[:, sa] / count
-            np.add(half, half.T, out=out)
+            np.matmul(a[:, sa].T, y[:, sa], out=out)
+            out /= count
+            out += out.T  # numpy reads the overlapping transpose from a copy
             np.fill_diagonal(out, 0.0)
         else:
-            out[...] = (a[:, sa].T @ y[:, sb] + (a[:, sb].T @ y[:, sa]).T) / count
-    return Gradient(w_grad, b_grad, hits), float(delta.sum(axis=1).mean())
+            np.matmul(a[:, sa].T, y[:, sb], out=out)
+            out += (a[:, sb].T @ y[:, sa]).T
+            out /= count
+    return Gradient(w_grad, b_grad, hits), objective

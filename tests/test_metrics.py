@@ -61,6 +61,19 @@ class TestWeightStatistics:
         assert weight_sparsity(m) == pytest.approx(sparsity_reference(block), rel=1e-12)
         assert squared_weight(m) == pytest.approx((block**2).sum() / 4, rel=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(rows=st.integers(1, 784), cols=st.integers(1, 196),
+           log_scale=st.floats(-6.0, 1.0), zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_on_paper_sized_blocks(self, rows, cols, log_scale, zero_share,
+                                                      seed):
+        # Scales 1e-6 to 10, with a share of all-zero columns.
+        rng = np.random.default_rng(seed)
+        block = rng.normal(0, 10.0**log_scale, (rows, cols))
+        block[:, rng.random(cols) < zero_share] = 0.0
+        assert weight_sparsity(rbm_with_block(block)) == pytest.approx(
+            sparsity_reference(block), rel=1e-12, abs=0.0)
+
     def test_squared_weight_examples(self):
         assert squared_weight(rbm_with_block(np.zeros((5, 3)))) == 0.0
         m = rbm_with_block(np.full((5, 3), 2.0))

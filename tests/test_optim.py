@@ -1,9 +1,18 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import make_machine, random_bits
 from exact_oracles import dense_weights
-from flowbm.model import BoltzmannMachine, LayerSpec, validate
+from flowbm import optim
+from flowbm.model import BoltzmannMachine, LayerSpec, edge_count, new_machine, validate
 from flowbm.mpf import Gradient, gradient_and_objective
 from flowbm.optim import (
     AdamState,
@@ -26,6 +35,45 @@ def scalar_machine(w=0.0, b=(0.0, 0.0)):
 def w01(m):
     """The machine's one edge weight (vertices 0 and 1)."""
     return m.block(0, 0)[0, 1]
+
+
+def whole_vector_step(m, g, st, cfg):
+    """`step` as it was before it worked in chunks: one numpy expression per
+    Adam recurrence over each whole vector, kept as the bit reference."""
+    st.t += 1
+    bc1 = 1.0 - cfg.beta1**st.t
+    bc2 = 1.0 - cfg.beta2**st.t
+
+    def adam_update(param, grad, m1, m2):
+        m1 *= cfg.beta1
+        m1 += (1.0 - cfg.beta1) * grad
+        m2 *= cfg.beta2
+        m2 += (1.0 - cfg.beta2) * grad**2
+        param -= cfg.eta * (m1 / bc1) / (np.sqrt(m2 / bc2) + cfg.adam_eps)
+
+    adam_update(m.weights, g.d_weights + 2.0 * cfg.weight_decay * m.weights, st.m1_w, st.m2_w)
+    adam_update(m.biases, g.d_biases, st.m1_b, st.m2_b)
+
+
+def sha(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+def mstep_digests(layout: str, intra: str) -> dict[str, str]:
+    """SHA-256 of one flow gradient on 40 fixed rows, and of the parameters
+    and moments after three gradient-and-step rounds on the same rows."""
+    m = new_machine(LayerSpec.from_strings(layout, intra), seed=17, init_scale=0.1)
+    batch = (np.random.default_rng(17).random((40, m.n)) < 0.3).astype(np.uint8)
+    g, objective = gradient_and_objective(m, batch)
+    digests = {"d_weights": sha(g.d_weights), "d_biases": sha(g.d_biases),
+               "objective": repr(objective)}
+    st, cfg = init_adam(m), TrainConfig(eta=0.01)
+    for _ in range(3):
+        step(m, gradient_and_objective(m, batch)[0], st, cfg)
+    for name, a in (("weights", m.weights), ("biases", m.biases), ("m1_w", st.m1_w),
+                    ("m2_w", st.m2_w), ("m1_b", st.m1_b), ("m2_b", st.m2_b)):
+        digests[name] = sha(a)
+    return digests
 
 
 class TestTrainConfig:
@@ -230,3 +278,102 @@ class TestAdamStep:
                 monotone += 1
         assert monotone / trials >= 0.95
 
+
+    @pytest.mark.parametrize("field", ["weights", "biases", "m1_w", "m2_w", "m1_b", "m2_b"])
+    def test_bad_state_shape_changes_nothing(self, field):
+        # A moment one element too long used to fail only after `t` had
+        # advanced and the earlier moments had been updated.
+        rng = np.random.default_rng(3)
+        m = make_machine(5, seed=2)
+        st = init_adam(m)
+        g = Gradient(rng.normal(size=m.weights.shape), rng.normal(size=m.biases.shape))
+        step(m, g, st, TrainConfig())
+        owner = m if field in ("weights", "biases") else st
+        setattr(owner, field, np.append(getattr(owner, field), 0.5))
+        before = [a.copy() for a in (m.weights, m.biases, st.m1_w, st.m2_w, st.m1_b, st.m2_b)]
+        with pytest.raises(ValueError, match="shapes do not match"):
+            step(m, g, st, TrainConfig())
+        after = (m.weights, m.biases, st.m1_w, st.m2_w, st.m1_b, st.m2_b)
+        for a, b in zip(before, after):
+            np.testing.assert_array_equal(a, b)
+        assert st.t == 1
+
+    @pytest.mark.parametrize("length", [1, optim._CHUNK - 1, optim._CHUNK, optim._CHUNK + 1,
+                                        3 * optim._CHUNK + 7])
+    def test_chunked_step_equals_whole_vector_formula(self, length):
+        # One visible unit under `length` hidden ones: both the weight and
+        # the bias vector end on a chunk boundary or a ragged tail.
+        rng = np.random.default_rng(length)
+        layout = LayerSpec((1, length), (False,))
+        w, b = rng.normal(0, 0.1, edge_count(layout)), rng.normal(0, 0.1, layout.n)
+        m, ref = BoltzmannMachine(layout, w, b), BoltzmannMachine(layout, w.copy(), b.copy())
+        st, ref_st = init_adam(m), init_adam(ref)
+        cfg = TrainConfig(eta=0.01, weight_decay=0.01)
+        for _ in range(3):
+            g = Gradient(rng.normal(size=w.shape), rng.normal(size=b.shape))
+            step(m, g, st, cfg)
+            whole_vector_step(ref, g, ref_st, cfg)
+        np.testing.assert_array_equal(m.weights, ref.weights)
+        np.testing.assert_array_equal(m.biases, ref.biases)
+        for name in ("m1_w", "m2_w", "m1_b", "m2_b"):
+            np.testing.assert_array_equal(getattr(st, name), getattr(ref_st, name))
+        assert st.t == ref_st.t == 3
+
+    def test_step_makes_no_whole_vector_temporary(self):
+        # One 784-196 weight vector is 1.23 MB; the whole-vector formula
+        # peaked at 4.9 MB, the chunked step at 0.26 MB.
+        m = new_machine(LayerSpec((784, 196), (False,)), seed=1)
+        rng = np.random.default_rng(1)
+        g = Gradient(rng.normal(size=m.weights.shape), rng.normal(size=m.biases.shape))
+        st, cfg = init_adam(m), TrainConfig()
+        tracemalloc.start()
+        try:
+            step(m, g, st, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+# Recorded before the gradient's blocks and Adam's update were computed in
+# place: vectors of several chunks with a ragged tail (784-60 has 47,040
+# edges), and an intra layout.
+MSTEP_PINS = {
+    ("784-60", ""): {
+        "d_weights": "3a5b0fc058cda199c1904d4520e06a71b1d799dc492f7761f6bf9ee0360e2e2b",
+        "d_biases": "48ed4b53b01962a38e9f7a16d7c68117208f6af5264a7cfd8fee4c11c00c3427",
+        "objective": "849.4318712143246",
+        "weights": "972690abe15e341587b67dd2bf92a276f371d60cf5c0aa1d85b978894dd1ed23",
+        "biases": "9a9948089792577693902db4e9006f7a2074af365d56b1144e42f9cad097b6a8",
+        "m1_w": "0e0f491867c639a65b547d7c747db84082251e8f73b96e3468e5462fee2f92a3",
+        "m2_w": "c9552530ee785645c27dd9cdb85a743443335a089069cbe5c76067f8df0337fe",
+        "m1_b": "7c8743535a263c93c9576f79785f17af92efa08c05af76812d1c849491901ecc",
+        "m2_b": "d0ed21a38f3d78d4707f5bce5a3b951986b776faf59b7c2123abfe837b8b0258",
+    },
+    ("200-60-40", "1,1"): {
+        "d_weights": "65b60494a0253eb04bfc345854ad7106baab505c24382796170570dbf22368e7",
+        "d_biases": "df12e86ff5750d0eadd3e6deb0dde6d68033b2e1b9ad77e902de8485651476a4",
+        "objective": "301.7108943300863",
+        "weights": "59aba8dfe48d5b91477febfeba9a422d7f28c78ee9ca5f29091767f67749d5bd",
+        "biases": "f8cbe3f3b7f5ba163b780cb5e59b223aecf35549898774bad8dbaac0c79e3ad2",
+        "m1_w": "d058f7318b29a06a08ca32a5b2d134a3986bd080267859d2dc2092ec8c3015a4",
+        "m2_w": "40c433aae6c4321f8144468d3ee9b741210bf33014664c7dda22d91ca95f9888",
+        "m1_b": "2ebbfc80cff07c166170744df41f59cd82a1768d6ad40614c5ac56c06e3cacab",
+        "m2_b": "a521a290a90c8dbf76b9a4d025a84614f1853d57f37715b3fdd04ca98f76a77b",
+    },
+}
+
+
+@pytest.mark.parametrize("layout, intra", list(MSTEP_PINS))
+def test_pinned_gradient_and_steps_across_chunks(layout, intra):
+    # OpenBLAS splits these products by its thread count, and the split
+    # changes their bits, so the digests are taken at one BLAS thread in a
+    # fresh interpreter.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    script = ("import json; from test_optim import mstep_digests; "
+              f"print(json.dumps(mstep_digests({layout!r}, {intra!r})))")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert json.loads(done.stdout) == MSTEP_PINS[layout, intra]
