@@ -43,6 +43,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,20 +203,29 @@ def parse(blob: bytes) -> Checkpoint:
     return Checkpoint(layout, weights, biases, AdamState(*moments, t), config, epoch)
 
 
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write through a temporary file in the same directory, then rename it
-    over `path`, so a failed save leaves any earlier file intact."""
-    blob = serialize(ckpt)
+@contextmanager
+def replacing(path):
+    """A binary file to write `path` through: a temporary file in the same
+    directory, renamed over `path` once the `with` block ends and deleted
+    if it fails, so a failed write leaves any earlier file intact and
+    never a part-written one."""
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write `ckpt` to `path` through `replacing`."""
+    blob = serialize(ckpt)
+    with replacing(path) as fh:
+        fh.write(blob)
 
 
 def load_checkpoint(path) -> Checkpoint:

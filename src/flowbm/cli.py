@@ -4,6 +4,9 @@ stdp-curve, inspect.
 The CLI owns the run directory: fixed file names (config.txt, epochs.csv,
 ckpt-epoch-NNNNN.bin, ckpt-final.bin) so downstream tooling can locate
 outputs, and it alone writes epochs.csv, one `training.EpochLog` per row.
+generate writes probabilities.csv, one row per confabulation, each value
+`%.8f`, comma-separated and `\n`-terminated (`images.write_csv`), through
+a temporary file renamed into place, as checkpoints are.
 Every setting has one spelling: flags are matched whole (no prefixes), a
 flag given twice or one that the chosen mode would not read exits 2,
 `--threads` defaults to 1 and no environment variable is read, and every
@@ -42,7 +45,7 @@ from .data import load_binary_dataset, load_idx
 from .model import LayerSpec, active_blocks, parse_number
 from .optim import TrainConfig, load_config, parse_config_items
 from .sampling import generate_batch, mean_activation_prior, row_streams
-from .images import square_side, tile_images, write_pgm
+from .images import square_side, tile_images, write_csv, write_pgm
 
 TAG_GENERATE = 11
 TAG_RECON = 12
@@ -265,7 +268,8 @@ def cmd_generate(args) -> int:
     probs = _confabulate(args, ck, TAG_GENERATE, args.count, threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    np.savetxt(out / "probabilities.csv", probs, delimiter=",", fmt="%.8f")
+    with ckpt_io.replacing(out / "probabilities.csv") as fh:
+        write_csv(fh, probs)
     write_pgm(out / "confabulations.pgm", tile_images(probs))
     print(f"wrote {args.count} confabulations to {out}")
     return 0
@@ -423,6 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = command("generate", "sample confabulations from a checkpoint")
+    p.description = ("Sample confabulations from a checkpoint. --out receives "
+                     "probabilities.csv, one row per confabulation, each value %.8f, "
+                     "comma-separated, newline-terminated, and their image grid "
+                     "confabulations.pgm.")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--init", choices=("uniform", "prior"), default="uniform")

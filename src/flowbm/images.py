@@ -1,4 +1,17 @@
-"""Minimal PGM (portable graymap) output for visual inspection."""
+"""Files that generate and reconstruct write for people and tools to read:
+binary PGM image grids (`write_pgm`, `tile_images`) and generate's
+probabilities.csv (`write_csv`).
+
+`write_csv` writes exactly the bytes of `np.savetxt(fh, values, fmt="%.8f",
+delimiter=",")`: one line per row, each value `%.8f`, comma-separated and
+`\\n`-terminated.  It encodes blocks of rows as whole arrays: a value `x`
+with `0 <= x < 10` and a clear sign bit has `n = rint(x * 1e8)`, and unless
+`x * 1e8` lies within 1e-6 of a tie (its rounding error is below 2**-23)
+`n` is the integer that `%.8f` prints, so its digits come from a table of
+4-digit groups.  A row holding any other value (a near-tie, -0.0, a
+negative, 10 or more, NaN, +-inf) is formatted value by value with `%`, as
+savetxt formats it.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +20,15 @@ import math
 import numpy as np
 
 PAD = 2  # pixels between and around the images of a grid
+
+# One %.8f value of [0, 10) and its separator: digit, point, two 4-digit
+# groups, comma (newline after a row's last value); 11 bytes, unaligned.
+_CELL = np.dtype([("digit", "u1"), ("point", "u1"), ("high", "u4"), ("low", "u4"),
+                  ("sep", "u1")])
+_GROUPS = (np.arange(10_000)[:, None] // (1000, 100, 10, 1) % 10
+           + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+_TIE_MARGIN = 0.5 - 1e-6
+_BLOCK_VALUES = 16_384  # per block: 180 kB of text, under 1 MB of temporaries
 
 
 def to_grey(values: np.ndarray) -> np.ndarray:
@@ -26,6 +48,38 @@ def write_pgm(path, image: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(img.tobytes())
+
+
+def write_csv(fh, values: np.ndarray) -> None:
+    """Write the rows of the 2-D array `values` to the binary stream `fh`
+    byte for byte as `np.savetxt(fh, values, fmt="%.8f", delimiter=",")`,
+    one block of rows at a time so that memory stays bounded."""
+    values = np.asarray(values, dtype=np.float64)
+    rows, cols = values.shape
+    block = max(1, _BLOCK_VALUES // cols)
+    cells = np.empty((min(block, rows), cols), _CELL)
+    cells["point"] = ord(".")
+    cells["sep"] = ord(",")
+    cells["sep"][:, -1] = ord("\n")
+    for start in range(0, rows, block):
+        x = values[start : start + block]
+        out = cells[: len(x)]
+        fast = (x < 10) & ~np.signbit(x)  # False for NaN, -0.0 and -inf too
+        scaled = np.where(fast, x, 0.0) * 1e8
+        n = np.rint(scaled)
+        fast &= (np.abs(scaled - n) < _TIE_MARGIN) & (n < 1e9)
+        n = n.astype(np.uint32)
+        high = n // 10_000
+        out["low"] = _GROUPS[n - high * 10_000]
+        digit = high // 10_000
+        out["high"] = _GROUPS[high - digit * 10_000]
+        out["digit"] = digit + ord("0")
+        done = 0
+        for i in np.flatnonzero(~fast.all(axis=1)):
+            fh.write(out[done:i])
+            fh.write((",".join(["%.8f" % v for v in x[i]]) + "\n").encode("ascii"))
+            done = i + 1
+        fh.write(out[done:])
 
 
 def square_side(length: int) -> int:

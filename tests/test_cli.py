@@ -1,5 +1,7 @@
 import argparse
 import dataclasses
+import errno
+import hashlib
 import os
 import time
 
@@ -9,6 +11,7 @@ import pytest
 from conftest import read_pgm, read_stdp_csv, write_idx_images, write_idx_labels
 from flowbm.cli import build_parser, main
 from flowbm.checkpoint import load_checkpoint
+from flowbm.images import write_csv
 from flowbm.optim import TrainConfig
 
 SUBCOMMANDS = ("train", "generate", "reconstruct", "eval-ll", "stdp-curve", "inspect")
@@ -683,6 +686,52 @@ class TestShapeChecks:
                     workdir / "test.idx", "--init", "uniform", "--n-samples", "3000"]) == 2
         assert ("test images of width 784 do not match the checkpoint's visible layer (12)"
                 in capsys.readouterr().err)
+
+
+class TestProbabilitiesCsv:
+    """generate's probabilities.csv: one row per confabulation, each value
+    `%.8f`, comma-separated, `\\n`-terminated."""
+
+    COUNT = 600  # two 512-row shards at --threads 2
+
+    @pytest.fixture
+    def checkpoint(self, workdir):
+        out = workdir / "csv-run"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-10-6",
+                    "--intra", "0,1", "--epochs", "2", "--seed", "5", "--out", out]) == 0
+        return out / "ckpt-final.bin"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_pinned_bytes(self, workdir, checkpoint, threads):
+        # Recorded while np.savetxt(fmt="%.8f", delimiter=",") wrote the file.
+        gen = workdir / "gen"
+        assert run(["generate", "--checkpoint", checkpoint, "--count", self.COUNT, "--seed", "3",
+                    "--threads", threads, "--out", gen]) == 0
+        blob = (gen / "probabilities.csv").read_bytes()
+        assert blob.count(b"\n") == self.COUNT and blob.endswith(b"\n")
+        assert hashlib.sha256(blob).hexdigest() == (
+            "9022eab70cd0ab76dc30aa967afc8a0a648a90defab060e0f6de8b49cb9f2973")
+
+    def test_write_failing_partway_leaves_no_csv(self, workdir, checkpoint, monkeypatch,
+                                                 capsys):
+        # A failed write used to leave a truncated CSV that loads as fewer rows.
+        class DiskFullAfterOneWrite:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                if self.writes:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.writes += 1
+                return self.fh.write(data)
+
+        monkeypatch.setattr("flowbm.cli.write_csv",
+                            lambda fh, values: write_csv(DiskFullAfterOneWrite(fh), values))
+        gen = workdir / "gen"
+        assert run(["generate", "--checkpoint", checkpoint, "--count", self.COUNT,
+                    "--out", gen]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list(gen.iterdir()) == []
 
 
 class TestInspect:
