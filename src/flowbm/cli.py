@@ -148,10 +148,11 @@ def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
 
 
 def _restart_epoch_csv(path: Path, kept: list[str]) -> None:
-    """Write the epochs.csv header followed by the `kept` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(training.EpochLog.csv_header())
-        fh.writelines(kept)
+    """Write the epochs.csv header followed by the `kept` rows through
+    `checkpoint.replacing`, so that a failed write keeps the old file."""
+    text = ",".join(training.EpochLog.csv_header()) + "\r\n" + "".join(kept)
+    with ckpt_io.replacing(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def cmd_train(args) -> int:

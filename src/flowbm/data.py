@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 
 import numpy as np
 
@@ -19,17 +20,20 @@ IMAGE_MAGIC = 0x00000803
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX container (bad magic, truncation, no images)."""
+    """Malformed IDX container (bad magic, truncation, no images, bad gzip)."""
 
 
 def _read_bytes(path) -> bytes:
     with open(path, "rb") as fh:
         head = fh.read(2)
         fh.seek(0)
-        if head == b"\x1f\x8b":
+        if head != b"\x1f\x8b":
+            return fh.read()
+        try:
             with gzip.open(fh) as gz:
                 return gz.read()
-        return fh.read()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise IdxFormatError(f"{path}: truncated or corrupt gzip data: {exc}") from None
 
 
 def _be32(buf: bytes, offset: int, path) -> int:

@@ -16,6 +16,10 @@ intra-layer block as a symmetric square with a zero diagonal.  Gradients
 and optimizer moments use the same vector, so elementwise updates need no
 knowledge of the blocks; readers take 2-D views with
 `BoltzmannMachine.block`.
+
+Every layer's input, the local field z_j = b_j + sum_i w_ij s_i behind both
+the flow rates of `mpf` and the Gibbs conditionals of `sampling`, is formed
+by one kernel, `BoltzmannMachine.local_field`.
 """
 
 from __future__ import annotations
@@ -129,15 +133,6 @@ def edge_count(layout: LayerSpec) -> int:
     return sum(layout.sizes[a] * layout.sizes[b] for a, b in active_blocks(layout))
 
 
-def from_above(rows: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """``rows @ block.T``, the input to layer a from layer b of block (a, b).
-
-    The transpose is made row-major first, which keeps the BLAS kernel and
-    so the bits of a product with a row-major dense matrix.
-    """
-    return rows @ np.ascontiguousarray(block.T)
-
-
 @dataclass
 class BoltzmannMachine:
     """Layout, flat block-sparse weights (see the module docstring), biases."""
@@ -164,6 +159,27 @@ class BoltzmannMachine:
                 return vec[start : start + rows * cols].reshape(rows, cols)
             start += rows * cols
         raise ValueError(f"layers ({a}, {b}) share no stored block")
+
+    def local_field(
+        self, layer: int, rows: list[np.ndarray], above: bool = True, intra: bool = False
+    ) -> np.ndarray:
+        """Input b_j + sum_i w_ij s_i to each unit j of `layer`, one row per
+        state, where `rows[k]` holds layer k's states.  The sum is the bias,
+        plus the layer below, plus with `above` the layer above, plus with
+        `intra` the layer's own square block if stored, added in that order.
+        Rows that none of these terms reads may be left out."""
+        sizes = self.layout.sizes
+        z = np.broadcast_to(self.biases[self.layout.slices()[layer]],
+                            (rows[0].shape[0], sizes[layer])).copy()
+        if layer >= 1:
+            z += rows[layer - 1] @ self.block(layer - 1, layer)
+        if above and layer + 1 < len(sizes):
+            # The transpose is made row-major first, which keeps the BLAS
+            # kernel and so the bits of a product with a row-major dense matrix.
+            z += rows[layer + 1] @ np.ascontiguousarray(self.block(layer, layer + 1).T)
+        if intra and (layer, layer) in active_blocks(self.layout):
+            z += rows[layer] @ self.block(layer, layer)
+        return z
 
     @classmethod
     def from_dense(cls, layout: LayerSpec, w: np.ndarray, biases) -> "BoltzmannMachine":

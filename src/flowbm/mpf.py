@@ -16,9 +16,11 @@ are
 
 and the learner descends, i.e. applies the negative of these.
 `gradient_and_objective` computes both from one batched evaluation of
-(alpha, z, delta).  The epsilon prefactor of the underlying KL divergence
-is absorbed into the learning rate; the exact flow on enumerable machines
-(`brute_force_flow` in tests/exact_oracles.py) recovers it.
+(alpha, z, delta), z from `BoltzmannMachine.local_field`, the kernel that
+also gives the samplers their conditionals.  The epsilon prefactor of the
+underlying KL divergence is absorbed into the learning rate; the exact flow
+on enumerable machines (`brute_force_flow` in tests/exact_oracles.py)
+recovers it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoltzmannMachine, active_blocks, edge_count, from_above
+from .model import BoltzmannMachine, active_blocks, edge_count
 
 Z_CLAMP_DEFAULT = 30.0
 
@@ -56,21 +58,11 @@ def _as_batch(m: BoltzmannMachine, data) -> np.ndarray:
     return batch
 
 
-def _weighted_input(m: BoltzmannMachine, batch: np.ndarray) -> np.ndarray:
-    """batch @ W + b over the stored blocks (zero diag covers i != j)."""
-    sl = m.layout.slices()
-    z = np.broadcast_to(m.biases, batch.shape).copy()
-    for a, b in active_blocks(m.layout):
-        w = m.block(a, b)
-        z[:, sl[b]] += batch[:, sl[a]] @ w
-        if a != b:
-            z[:, sl[a]] += from_above(batch[:, sl[b]], w)
-    return z
-
-
 def _flow_arrays(m: BoltzmannMachine, batch: np.ndarray, clamp: float):
-    """Batched (alpha, z, delta, clamp hits); z rows clamped to [-clamp, clamp]."""
-    z = _weighted_input(m, batch)
+    """Batched (alpha, z, delta, clamp hits); z = batch @ W + b, every
+    layer's whole `local_field`, with rows clamped to [-clamp, clamp]."""
+    rows = [batch[:, s] for s in m.layout.slices()]
+    z = np.concatenate([m.local_field(k, rows, intra=True) for k in range(len(rows))], axis=1)
     hits = int(np.count_nonzero(np.abs(z) > clamp))
     if hits:
         z = np.clip(z, -clamp, clamp)

@@ -3,6 +3,9 @@
 Covers the bottom-up inference pass that zeroes top-down input (the
 E-step), asynchronous intra-layer Gibbs sweeps, top-down confabulation
 generation and the clamped Gibbs schedule of `metrics.reconstruct_batch`.
+A layer's conditional is the logistic of its `BoltzmannMachine.local_field`
+(without the input from above in the E-step); an intra-layer sweep adds
+each unit's intra term to that field one unit at a time.
 
 Every random draw comes from a stream: numpy's PCG64 seeded from
 `SeedSequence(seed, spawn_key=key)`, whose key is the stream's tag and
@@ -31,7 +34,7 @@ from functools import partial
 import numpy as np
 from scipy.special import expit
 
-from .model import BoltzmannMachine, from_above
+from .model import BoltzmannMachine
 
 # Rows per shard for every batch sampler (E-step, generation and
 # reconstruction).  `map_shards` alone sets shard boundaries, from the row
@@ -206,27 +209,6 @@ def row_streams(seed: int, tag: int, *prefix: int, count: int) -> RowStreams:
     return RowStreams(*_pcg_states(seed, _key_words(tag, *prefix), np.arange(count)))
 
 
-def _layer_input(
-    m: BoltzmannMachine,
-    target: int,
-    rows: list[np.ndarray],
-    zero_above: bool,
-) -> np.ndarray:
-    """Summed input to `target` from adjacent layers plus bias.
-
-    With `zero_above`, input from the layer above is dropped (the bottom-up
-    inference approximation).  Intra-layer terms are never included here;
-    `_async_sweep` owns them.
-    """
-    sl = m.layout.slices()
-    total = np.broadcast_to(m.biases[sl[target]], (rows[0].shape[0], m.layout.sizes[target])).copy()
-    if target >= 1:
-        total += rows[target - 1] @ m.block(target - 1, target)
-    if not zero_above and target + 1 < len(sl):
-        total += from_above(rows[target + 1], m.block(target, target + 1))
-    return total
-
-
 def uniforms(streams: RowStreams, width: int) -> np.ndarray:
     """A (len(streams), width) matrix: row i is the next `width` uniforms of
     row i's stream."""
@@ -270,7 +252,7 @@ def _update_hidden(
     The layer is drawn from its conditional, then refined by `intra_sweeps`
     asynchronous sweeps when it has intra-layer edges.
     """
-    below = _layer_input(m, layer, rows, zero_above=True)
+    below = m.local_field(layer, rows, above=False)
     h = _draw(expit(below), streams)
     if m.layout.has_intra(layer):
         for _ in range(intra_sweeps):
@@ -358,9 +340,9 @@ def _generate_rows(
     rows[top] = _draw(top_probs, streams)
     for i in range(top, 0, -1):
         for _ in range(r):
-            rows[i - 1] = _draw(expit(_layer_input(m, i - 1, rows, zero_above=False)), streams)
+            rows[i - 1] = _draw(expit(m.local_field(i - 1, rows)), streams)
             rows[i] = _update_hidden(m, i, rows, streams, intra_sweeps)
-    return expit(_layer_input(m, 0, rows, zero_above=False))
+    return expit(m.local_field(0, rows))
 
 
 def generate_batch(
@@ -400,22 +382,21 @@ def reconstruct_rows(
 ) -> np.ndarray:
     """Clamped alternating Gibbs for a block of images (rows); the uint8
     reconstructions.  `metrics.reconstruct_batch` states the schedule."""
-    given = corrupted.astype(np.float64)
-    rows = [given] + [np.zeros((given.shape[0], w)) for w in m.layout.sizes[1:]]
+    v = given = corrupted.astype(np.float64)
     for t in range(gibbs_steps):
-        rows[1] = _update_hidden(m, 1, rows, streams, intra_sweeps)
-        probs_v = expit(_layer_input(m, 0, rows, zero_above=False))
+        h = _update_hidden(m, 1, [v], streams, intra_sweeps)
+        probs_v = expit(m.local_field(0, [v, h]))
         sampled = _draw(probs_v, streams)
         if t < gibbs_steps - 1:
-            rows[0] = np.where(known, given, sampled)
+            v = np.where(known, given, sampled)
         else:
             # Final update is the 0.5-thresholded probability; an exact tie
             # (probability 1/2) keeps the sampled bit, so a degenerate
             # zero-weight machine yields fair coin flips.
             up = (probs_v > 0.5).astype(np.float64)
             thresholded = np.where(probs_v == 0.5, sampled, up)
-            rows[0] = np.where(known, given, thresholded)
-    return rows[0].astype(np.uint8)
+            v = np.where(known, given, thresholded)
+    return v.astype(np.uint8)
 
 
 def mean_activation_prior(

@@ -189,31 +189,32 @@ def train_cd(data, state: Checkpoint, epoch_callback=None) -> list[EpochLog]:
     def gradient(m, epoch, index, batch):
         rng = stream(cfg.seed, TAG_CD, epoch, index)
         v0 = batch.astype(np.float64)
-        w_block = m.block(0, 1)
-        vb, hb = m.biases[sl0], m.biases[sl1]
-        ph0 = expit(v0 @ w_block + hb)
+        w_block, vb = m.block(0, 1), m.biases[sl0]
+        ph0 = expit(m.local_field(1, [v0], above=False))
         if persistent:
             h = chains[: v0.shape[0]].copy()
         else:
             h = (rng.random(ph0.shape) < ph0).astype(np.float64)
         first_xent = None
         for _ in range(cfg.k):
+            # Inline: local_field's row-major copy of w_block.T gives other bits on some shapes.
             pv = expit(h @ w_block.T + vb)
             if first_xent is None:
                 eps = 1e-12
                 first_xent = float(-np.mean(np.sum(
                     v0 * np.log(pv + eps) + (1.0 - v0) * np.log(1.0 - pv + eps), axis=1)))
             v = (rng.random(pv.shape) < pv).astype(np.float64)
-            ph = expit(v @ w_block + hb)
+            ph = expit(m.local_field(1, [v], above=False))
             h = (rng.random(ph.shape) < ph).astype(np.float64)
         if persistent:
             chains[: v0.shape[0]] = h
-        b = v0.shape[0]
-        g_block = (v.T @ ph - v0.T @ ph0) / b  # descent direction
+        # Descent direction; require_rbm leaves block (0, 1) as the only
+        # stored block, so it fills the whole flat gradient.
+        g_w = np.empty_like(m.weights)
+        np.divide(v.T @ ph - v0.T @ ph0, v0.shape[0], out=m.block(0, 1, g_w))
         gb = np.zeros_like(m.biases)
         gb[sl0] = (v - v0).mean(axis=0)
         gb[sl1] = (ph - ph0).mean(axis=0)
-        # require_rbm leaves block (0, 1) as the only stored block.
-        return mpf.Gradient(g_block.ravel(), gb), first_xent
+        return mpf.Gradient(g_w, gb), first_xent
 
     return _train(data, state, epoch_callback, lambda _m, x_rows, _epoch: x_rows, gradient)

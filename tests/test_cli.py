@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import errno
 import hashlib
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import read_pgm, read_stdp_csv, write_idx_images, write_idx_labels
+from flowbm import checkpoint as ckpt_io
 from flowbm.cli import build_parser, main
 from flowbm.checkpoint import load_checkpoint
 from flowbm.images import write_csv
@@ -568,6 +570,23 @@ class TestTrainFailures:
         assert "empty.idx: the file holds no images" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_images_exit_2_before_writing(self, workdir, damage, capsys):
+        # A half-length file raised EOFError and a corrupt one zlib.error:
+        # both exited 1 with a traceback.
+        path = workdir / "train.idx.gz"
+        write_idx_images(path, np.zeros((20, 28, 28), dtype=np.uint8), gz=True)
+        blob = bytearray(path.read_bytes())
+        if damage == "truncated":
+            del blob[len(blob) // 2 :]
+        else:
+            blob[10] ^= 0xFF  # the first byte of the deflate stream
+        path.write_bytes(bytes(blob))
+        out = workdir / "gz-run"
+        assert run(["train", "--images", path, "--layout", "784-8", "--out", out]) == 2
+        assert "truncated or corrupt gzip data" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_k_without_cd_or_pcd_exits_2(self, workdir, capsys):
         out = workdir / "vpf-k"
         assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
@@ -805,6 +824,37 @@ class TestResume:
         assert rows[:2] == old_rows
         assert [row.split(",")[0] for row in rows] == ["0", "1", "2"]
         assert len(rows[2].split(",")) == 5
+
+    def test_failed_rewrite_of_epoch_log_keeps_the_old_file(self, workdir, monkeypatch,
+                                                              capsys):
+        # The rewrite used to truncate epochs.csv first: a full disk left
+        # only part of the run's history.
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]
+        run_dir = workdir / "disk-full"
+        assert run(base + ["--epochs", "3", "--checkpoint-every", "1", "--out", run_dir]) == 0
+        log = run_dir / "epochs.csv"
+        before = log.read_bytes()
+        replacing = ckpt_io.replacing
+
+        class DiskFullMidway:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        @contextlib.contextmanager
+        def failing(path):
+            with replacing(path) as fh:
+                yield DiskFullMidway(fh)
+
+        monkeypatch.setattr(ckpt_io, "replacing", failing)
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / "ckpt-epoch-00001.bin", "--epochs", "3", "--out", run_dir]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert log.read_bytes() == before
+        assert not (run_dir / ".epochs.csv.tmp").exists()
 
     def test_resume_rejects_malformed_epoch_log_before_writing(self, workdir, capsys):
         base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]

@@ -69,6 +69,34 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError):
             load_idx(path)
 
+    def test_truncated_gzip_rejected(self, tmp_path):
+        # Used to raise EOFError, which the CLI does not catch.
+        blob = gzip.compress(bytes(16 + 5 * 28 * 28))
+        path = tmp_path / "half.idx.gz"
+        path.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(IdxFormatError, match="truncated or corrupt gzip"):
+            load_idx(path)
+
+    def test_every_single_byte_corruption_of_a_gzip_file_is_caught(self, tmp_path):
+        # Some of these used to raise zlib.error.  A changed byte in a gzip
+        # header field that nothing checks (such as the mtime) still loads
+        # the same images; every other change must be rejected.
+        rng = np.random.default_rng(11)
+        images = (rng.random((3, 28, 28)) * 255).astype(np.uint8)
+        path = tmp_path / "imgs.idx.gz"
+        write_idx_images(path, images, gz=True)
+        good = path.read_bytes()
+        for trial in range(90):
+            mutated = bytearray(good)
+            pos = int(rng.integers(0, len(good)))
+            mutated[pos] ^= int(rng.integers(1, 256))
+            path.write_bytes(bytes(mutated))
+            try:
+                loaded = load_idx(path)
+            except IdxFormatError:
+                continue
+            np.testing.assert_array_equal(loaded, images, err_msg=f"byte {pos}")
+
 
 class TestBinarize:
     def test_extreme_pixels(self):

@@ -21,6 +21,7 @@ from flowbm.model import (
     parse_number,
     validate,
 )
+from flowbm.mpf import _flow_arrays
 
 
 def edgewise_energy(m, s):
@@ -183,6 +184,55 @@ class TestEnergy:
                 assert delta_e == pytest.approx(
                     -2.0 * alpha[j] * z[j], rel=1e-11, abs=1e-11
                 )
+
+
+@st.composite
+def machines_and_rows(draw):
+    """A random machine of 1-4 layers (any intra flags, the fully-observed
+    layout included) and 1-4 real-valued states, as (machine, (B, n) rows)."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    intra = draw(st.lists(st.booleans(), min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    seed = draw(st.integers(0, 10_000))
+    m = make_layered_machine(sizes, intra, seed=seed)
+    count = draw(st.integers(1, 4))
+    return m, np.random.default_rng(seed + 1).normal(0.0, 1.0, (count, m.n))
+
+
+class TestLocalField:
+    """`BoltzmannMachine.local_field` against the dense oracle y @ W + b."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=machines_and_rows())
+    def test_every_layer_and_neighbour_choice_matches_dense(self, case):
+        m, y = case
+        w, sl = dense_weights(m), m.layout.slices()
+        rows = [y[:, s] for s in sl]
+        for layer in range(len(sl)):
+            for above in (False, True):
+                for intra in (False, True):
+                    kept = y.copy()
+                    if not above and layer + 1 < len(sl):
+                        kept[:, sl[layer + 1]] = 0.0
+                    if not intra:
+                        kept[:, sl[layer]] = 0.0
+                    expected = (kept @ w + m.biases)[:, sl[layer]]
+                    got = m.local_field(layer, rows, above=above, intra=intra)
+                    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=machines_and_rows())
+    def test_flow_input_is_the_dense_product(self, case):
+        m, y = case
+        _, z, _, hits = _flow_arrays(m, y, np.inf)
+        assert hits == 0
+        np.testing.assert_allclose(z, y @ dense_weights(m) + m.biases, rtol=1e-12, atol=1e-12)
+
+    def test_rows_of_unread_layers_may_be_left_out(self):
+        m = make_layered_machine((5, 4, 3), (True, True), seed=2)
+        v = np.random.default_rng(0).random((3, 5))
+        full = [v, np.ones((3, 4)), np.ones((3, 3))]
+        np.testing.assert_array_equal(m.local_field(1, [v], above=False),
+                                      m.local_field(1, full, above=False))
 
 
 class TestNewMachine:

@@ -16,7 +16,6 @@ from flowbm.sampling import (
     _async_sweep,
     _draw,
     _key_words,
-    _layer_input,
     _pcg_states,
     _update_hidden,
     e_step_batch,
@@ -34,16 +33,16 @@ def zero_machine(sizes, intra):
 
 
 def conditional(m, layer, states, zero_above):
-    """Unit probabilities of `layer` from the samplers' `_layer_input` kernel,
+    """Unit probabilities of `layer` from the samplers' `local_field` kernel,
     for one state given as a list of per-layer vectors."""
     rows = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in states]
-    return expit(_layer_input(m, layer, rows, zero_above))[0]
+    return expit(m.local_field(layer, rows, above=not zero_above))[0]
 
 
 def sweep_input(m, layer, below, count):
     """Bottom-up input to `layer` for `count` copies of the state `below`."""
-    return _layer_input(m, layer, [np.tile(np.asarray(below, dtype=np.float64), (count, 1))],
-                        zero_above=True)
+    return m.local_field(layer, [np.tile(np.asarray(below, dtype=np.float64), (count, 1))],
+                         above=False)
 
 
 class TestRngStream:

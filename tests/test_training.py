@@ -1,6 +1,11 @@
 import csv
 import dataclasses
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,6 +306,65 @@ class TestTrainCd:
         assert len(seen) == 2
         for rows in seen:
             np.testing.assert_array_equal(rows, data)
+
+
+# (sizes, method, k, data rows): SHA-256 of the checkpoint after 2 epochs,
+# and each epoch's logged objective as float.hex().  81 rows in minibatches
+# of 40 leave a 1-row last minibatch.
+CD_PINS = {
+    ((12, 4), "cd", 1, 90): [
+        "c5c06df88724b6323e67f62eea1b9e81db3f8f661654711a9ea9fbe48829dac3",
+        ["0x1.0a2c43cd9166fp+3", "0x1.0a4fc2580c99fp+3"]],
+    ((12, 4), "cd", 3, 90): [
+        "d4426dc1756e1f22ea8c20240b993dee104834959c72daac2fafaa86143089b7",
+        ["0x1.09f44d3049a9ep+3", "0x1.0976ed203e54bp+3"]],
+    ((12, 4), "pcd", 2, 90): [
+        "a5c5d3a2cc66ab1b0b3360561937ce8d540d3f45b358aafca822cd91d080bac5",
+        ["0x1.0a098c3d24df0p+3", "0x1.0a6329b2caa67p+3"]],
+    ((784, 20), "cd", 1, 100): [
+        "34f00a526e0ddd4f00b649eb880282dc9d8020094016809d6a9bfd254cc84b4d",
+        ["0x1.0c4888d45e133p+9", "0x1.09503e935d8fbp+9"]],
+    ((784, 20), "cd", 3, 100): [
+        "0a12d166c724172681c9f88fc6562db3b2a576991615f05b10f85c98322a975f",
+        ["0x1.0c494af7686f7p+9", "0x1.0946df4bea72cp+9"]],
+    ((784, 20), "pcd", 2, 100): [
+        "b956e9285b3f10269db8f6c780573efd5b3f971e1da9b6a0f696c50b3823f4f8",
+        ["0x1.0ab41645679c8p+9", "0x1.0b17e179060c0p+9"]],
+    ((784, 196), "cd", 1, 81): [
+        "2a51633afabc78e86469d0be74531e287d8276b5f204d03aebff983d51d6c961",
+        ["0x1.f89ea50aa93dcp+8", "0x1.fe38f7484c4c0p+8"]],
+}
+
+
+def cd_digests() -> list:
+    """[key, checkpoint SHA-256, objectives as float.hex()] of every CD_PINS run."""
+    out = []
+    for sizes, method, k, count in CD_PINS:
+        if sizes[0] == 12:
+            data = bars_data(count, seed=6)
+        else:
+            data = (np.random.default_rng(19).random((count, sizes[0])) < 0.2).astype(np.uint8)
+        state = init_state(LayerSpec(sizes, (False,)),
+                           TrainConfig(epochs=2, seed=7, method=method, k=k, eta=0.01))
+        logs = train_cd(data, state)
+        out.append([[list(sizes), method, k, count], hashlib.sha256(serialize(state)).hexdigest(),
+                    [log.objective_value.hex() for log in logs]])
+    return out
+
+
+def test_pinned_bytes_of_cd_and_pcd_runs():
+    # OpenBLAS splits the 784-196 products by its thread count, and the split
+    # changes their bits, so the digests are taken at one BLAS thread in a
+    # fresh interpreter.
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    script = "import json; from test_training import cd_digests; print(json.dumps(cd_digests()))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    expected = [[[list(sizes), method, k, count], *pin]
+                for (sizes, method, k, count), pin in CD_PINS.items()]
+    assert json.loads(done.stdout) == expected
 
 
 @pytest.fixture(scope="module")
