@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -332,8 +331,7 @@ def cmd_eval_ll(args) -> int:
     _reject_unread(args, _unread_sampling_flags(args))
     _require_positive("--n-samples", args.n_samples)
     threads = _threads(args)
-    if not (math.isfinite(args.sigma) and args.sigma > 0):
-        raise UsageError(f"--sigma must be positive and finite, got {args.sigma}")
+    metrics.check_sigma(args.sigma, "--sigma")
     if args.limit_test is not None:
         _require_positive("--limit-test", args.limit_test)
     test = _eval_images(args, args.test_images)[: args.limit_test]

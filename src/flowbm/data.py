@@ -3,9 +3,10 @@
 Handles the big-endian IDX image files of MNIST and Fashion MNIST,
 transparently decompressing gzip files; label files are not read.  This
 module owns every check on input images: `load_idx` rejects bad magic,
-truncation and a file with no images, and `binarize` returns a (N,
-pixels) uint8 matrix of bits (pixel/255 > threshold).  That bit matrix is
-the data type every trainer and sampler takes.
+truncation, a file with no images and images with no pixels, and
+`binarize` returns a (N, pixels) uint8 matrix of bits (pixel/255 >
+threshold).  That bit matrix is the data type every trainer and sampler
+takes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ IMAGE_MAGIC = 0x00000803
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX container (bad magic, truncation, no images, bad gzip)."""
+    """Malformed IDX container (bad magic, truncation, no images or pixels,
+    bad gzip)."""
 
 
 def _read_bytes(path) -> bytes:
@@ -53,6 +55,8 @@ def load_idx(path) -> np.ndarray:
     count, rows, cols = (_be32(buf, o, path) for o in (4, 8, 12))
     if count == 0:
         raise IdxFormatError(f"{path}: the file holds no images")
+    if rows == 0 or cols == 0:
+        raise IdxFormatError(f"{path}: its images of {rows}x{cols} hold no pixels")
     expected = 16 + count * rows * cols
     if len(buf) != expected:
         raise IdxFormatError(

@@ -9,6 +9,7 @@ Gibbs schedule under the batch samplers' row contract (`map_shards`).
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -127,15 +128,30 @@ def reconstruct_batch(
                       corrupted, known, threads=threads)
 
 
+def check_sigma(sigma: float, name: str = "sigma") -> None:
+    """Reject a Parzen width unless sigma**2 and 2*pi*sigma**2 are normal
+    finite doubles, the range where the kernel's variance loses no bits.
+    A Python float's power raises `OverflowError` where numpy's gives inf."""
+    try:
+        square = float(sigma) ** 2
+    except OverflowError:
+        square = math.inf
+    if not (sigma > 0 and square >= sys.float_info.min and 2.0 * math.pi * square < math.inf):
+        raise ValueError(f"{name} must be positive with sigma**2 and 2*pi*sigma**2 normal "
+                         f"finite doubles (about 1.5e-154 to 5.3e153), got {sigma}")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends as a non-finite estimate
 def parzen_ll(samples: np.ndarray, test: np.ndarray, sigma: float) -> tuple[float, float]:
     """Gaussian Parzen-window log-likelihood of test points under samples.
 
     For each test point, the log of the mean of isotropic Gaussian kernels
     centered at the samples, evaluated with log-sum-exp; returns the mean
-    over test points and the standard error of that mean.
+    over test points and the standard error of that mean.  A sigma that
+    `check_sigma` rejects, or a mean or standard error that overflows to a
+    non-finite value, raises `ValueError`.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be positive and finite, got {sigma}")
+    check_sigma(sigma)
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     test = np.atleast_2d(np.asarray(test, dtype=np.float64))
     if samples.shape[0] == 0 or test.shape[0] == 0:
@@ -155,4 +171,7 @@ def parzen_ll(samples: np.ndarray, test: np.ndarray, sigma: float) -> tuple[floa
         lls[start : start + PARZEN_CHUNK] = logsumexp(-d2 / (2.0 * sigma**2), axis=1) - log_norm
     mean = float(lls.mean())
     stderr = float(lls.std(ddof=1) / np.sqrt(lls.shape[0])) if lls.shape[0] > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(stderr)):
+        raise ValueError(f"the Parzen estimate {mean} (stderr {stderr}) at sigma {sigma} "
+                         "is not finite")
     return mean, stderr

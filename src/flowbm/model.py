@@ -19,7 +19,7 @@ knowledge of the blocks; readers take 2-D views with
 
 Every layer's input, the local field z_j = b_j + sum_i w_ij s_i behind both
 the flow rates of `mpf` and the Gibbs conditionals of `sampling`, is formed
-by one kernel, `BoltzmannMachine.local_field`.
+by one kernel, `BoltzmannMachine.local_field`, with a term for each given row.
 """
 
 from __future__ import annotations
@@ -160,25 +160,26 @@ class BoltzmannMachine:
             start += rows * cols
         raise ValueError(f"layers ({a}, {b}) share no stored block")
 
-    def local_field(
-        self, layer: int, rows: list[np.ndarray], above: bool = True, intra: bool = False
-    ) -> np.ndarray:
+    def local_field(self, layer: int, rows: list[np.ndarray | None]) -> np.ndarray:
         """Input b_j + sum_i w_ij s_i to each unit j of `layer`, one row per
-        state, where `rows[k]` holds layer k's states.  The sum is the bias,
-        plus the layer below, plus with `above` the layer above, plus with
-        `intra` the layer's own square block if stored, added in that order.
-        Rows that none of these terms reads may be left out."""
-        sizes = self.layout.sizes
-        z = np.broadcast_to(self.biases[self.layout.slices()[layer]],
-                            (rows[0].shape[0], sizes[layer])).copy()
-        if layer >= 1:
-            z += rows[layer - 1] @ self.block(layer - 1, layer)
-        if above and layer + 1 < len(sizes):
+        state, with a term for each given row: `rows[k]` is layer k's states
+        or None, and entries past the end count as None.  The bias, then the
+        layer below, the layer above and the layer itself where its square
+        block is stored, each times the block joining it, add in that order."""
+        count = next((r.shape[0] for r in rows if r is not None), None)
+        if count is None:
+            raise ValueError("local_field needs at least one row of states")
+        z = np.repeat(self.biases[None, self.layout.slices()[layer]], count, axis=0)
+        below, own, above = (rows[k] if 0 <= k < len(rows) else None
+                             for k in (layer - 1, layer, layer + 1))
+        if below is not None:
+            z += below @ self.block(layer - 1, layer)
+        if above is not None:
             # The transpose is made row-major first, which keeps the BLAS
             # kernel and so the bits of a product with a row-major dense matrix.
-            z += rows[layer + 1] @ np.ascontiguousarray(self.block(layer, layer + 1).T)
-        if intra and (layer, layer) in active_blocks(self.layout):
-            z += rows[layer] @ self.block(layer, layer)
+            z += above @ np.ascontiguousarray(self.block(layer, layer + 1).T)
+        if own is not None and (layer, layer) in active_blocks(self.layout):
+            z += own @ self.block(layer, layer)
         return z
 
     @classmethod

@@ -16,11 +16,11 @@ are
 
 and the learner descends, i.e. applies the negative of these.
 `gradient_and_objective` computes both from one batched evaluation of
-(alpha, z, delta), z from `BoltzmannMachine.local_field`, the kernel that
-also gives the samplers their conditionals.  The epsilon prefactor of the
-underlying KL divergence is absorbed into the learning rate; the exact flow
-on enumerable machines (`brute_force_flow` in tests/exact_oracles.py)
-recovers it.
+(alpha, z, delta), z from `BoltzmannMachine.local_field` given every layer's
+row, the kernel that also gives the samplers their conditionals.  The
+epsilon prefactor of the underlying KL divergence is absorbed into the
+learning rate; the exact flow on enumerable machines (`brute_force_flow`
+in tests/exact_oracles.py) recovers it.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def _flow_arrays(m: BoltzmannMachine, batch: np.ndarray, clamp: float):
     """Batched (alpha, z, delta, clamp hits); z = batch @ W + b, every
     layer's whole `local_field`, with rows clamped to [-clamp, clamp]."""
     rows = [batch[:, s] for s in m.layout.slices()]
-    z = np.concatenate([m.local_field(k, rows, intra=True) for k in range(len(rows))], axis=1)
+    z = np.concatenate([m.local_field(k, rows) for k in range(len(rows))], axis=1)
     hits = int(np.count_nonzero(np.abs(z) > clamp))
     if hits:
         z = np.clip(z, -clamp, clamp)

@@ -1,11 +1,11 @@
 """Conditional Bernoulli sampling for layered machines, one stream per row.
 
-Covers the bottom-up inference pass that zeroes top-down input (the
-E-step), asynchronous intra-layer Gibbs sweeps, top-down confabulation
-generation and the clamped Gibbs schedule of `metrics.reconstruct_batch`.
-A layer's conditional is the logistic of its `BoltzmannMachine.local_field`
-(without the input from above in the E-step); an intra-layer sweep adds
-each unit's intra term to that field one unit at a time.
+Covers the bottom-up inference pass from the layers below (the E-step),
+asynchronous intra-layer Gibbs sweeps, top-down confabulation generation
+and the clamped Gibbs schedule of `metrics.reconstruct_batch`.  A layer's
+conditional is the logistic of its `BoltzmannMachine.local_field`, a term
+for each given row; an intra-layer sweep adds each unit's intra term to
+that field one unit at a time.
 
 Every random draw comes from a stream: numpy's PCG64 seeded from
 `SeedSequence(seed, spawn_key=key)`, whose key is the stream's tag and
@@ -243,16 +243,16 @@ def _async_sweep(
 def _update_hidden(
     m: BoltzmannMachine,
     layer: int,
-    rows: list[np.ndarray],
+    rows: list[np.ndarray | None],
     streams: RowStreams,
     intra_sweeps: int,
 ) -> np.ndarray:
-    """New bits for hidden `layer` given the layer below, top-down input zeroed.
+    """New bits for hidden `layer` from the layers below in `rows`.
 
     The layer is drawn from its conditional, then refined by `intra_sweeps`
     asynchronous sweeps when it has intra-layer edges.
     """
-    below = m.local_field(layer, rows, above=False)
+    below = m.local_field(layer, rows[:layer])
     h = _draw(expit(below), streams)
     if m.layout.has_intra(layer):
         for _ in range(intra_sweeps):
@@ -304,13 +304,12 @@ def e_step_batch(
 ) -> np.ndarray:
     """Bottom-up inference pass, one row per observed vector and stream.
 
-    Each hidden layer is Bernoulli-sampled from the layer below with
-    top-down input zeroed, then refined by `intra_sweeps` asynchronous
-    sweeps when it has intra-layer edges.  Returns the (rows, n) uint8
-    pair matrix: each row is its observed vector followed by its sampled
-    hidden layers, bottom-up, with layer k in columns
-    `m.layout.slices()[k]`.  The result is independent of `threads` (see
-    `map_shards`).
+    Each hidden layer is Bernoulli-sampled from the layers below, then
+    refined by `intra_sweeps` asynchronous sweeps when it has intra-layer
+    edges.  Returns the (rows, n) uint8 pair matrix: each row is its
+    observed vector followed by its sampled hidden layers, bottom-up, with
+    layer k in columns `m.layout.slices()[k]`.  The result is independent
+    of `threads` (see `map_shards`).
     """
     x_rows = np.atleast_2d(np.asarray(x_rows))
     if x_rows.ndim != 2 or x_rows.shape[1] != m.layout.sizes[0]:
@@ -334,12 +333,12 @@ def _generate_rows(
     asynchronously refreshing layer i when it has intra-layer edges; the
     final state of layer i-1 seeds the next pair.
     """
-    sizes = m.layout.sizes
-    top = len(sizes) - 1
-    rows = [np.zeros((len(streams), w)) for w in sizes]
+    top = len(m.layout.sizes) - 1
+    rows: list[np.ndarray | None] = [None] * (top + 1)
     rows[top] = _draw(top_probs, streams)
     for i in range(top, 0, -1):
         for _ in range(r):
+            rows[i - 1] = None  # the draw reads no intra term from the old row
             rows[i - 1] = _draw(expit(m.local_field(i - 1, rows)), streams)
             rows[i] = _update_hidden(m, i, rows, streams, intra_sweeps)
     return expit(m.local_field(0, rows))

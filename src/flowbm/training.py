@@ -190,7 +190,7 @@ def train_cd(data, state: Checkpoint, epoch_callback=None) -> list[EpochLog]:
         rng = stream(cfg.seed, TAG_CD, epoch, index)
         v0 = batch.astype(np.float64)
         w_block, vb = m.block(0, 1), m.biases[sl0]
-        ph0 = expit(m.local_field(1, [v0], above=False))
+        ph0 = expit(m.local_field(1, [v0]))
         if persistent:
             h = chains[: v0.shape[0]].copy()
         else:
@@ -204,7 +204,7 @@ def train_cd(data, state: Checkpoint, epoch_callback=None) -> list[EpochLog]:
                 first_xent = float(-np.mean(np.sum(
                     v0 * np.log(pv + eps) + (1.0 - v0) * np.log(1.0 - pv + eps), axis=1)))
             v = (rng.random(pv.shape) < pv).astype(np.float64)
-            ph = expit(m.local_field(1, [v], above=False))
+            ph = expit(m.local_field(1, [v]))
             h = (rng.random(ph.shape) < ph).astype(np.float64)
         if persistent:
             chains[: v0.shape[0]] = h

@@ -706,6 +706,60 @@ class TestShapeChecks:
         assert ("test images of width 784 do not match the checkpoint's visible layer (12)"
                 in capsys.readouterr().err)
 
+    def test_images_with_no_pixels_exit_2(self, workdir, capsys):
+        # eval-ll used to print parzen_ll 0.0000 and exit 0.
+        path = workdir / "no-pixels.idx"
+        write_idx_images(path, np.zeros((3, 0, 0), dtype=np.uint8))
+        assert run(["eval-ll", "--test-images", path, "--samples-from-data",
+                    "--data", path]) == 2
+        captured = capsys.readouterr()
+        assert "no-pixels.idx: its images of 0x0 hold no pixels" in captured.err
+        assert captured.out == ""
+
+
+@pytest.fixture
+def random_images(tmp_path):
+    """20 random 28x28 byte images: as --raw pixels no two lie close."""
+    path = tmp_path / "random.idx"
+    write_idx_images(path, np.random.default_rng(0).integers(0, 256, (20, 28, 28)))
+    return path
+
+
+class TestParzenRange:
+    @pytest.mark.parametrize("sigma, raw, message", [
+        ("1e-300", False, "--sigma must be positive with sigma**2 and 2*pi*sigma**2 normal"),
+        ("1e-160", True, "--sigma must be positive with sigma**2 and 2*pi*sigma**2 normal"),
+        ("1e-160", False, "--sigma must be positive with sigma**2 and 2*pi*sigma**2 normal"),
+        ("1e200", False, "--sigma must be positive with sigma**2 and 2*pi*sigma**2 normal"),
+        ("1e-150", True, "(stderr inf) at sigma 1e-150 is not finite"),
+    ], ids=["nan-estimate", "raw-infinite-stderr", "subnormal-variance", "overflow",
+            "raw-variance-overflow"])
+    def test_sigma_outside_the_double_range_exits_2(self, random_images, sigma, raw, message,
+                                                    capsys):
+        # These printed nan; -2.27e305 with stderr inf; 288112.8400 where the
+        # exact value is 288112.8305; an OverflowError traceback with exit 1;
+        # and -2.27e286 with stderr inf.
+        argv = ["eval-ll", "--test-images", random_images, "--samples-from-data",
+                "--data", random_images, "--sigma", sigma]
+        assert run(argv + (["--raw"] if raw else [])) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_sigma_is_checked_before_sampling(self, workdir, monkeypatch, capsys):
+        run_dir = workdir / "sigma-run"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--epochs", "1", "--out", run_dir]) == 0
+        capsys.readouterr()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the sigma check")
+
+        monkeypatch.setattr("flowbm.cli.generate_batch", refuse)
+        assert run(["eval-ll", "--checkpoint", run_dir / "ckpt-final.bin", "--test-images",
+                    workdir / "test.idx", "--init", "uniform", "--sigma", "1e200"]) == 2
+        assert "--sigma must be positive" in capsys.readouterr().err
+
 
 class TestProbabilitiesCsv:
     """generate's probabilities.csv: one row per confabulation, each value

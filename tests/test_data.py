@@ -69,6 +69,14 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError):
             load_idx(path)
 
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 28), (28, 0)])
+    def test_images_with_no_pixels_rejected(self, tmp_path, rows, cols):
+        # Three 0x0 images used to load as a (3, 0, 0) array.
+        path = tmp_path / "empty-images.idx"
+        write_idx_images(path, np.zeros((3, rows, cols), dtype=np.uint8))
+        with pytest.raises(IdxFormatError, match=f"images of {rows}x{cols} hold no pixels"):
+            load_idx(path)
+
     def test_truncated_gzip_rejected(self, tmp_path):
         # Used to raise EOFError, which the CLI does not catch.
         blob = gzip.compress(bytes(16 + 5 * 28 * 28))

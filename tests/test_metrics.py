@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import make_layered_machine, random_bits
 from flowbm.metrics import (
     PATTERNS,
+    check_sigma,
     corrupt,
     parzen_ll,
     recon_error,
@@ -320,6 +321,35 @@ class TestParzen:
             parzen_ll(samples, bad, 0.2)
         with pytest.raises(ValueError, match="finite"):
             parzen_ll(np.full((2, 5), math.inf), test, 0.2)
+
+    def test_pinned_bits_at_sigma_0_2(self):
+        # Two kernel blocks of test points, five of them on a sample.
+        rng = np.random.default_rng(12)
+        samples = (rng.random((300, 784)) < 0.14).astype(np.uint8)
+        test = (rng.random((260, 784)) < 0.14).astype(np.uint8)
+        test[:5] = samples[:5]
+        mean, stderr = parzen_ll(samples, test, 0.2)
+        assert (mean.hex(), stderr.hex()) == ("-0x1.67bfb0757aa9dp+10", "0x1.228d517454869p+4")
+
+    @pytest.mark.parametrize("sigma", [1e-300, 1e-160, 1.4e-154, 5.4e153, 1e200, -0.2])
+    def test_sigma_whose_variance_is_no_normal_finite_double_is_rejected(self, sigma):
+        # 1e-300 gave a nan estimate, 1e-160 one off by 0.0095 nats through a
+        # subnormal 2*pi*sigma**2, and 1e200 raised OverflowError.
+        samples, test = np.zeros((2, 5)), np.ones((3, 5))
+        with pytest.raises(ValueError, match="normal finite doubles"):
+            parzen_ll(samples, test, sigma)
+
+    @pytest.mark.parametrize("sigma", [1.5e-154, 0.2, 5.3e153])
+    def test_sigma_at_the_ends_of_the_range_is_accepted(self, sigma):
+        check_sigma(sigma)
+
+    def test_estimate_or_stderr_that_overflows_is_rejected(self):
+        # Raw pixels at a tiny width: every log-likelihood is finite, near
+        # -1e286, but their variance overflows, so stderr was inf.
+        rng = np.random.default_rng(4)
+        samples, test = rng.random((20, 784)), rng.random((20, 784))
+        with pytest.raises(ValueError, match="not finite"):
+            parzen_ll(samples, test, 1e-150)
 
     def test_stderr_is_standard_error_of_mean(self):
         rng = np.random.default_rng(3)

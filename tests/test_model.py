@@ -204,19 +204,21 @@ class TestLocalField:
     @settings(max_examples=80, deadline=None)
     @given(case=machines_and_rows())
     def test_every_layer_and_neighbour_choice_matches_dense(self, case):
+        # Every non-empty set of given layers, once as None entries and once
+        # as a list that ends at the last given layer; an absent layer adds
+        # nothing, as if its states were zero.
         m, y = case
         w, sl = dense_weights(m), m.layout.slices()
-        rows = [y[:, s] for s in sl]
-        for layer in range(len(sl)):
-            for above in (False, True):
-                for intra in (False, True):
-                    kept = y.copy()
-                    if not above and layer + 1 < len(sl):
-                        kept[:, sl[layer + 1]] = 0.0
-                    if not intra:
-                        kept[:, sl[layer]] = 0.0
-                    expected = (kept @ w + m.biases)[:, sl[layer]]
-                    got = m.local_field(layer, rows, above=above, intra=intra)
+        for mask in range(1, 2 ** len(sl)):
+            present = [k for k in range(len(sl)) if mask >> k & 1]
+            rows = [y[:, s] if k in present else None for k, s in enumerate(sl)]
+            kept = y.copy()
+            for k in set(range(len(sl))) - set(present):
+                kept[:, sl[k]] = 0.0
+            for layer in range(len(sl)):
+                expected = (kept @ w + m.biases)[:, sl[layer]]
+                for listed in (rows, rows[: present[-1] + 1]):
+                    got = m.local_field(layer, listed)
                     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
@@ -229,10 +231,16 @@ class TestLocalField:
 
     def test_rows_of_unread_layers_may_be_left_out(self):
         m = make_layered_machine((5, 4, 3), (True, True), seed=2)
-        v = np.random.default_rng(0).random((3, 5))
-        full = [v, np.ones((3, 4)), np.ones((3, 3))]
-        np.testing.assert_array_equal(m.local_field(1, [v], above=False),
-                                      m.local_field(1, full, above=False))
+        v, h = np.random.default_rng(0).random((3, 5)), np.ones((3, 4))
+        np.testing.assert_array_equal(m.local_field(0, [v, h]),
+                                      m.local_field(0, [v, h, np.ones((3, 3))]))
+        np.testing.assert_array_equal(m.local_field(1, [v]), m.local_field(1, [v, None, None]))
+
+    @pytest.mark.parametrize("rows", [[], [None], [None, None, None]])
+    def test_a_call_with_no_row_given_is_rejected(self, rows):
+        m = make_layered_machine((5, 4), (True,), seed=2)
+        with pytest.raises(ValueError, match="at least one row"):
+            m.local_field(1, rows)
 
 
 class TestNewMachine:

@@ -34,15 +34,16 @@ def zero_machine(sizes, intra):
 
 def conditional(m, layer, states, zero_above):
     """Unit probabilities of `layer` from the samplers' `local_field` kernel,
-    for one state given as a list of per-layer vectors."""
+    for one state given as a list of per-layer vectors.  The layer's own row
+    is left out, and with `zero_above` the list ends below the layer."""
     rows = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in states]
-    return expit(m.local_field(layer, rows, above=not zero_above))[0]
+    rows[layer] = None
+    return expit(m.local_field(layer, rows[:layer] if zero_above else rows))[0]
 
 
 def sweep_input(m, layer, below, count):
     """Bottom-up input to `layer` for `count` copies of the state `below`."""
-    return m.local_field(layer, [np.tile(np.asarray(below, dtype=np.float64), (count, 1))],
-                         above=False)
+    return m.local_field(layer, [np.tile(np.asarray(below, dtype=np.float64), (count, 1))])
 
 
 class TestRngStream:
