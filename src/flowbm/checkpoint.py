@@ -19,8 +19,8 @@ little-endian:
 
 Everything before the weights is the header (`_header`).  An array is a
 u64 byte count followed by the doubles.  E is the stored-edge count of the
-layout (`model.edge_count`), and the weight arrays hold the blocks of
-`model.active_blocks` back to back as in `BoltzmannMachine`.
+layout (`LayerSpec.edges`), and the weight arrays hold the blocks of
+`LayerSpec.blocks` back to back as in `BoltzmannMachine`.
 
 `parse` reads the CRC-checked body through one bounds-checked `_Reader`
 and accepts a header only as `_header` writes it for the layout, config
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoltzmannMachine, LayerSpec, edge_count, validate
+from .model import BoltzmannMachine, LayerSpec, validate
 from .optim import AdamState, TrainConfig, parse_config_text
 
 MAGIC = b"FLOWBMCK"
@@ -193,7 +193,7 @@ def parse(blob: bytes) -> Checkpoint:
         raise CheckpointCorruptError(f"malformed checkpoint: {exc}") from exc
     if body[: read.pos] != canonical:
         raise CheckpointCorruptError("header is not as serialize writes it for its own fields")
-    edges, n = edge_count(layout), layout.n
+    edges, n = layout.edges, layout.n
     weights, biases = read.array(edges, "weights"), read.array(n, "biases")
     (t,) = read.ints("Q", 1, "Adam step")
     moments = [read.array(count, name) for count, name in

@@ -5,8 +5,10 @@ The CLI owns the run directory: fixed file names (config.txt, epochs.csv,
 ckpt-epoch-NNNNN.bin, ckpt-final.bin) so downstream tooling can locate
 outputs, and it alone writes epochs.csv, one `training.EpochLog` per row.
 generate writes probabilities.csv, one row per confabulation, each value
-`%.8f`, comma-separated and `\n`-terminated (`images.write_csv`), through
-a temporary file renamed into place, as checkpoints are.
+`%.8f`, comma-separated and `\n`-terminated (`images.write_csv`).  Like
+checkpoints, probabilities.csv, config.txt, recon.csv and a restarted
+epochs.csv are written to a temporary file renamed into place
+(`checkpoint.replacing`).
 Every setting has one spelling: flags are matched whole (no prefixes), a
 flag given twice or one that the chosen mode would not read exits 2,
 `--threads` defaults to 1 and no environment variable is read, and every
@@ -41,7 +43,7 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from . import metrics, stdp, training
 from .data import load_binary_dataset, load_idx
-from .model import LayerSpec, active_blocks, parse_number
+from .model import LayerSpec, parse_number
 from .optim import TrainConfig, load_config, parse_config_items
 from .sampling import generate_batch, mean_activation_prior, row_streams
 from .images import square_side, tile_images, write_csv, write_pgm
@@ -51,6 +53,7 @@ TAG_RECON = 12
 TAG_EVAL = 13
 
 CONFIG_FLAGS = tuple(f.name for f in dataclasses.fields(TrainConfig))
+EPOCH_HEADER = ",".join(training.EpochLog.csv_header())
 
 
 class UsageError(Exception):
@@ -125,23 +128,31 @@ def _layout(args, resumed: LayerSpec | None = None) -> LayerSpec:
 
 def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
     """The rows of an existing epochs.csv for epochs before `start_epoch`, so
-    that a resumed run keeps its history.  Blank lines are skipped, a row
-    that does not start with an epoch number is rejected, and a last row
-    without a line end gets one so that the next row does not join it."""
+    that a resumed run keeps its history.  The first line must be
+    `EPOCH_HEADER` and each kept row must have a field per column.  Blank
+    lines are skipped, a row that does not start with an epoch number is
+    rejected, and a last row without a line end gets one so that the next
+    row does not join it."""
     if start_epoch == 0 or not path.exists():
         return []
     with open(path, newline="", encoding="utf-8") as fh:
         lines = fh.readlines()
+    if not lines or lines[0].rstrip("\r\n") != EPOCH_HEADER:
+        raise UsageError(f"{path}:1: expected the header {EPOCH_HEADER!r}")
+    columns = len(training.EpochLog.csv_header())
     kept = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        first = line.split(",", 1)[0]
+        fields = line.rstrip("\r\n").split(",")
         try:
-            epoch = parse_number(first, int)
+            epoch = parse_number(fields[0], int)
         except ValueError:
-            raise UsageError(f"{path}:{lineno}: expected an epoch number, got {first!r}") from None
+            raise UsageError(
+                f"{path}:{lineno}: expected an epoch number, got {fields[0]!r}") from None
         if epoch < start_epoch:
+            if len(fields) != columns:
+                raise UsageError(f"{path}:{lineno}: expected {columns} fields, got {len(fields)}")
             kept.append(line if line.endswith("\n") else line + "\r\n")
     return kept
 
@@ -149,7 +160,7 @@ def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
 def _restart_epoch_csv(path: Path, kept: list[str]) -> None:
     """Write the epochs.csv header followed by the `kept` rows through
     `checkpoint.replacing`, so that a failed write keeps the old file."""
-    text = ",".join(training.EpochLog.csv_header()) + "\r\n" + "".join(kept)
+    text = EPOCH_HEADER + "\r\n" + "".join(kept)
     with ckpt_io.replacing(path) as fh:
         fh.write(text.encode("utf-8"))
 
@@ -183,12 +194,10 @@ def cmd_train(args) -> int:
     csv_path = out / "epochs.csv"
     kept_rows = _epoch_rows_before(csv_path, state.epoch)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "config.txt", "w", encoding="utf-8") as fh:
-        sizes, intra = layout.to_strings()
-        fh.write(f"# layout = {sizes}\n# intra = {intra}\n")
-        fh.write(cfg.to_text())
-
     _restart_epoch_csv(csv_path, kept_rows)
+    sizes, intra = layout.to_strings()
+    with ckpt_io.replacing(out / "config.txt") as fh:
+        fh.write(f"# layout = {sizes}\n# intra = {intra}\n{cfg.to_text()}".encode("utf-8"))
     every = args.checkpoint_every
 
     def on_epoch(state, _pairs, log):
@@ -312,10 +321,10 @@ def cmd_reconstruct(args) -> int:
         rows.append((pattern, mean_err))
         print(f"{pattern}: mean L1 error {mean_err:.2f} "
               f"({len(ds)} images, {args.trials} trials)")
-    with open(out / "recon.csv", "w", encoding="utf-8") as fh:
-        fh.write("pattern,mean_l1_error,images,trials,gibbs_steps\n")
-        for pattern, err in rows:
-            fh.write(f"{pattern},{err!r},{len(ds)},{args.trials},{args.gibbs_steps}\n")
+    text = "pattern,mean_l1_error,images,trials,gibbs_steps\n" + "".join(
+        f"{pattern},{err!r},{len(ds)},{args.trials},{args.gibbs_steps}\n" for pattern, err in rows)
+    with ckpt_io.replacing(out / "recon.csv") as fh:
+        fh.write(text.encode("utf-8"))
     return 0
 
 
@@ -378,7 +387,7 @@ def cmd_inspect(args) -> int:
     print(f"intra: {intra or 'none'}")
     print(f"epoch: {ck.epoch}")
     print(f"adam_t: {ck.adam.t}")
-    for a, b in active_blocks(ck.layout):
+    for a, b in ck.layout.blocks:
         w = m.block(a, b)
         print(f"block {a}-{b}: {w.shape[0]}x{w.shape[1]}, |w|_max {np.abs(w).max():.6f}")
     print(f"stored_weights: {ck.weights.size}")

@@ -104,10 +104,10 @@ def reconstruct_batch(
     """Fill in the unknown pixels of each image (row) by clamped Gibbs sampling.
 
     One stream per row.  Each Gibbs step resamples the first hidden layer
-    from the visible one (top-down input zeroed, then its intra sweeps),
-    then the visible layer.  Layers above the first hidden one take no
-    part, so a deep machine reconstructs exactly as its sub-machine of the
-    visible and first hidden layers does.  Known pixels are re-clamped to
+    from the visible one alone, refined by its intra sweeps, then the
+    visible layer.  Layers above the first hidden one take no part, so a
+    deep machine reconstructs exactly as its sub-machine of the visible
+    and first hidden layers does.  Known pixels are re-clamped to
     their given values after every visible update; the unknown pixels of
     the final visible update are thresholded at 0.5 from the Bernoulli
     probabilities instead of sampled.

@@ -9,13 +9,13 @@ with every unordered edge counted once.  Layered machines connect
 consecutive layers only, optionally adding intra-layer edges inside hidden
 layers; a single-layer machine is fully observed with all-to-all edges.
 
-Only those edges are stored.  The weights are one flat vector holding the
-blocks of `active_blocks` back to back in row-major order: each
-inter-layer block once, as (lower layer) x (upper layer), and each
-intra-layer block as a symmetric square with a zero diagonal.  Gradients
-and optimizer moments use the same vector, so elementwise updates need no
-knowledge of the blocks; readers take 2-D views with
-`BoltzmannMachine.block`.
+Only those edges are stored.  The weights are one flat vector of length
+`LayerSpec.edges` holding the blocks of `LayerSpec.blocks` back to back in
+row-major order: each inter-layer block once, as (lower layer) x (upper
+layer), and each intra-layer block as a symmetric square with a zero
+diagonal.  Gradients and optimizer moments use the same vector, so
+elementwise updates need no knowledge of the blocks; readers take 2-D
+views with `BoltzmannMachine.block`.
 
 Every layer's input, the local field z_j = b_j + sum_i w_ij s_i behind both
 the flow rates of `mpf` and the Gibbs conditionals of `sampling`, is formed
@@ -25,6 +25,8 @@ by one kernel, `BoltzmannMachine.local_field`, with a term for each given row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
@@ -45,6 +47,13 @@ class LayerSpec:
     ``sizes[0]`` is the observed layer.  ``intra_layer`` has one flag per
     hidden layer; it is empty for a fully-observed machine, which instead
     uses all-to-all connectivity.
+
+    The geometry is set once, outside the fields that ``==``, ``hash`` and
+    ``repr`` read: ``slices``, each layer's range in the vertex vector;
+    ``blocks``, each stored layer pair (a, b), a <= b, in storage order
+    (blocks (a, a + 1) bottom-up, then (k, k) for each flagged hidden layer;
+    (0, 0) alone if fully observed), mapped to its range in the weight
+    vector; and ``edges``, that vector's length.
     """
 
     sizes: tuple[int, ...]
@@ -64,25 +73,22 @@ class LayerSpec:
                 f"intra_layer needs one flag per hidden layer "
                 f"({len(sizes) - 1}), got {len(intra)}"
             )
+        bounds = list(accumulate(sizes, initial=0))
+        pairs = [(a, a + 1) for a in range(len(sizes) - 1)] or [(0, 0)]
+        pairs += [(k, k) for k, flag in enumerate(intra, start=1) if flag]
+        ends = list(accumulate((sizes[a] * sizes[b] for a, b in pairs), initial=0))
+        object.__setattr__(self, "slices", tuple(map(slice, bounds[:-1], bounds[1:])))
+        object.__setattr__(self, "blocks", MappingProxyType(
+            dict(zip(pairs, map(slice, ends[:-1], ends[1:])))))
+        object.__setattr__(self, "edges", ends[-1])
+
+    def __reduce__(self):
+        # The mapping proxy cannot be pickled; rebuild from the fields.
+        return (type(self), (self.sizes, self.intra_layer))
 
     @property
     def n(self) -> int:
         return sum(self.sizes)
-
-    @property
-    def num_hidden_layers(self) -> int:
-        return len(self.sizes) - 1
-
-    def slices(self) -> list[slice]:
-        """Index range of each layer inside the flat vertex vector."""
-        offsets = np.concatenate([[0], np.cumsum(self.sizes)])
-        return [slice(int(a), int(b)) for a, b in zip(offsets[:-1], offsets[1:])]
-
-    def has_intra(self, layer: int) -> bool:
-        """True if hidden layer ``layer`` (1-based) has intra-layer edges."""
-        if layer < 1 or layer > self.num_hidden_layers:
-            return False
-        return self.intra_layer[layer - 1]
 
     @classmethod
     def from_strings(cls, layout: str, intra: str = "") -> "LayerSpec":
@@ -115,24 +121,6 @@ class LayerSpec:
         )
 
 
-def active_blocks(layout: LayerSpec) -> list[tuple[int, int]]:
-    """Layer pairs (a, b), a <= b, of the stored weight blocks, in storage order.
-
-    Consecutive-layer blocks (a, a + 1) bottom-up, then the square intra
-    block (k, k) of each flagged hidden layer; a fully-observed machine is
-    the one square block (0, 0).
-    """
-    if len(layout.sizes) == 1:
-        return [(0, 0)]
-    blocks = [(a, a + 1) for a in range(len(layout.sizes) - 1)]
-    return blocks + [(k, k) for k in range(1, len(layout.sizes)) if layout.has_intra(k)]
-
-
-def edge_count(layout: LayerSpec) -> int:
-    """Length of the flat weight vector (intra squares count both halves)."""
-    return sum(layout.sizes[a] * layout.sizes[b] for a, b in active_blocks(layout))
-
-
 @dataclass
 class BoltzmannMachine:
     """Layout, flat block-sparse weights (see the module docstring), biases."""
@@ -151,14 +139,11 @@ class BoltzmannMachine:
         `flat` may be any vector laid out like the weights, such as a
         gradient or an optimizer moment; writes to the view land in it.
         """
-        start = 0
-        for pa, pb in active_blocks(self.layout):
-            rows, cols = self.layout.sizes[pa], self.layout.sizes[pb]
-            if (pa, pb) == (a, b):
-                vec = self.weights if flat is None else flat
-                return vec[start : start + rows * cols].reshape(rows, cols)
-            start += rows * cols
-        raise ValueError(f"layers ({a}, {b}) share no stored block")
+        span = self.layout.blocks.get((a, b))
+        if span is None:
+            raise ValueError(f"layers ({a}, {b}) share no stored block")
+        vec = self.weights if flat is None else flat
+        return vec[span].reshape(self.layout.sizes[a], self.layout.sizes[b])
 
     def local_field(self, layer: int, rows: list[np.ndarray | None]) -> np.ndarray:
         """Input b_j + sum_i w_ij s_i to each unit j of `layer`, one row per
@@ -169,7 +154,7 @@ class BoltzmannMachine:
         count = next((r.shape[0] for r in rows if r is not None), None)
         if count is None:
             raise ValueError("local_field needs at least one row of states")
-        z = np.repeat(self.biases[None, self.layout.slices()[layer]], count, axis=0)
+        z = np.repeat(self.biases[None, self.layout.slices[layer]], count, axis=0)
         below, own, above = (rows[k] if 0 <= k < len(rows) else None
                              for k in (layer - 1, layer, layer + 1))
         if below is not None:
@@ -178,15 +163,15 @@ class BoltzmannMachine:
             # The transpose is made row-major first, which keeps the BLAS
             # kernel and so the bits of a product with a row-major dense matrix.
             z += above @ np.ascontiguousarray(self.block(layer, layer + 1).T)
-        if own is not None and (layer, layer) in active_blocks(self.layout):
+        if own is not None and (layer, layer) in self.layout.blocks:
             z += own @ self.block(layer, layer)
         return z
 
     @classmethod
     def from_dense(cls, layout: LayerSpec, w: np.ndarray, biases) -> "BoltzmannMachine":
         """Machine holding the stored blocks of an (n, n) matrix."""
-        sl = layout.slices()
-        flat = np.concatenate([w[sl[a], sl[b]].ravel() for a, b in active_blocks(layout)])
+        sl = layout.slices
+        flat = np.concatenate([w[sl[a], sl[b]].ravel() for a, b in layout.blocks])
         return cls(layout, flat.astype(np.float64), np.array(biases, dtype=np.float64))
 
 
@@ -214,12 +199,12 @@ def validate(m: BoltzmannMachine) -> list[tuple]:
     ("nonfinite_weight", i, j) once per stored entry; ("nonfinite_bias", i);
     ("asymmetric", i, j) with i < j and ("diagonal", i) inside intra blocks.
     """
-    expected = (edge_count(m.layout), m.layout.n)
+    expected = (m.layout.edges, m.layout.n)
     if m.weights.shape != expected[:1] or m.biases.shape != expected[1:]:
         return [("length", m.weights.shape, m.biases.shape, expected)]
     violations: list[tuple] = []
-    sl = m.layout.slices()
-    for a, b in active_blocks(m.layout):
+    sl = m.layout.slices
+    for a, b in m.layout.blocks:
         w = m.block(a, b)
         ra, rb = sl[a].start, sl[b].start
         for i, j in np.argwhere(~np.isfinite(w)):

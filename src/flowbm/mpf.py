@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoltzmannMachine, active_blocks, edge_count
+from .model import BoltzmannMachine
 
 Z_CLAMP_DEFAULT = 30.0
 
@@ -61,7 +61,7 @@ def _as_batch(m: BoltzmannMachine, data) -> np.ndarray:
 def _flow_arrays(m: BoltzmannMachine, batch: np.ndarray, clamp: float):
     """Batched (alpha, z, delta, clamp hits); z = batch @ W + b, every
     layer's whole `local_field`, with rows clamped to [-clamp, clamp]."""
-    rows = [batch[:, s] for s in m.layout.slices()]
+    rows = [batch[:, s] for s in m.layout.slices]
     z = np.concatenate([m.local_field(k, rows) for k in range(len(rows))], axis=1)
     hits = int(np.count_nonzero(np.abs(z) > clamp))
     if hits:
@@ -84,9 +84,9 @@ def gradient_and_objective(
     count = y.shape[0]
     # d/dw_ij = mean_k(y_j alpha_i delta_i + y_i alpha_j delta_j), one
     # stored block at a time, built in its place in the flat vector.
-    sl = m.layout.slices()
-    w_grad = np.empty(edge_count(m.layout))
-    for la, lb in active_blocks(m.layout):
+    sl = m.layout.slices
+    w_grad = np.empty(m.layout.edges)
+    for la, lb in m.layout.blocks:
         sa, sb, out = sl[la], sl[lb], m.block(la, lb, w_grad)
         if la == lb:
             np.matmul(a[:, sa].T, y[:, sa], out=out)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoltzmannMachine, edge_count, parse_number
+from .model import BoltzmannMachine, parse_number
 from .mpf import Z_CLAMP_DEFAULT, Gradient
 
 # Elements per pass of `step`: its two scratch buffers (256 KB) and the
@@ -127,7 +127,7 @@ class AdamState:
 
 
 def init_adam(m: BoltzmannMachine) -> AdamState:
-    e, n = edge_count(m.layout), m.n
+    e, n = m.layout.edges, m.n
     return AdamState(np.zeros(e), np.zeros(e), np.zeros(n), np.zeros(n), 0)
 
 

@@ -254,7 +254,7 @@ def _update_hidden(
     """
     below = m.local_field(layer, rows[:layer])
     h = _draw(expit(below), streams)
-    if m.layout.has_intra(layer):
+    if (layer, layer) in m.layout.blocks:
         for _ in range(intra_sweeps):
             _async_sweep(m, layer, h, below, streams)
     return h
@@ -308,7 +308,7 @@ def e_step_batch(
     refined by `intra_sweeps` asynchronous sweeps when it has intra-layer
     edges.  Returns the (rows, n) uint8 pair matrix: each row is its
     observed vector followed by its sampled hidden layers, bottom-up, with
-    layer k in columns `m.layout.slices()[k]`.  The result is independent
+    layer k in columns `m.layout.slices[k]`.  The result is independent
     of `threads` (see `map_shards`).
     """
     x_rows = np.atleast_2d(np.asarray(x_rows))
@@ -408,4 +408,4 @@ def mean_activation_prior(
     """Per-unit mean of the top layer's inferred states over a dataset,
     one stream per data row."""
     rows = e_step_batch(m, data, streams, intra_sweeps, threads)
-    return rows[:, m.layout.slices()[-1]].astype(np.float64).mean(axis=0)
+    return rows[:, m.layout.slices[-1]].astype(np.float64).mean(axis=0)

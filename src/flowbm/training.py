@@ -1,8 +1,8 @@
 """Training loops: the variational EM driver and CD/PCD baselines.
 
 The main loop alternates, once per epoch, a full-dataset inference pass
-(hidden states sampled with the previous epoch's parameters, top-down
-input zeroed) with minibatched descent on the fully-observed flow
+(each hidden layer sampled from the layers below with the previous
+epoch's parameters) with minibatched descent on the fully-observed flow
 objective over the concatenated (observed, hidden) vectors.  All layers'
 weights update simultaneously; there is no layer-wise pre-training.  The
 CD/PCD baselines run the same loop, `_train`, which alone shuffles, cuts
@@ -179,7 +179,7 @@ def train_cd(data, state: Checkpoint, epoch_callback=None) -> list[EpochLog]:
         raise ValueError(f"train_cd runs method cd or pcd, got {cfg.method}")
     require_rbm(layout)
     persistent = cfg.method == "pcd"
-    sl0, sl1 = layout.slices()
+    sl0, sl1 = layout.slices
     n_hid = layout.sizes[1]
     chains = None
     if persistent:

@@ -8,7 +8,7 @@ import pytest
 
 from exact_oracles import dense_weights
 from flowbm import sampling
-from flowbm.model import BoltzmannMachine, LayerSpec, edge_count
+from flowbm.model import BoltzmannMachine, LayerSpec
 from flowbm.mpf import Z_CLAMP_DEFAULT, _flow_arrays
 from flowbm.stdp import StdpPoint
 
@@ -34,7 +34,7 @@ def make_layered_machine(sizes, intra, seed: int, w_scale: float = 0.7) -> Boltz
 
 
 def zero_machine(layout: LayerSpec) -> BoltzmannMachine:
-    return BoltzmannMachine(layout, np.zeros(edge_count(layout)), np.zeros(layout.n))
+    return BoltzmannMachine(layout, np.zeros(layout.edges), np.zeros(layout.n))
 
 
 def dense(m: BoltzmannMachine, flat: np.ndarray) -> np.ndarray:
@@ -44,7 +44,7 @@ def dense(m: BoltzmannMachine, flat: np.ndarray) -> np.ndarray:
 
 def stored_edges(layout: LayerSpec) -> np.ndarray:
     """Boolean (n, n) pattern of the stored edges, without the diagonal."""
-    pattern = dense(zero_machine(layout), np.ones(edge_count(layout))) != 0
+    pattern = dense(zero_machine(layout), np.ones(layout.edges)) != 0
     np.fill_diagonal(pattern, False)
     return pattern
 

@@ -14,13 +14,13 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
-from flowbm.model import BoltzmannMachine, active_blocks
+from flowbm.model import BoltzmannMachine
 
 
 def dense_weights(m: BoltzmannMachine) -> np.ndarray:
     """Symmetric (n, n) matrix, zero off the stored blocks."""
-    sl, w = m.layout.slices(), np.zeros((m.n, m.n))
-    for a, b in active_blocks(m.layout):
+    sl, w = m.layout.slices, np.zeros((m.n, m.n))
+    for a, b in m.layout.blocks:
         w[sl[b], sl[a]] = m.block(a, b).T
         w[sl[a], sl[b]] = m.block(a, b)  # an intra block keeps its own entries
     return w
@@ -190,7 +190,7 @@ def bottom_up_conditional(m: BoltzmannMachine) -> np.ndarray:
     shape = (len(x), len(h))
     s = np.concatenate([np.broadcast_to(x[:, None], shape + (n_obs,)),
                         np.broadcast_to(h[None, :], shape + (m.n - n_obs,))], axis=2)
-    sl, q = m.layout.slices(), np.ones(shape)
+    sl, q = m.layout.slices, np.ones(shape)
     for k in range(1, len(sl)):
         on = scipy.special.expit(s[..., sl[k - 1]] @ m.block(k - 1, k) + m.biases[sl[k]])
         q *= np.where(s[..., sl[k]] == 1, on, 1.0 - on).prod(axis=2)
@@ -252,7 +252,7 @@ def rbm_log_likelihood(m: BoltzmannMachine, v) -> np.ndarray:
     without intra edges, the hidden layer summed out: ``log p*(v) = b_v.v +
     sum_j softplus(b_j + v.W_j)``, less a ``log Z`` enumerated over the 2^H
     hidden states.  Exponential in H only, so any visible width works."""
-    (vis, hid), w = m.layout.slices(), m.block(0, 1)
+    (vis, hid), w = m.layout.slices, m.block(0, 1)
     h = enumerate_states(m.layout.sizes[1])
     log_z = scipy.special.logsumexp(
         h @ m.biases[hid] + np.logaddexp(0.0, h @ w.T + m.biases[vis]).sum(axis=1))

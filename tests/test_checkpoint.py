@@ -22,7 +22,7 @@ from flowbm.checkpoint import (
     save_checkpoint,
     serialize,
 )
-from flowbm.model import LayerSpec, edge_count, validate
+from flowbm.model import LayerSpec, validate
 from flowbm.optim import TrainConfig, init_adam
 from flowbm.training import init_state
 
@@ -144,7 +144,7 @@ class TestFailureModes:
 
     def test_stores_only_the_edge_blocks(self):
         ck = sample_checkpoint()
-        edges = edge_count(ck.layout)
+        edges = ck.layout.edges
         assert edges == 6 * 4 + 4 * 2 + 4 * 4
         assert ck.weights.shape == ck.adam.m1_w.shape == ck.adam.m2_w.shape == (edges,)
         header = len(serialize(ck)) - 8 * (3 * edges + 3 * ck.layout.n)

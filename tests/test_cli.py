@@ -924,6 +924,28 @@ class TestResume:
         assert f"{log}:4:" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
+    @pytest.mark.parametrize("edit, location", [
+        (lambda lines: lines[1:], ":1: expected the header"),
+        (lambda lines: ["epoch,foo"] + lines[1:] + ["0,1"], ":1: expected the header"),
+        (lambda lines: lines + ["0,1"], ":4: expected 5 fields, got 2"),
+    ], ids=["header-deleted", "other-header", "short-row"])
+    def test_resume_rejects_an_epoch_log_it_cannot_read_before_writing(
+            self, workdir, capsys, edit, location):
+        # The first line was dropped unread and only each row's first field
+        # was read: without its header the log lost epoch 0's row, and a
+        # two-column row was kept, all with exit 0.
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]
+        run_dir = workdir / "unreadable-log"
+        assert run(base + ["--epochs", "2", "--checkpoint-every", "1", "--out", run_dir]) == 0
+        log = run_dir / "epochs.csv"
+        log.write_text("\r\n".join(edit(log.read_text().splitlines())) + "\r\n")
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / "ckpt-epoch-00002.bin", "--epochs", "3", "--out", run_dir]) == 2
+        assert f"{log}{location}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
     def test_resume_rejects_an_epoch_number_in_another_spelling(self, workdir, capsys):
         # int() read the epoch "+1_0" as 10, and the row was dropped as an
         # epoch after the checkpoint's.
@@ -1033,3 +1055,60 @@ class TestResume:
         ck = load_checkpoint(out / "ckpt-final.bin")
         assert ck.layout.intra_layer == (True,)
         assert validate(ck.machine()) == []
+
+
+class TestFailedWritesKeepOldFiles:
+    """config.txt and recon.csv used to be truncated in place and then
+    written: a write failing midway left only part of the run's record."""
+
+    @pytest.fixture
+    def disk_full_on(self, monkeypatch):
+        """Make every write through `checkpoint.replacing` to a file of the
+        given name store half its data and then fail."""
+        replacing = ckpt_io.replacing
+
+        class DiskFullMidway:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def arm(name):
+            @contextlib.contextmanager
+            def failing(path):
+                with replacing(path) as fh:
+                    yield DiskFullMidway(fh) if os.path.basename(path) == name else fh
+
+            monkeypatch.setattr(ckpt_io, "replacing", failing)
+
+        return arm
+
+    def test_failed_rewrite_of_config_keeps_the_old_file(self, workdir, disk_full_on, capsys):
+        run_dir = workdir / "config-full"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4",
+                    "--epochs", "2", "--checkpoint-every", "1", "--out", run_dir]) == 0
+        before = (run_dir / "config.txt").read_bytes()
+        disk_full_on("config.txt")
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / "ckpt-epoch-00001.bin", "--epochs", "3", "--eta", "0.01",
+                    "--out", run_dir]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (run_dir / "config.txt").read_bytes() == before
+        assert not (run_dir / ".config.txt.tmp").exists()
+
+    def test_failed_rewrite_of_recon_csv_keeps_the_old_file(self, workdir, disk_full_on,
+                                                            capsys):
+        out, rec = workdir / "recon-run", workdir / "recon-full"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
+                    "--epochs", "1", "--out", out]) == 0
+        base = ["reconstruct", "--checkpoint", out / "ckpt-final.bin", "--images",
+                workdir / "test.idx", "--pattern", "top", "--limit", "5", "--out", rec]
+        assert run(base + ["--trials", "1"]) == 0
+        before = (rec / "recon.csv").read_bytes()
+        disk_full_on("recon.csv")
+        assert run(base + ["--trials", "2"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (rec / "recon.csv").read_bytes() == before
+        assert not (rec / ".recon.csv.tmp").exists()

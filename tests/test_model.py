@@ -1,3 +1,8 @@
+import copy
+import dataclasses
+import itertools
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +20,14 @@ from exact_oracles import dense_weights, energy
 from flowbm.model import (
     BoltzmannMachine,
     LayerSpec,
-    active_blocks,
-    edge_count,
     new_machine,
     parse_number,
     validate,
 )
+from flowbm import checkpoint
 from flowbm.mpf import _flow_arrays
+from flowbm.optim import TrainConfig
+from flowbm.training import init_state
 
 
 def edgewise_energy(m, s):
@@ -53,7 +59,7 @@ class TestLayerSpec:
     def test_fully_observed_has_no_intra_flags(self):
         spec = LayerSpec((4,))
         assert spec.intra_layer == ()
-        assert spec.num_hidden_layers == 0
+        assert len(spec.sizes) == 1
 
     def test_from_strings(self):
         spec = LayerSpec.from_strings("784-196-196-64", "1,1,1")
@@ -85,7 +91,7 @@ class TestLayerSpec:
 
     def test_slices_cover_vertices(self):
         spec = LayerSpec((5, 3, 2), (False, True))
-        sl = spec.slices()
+        sl = spec.slices
         assert [s.stop - s.start for s in sl] == [5, 3, 2]
         assert sl[0].start == 0 and sl[-1].stop == spec.n
 
@@ -95,15 +101,15 @@ class TestMaskStructure:
 
     def test_fully_observed_all_to_all(self):
         layout = LayerSpec((4,))
-        assert active_blocks(layout) == [(0, 0)]
-        assert edge_count(layout) == 4 * 4
+        assert list(layout.blocks) == [(0, 0)]
+        assert layout.edges == 4 * 4
         edges = stored_edges(layout)
         assert edges.sum() == 4 * 3
 
     def test_rbm_mask_only_between_layers(self):
         layout = LayerSpec((784, 196), (False,))
-        assert active_blocks(layout) == [(0, 1)]
-        assert edge_count(layout) == 784 * 196
+        assert list(layout.blocks) == [(0, 1)]
+        assert layout.edges == 784 * 196
         edges = stored_edges(layout)
         assert edges[:784, 784:].all()
         assert not edges[:784, :784].any()
@@ -111,10 +117,10 @@ class TestMaskStructure:
 
     def test_dbm2_mask_has_intra_blocks(self):
         layout = LayerSpec((784, 196, 196, 64), (True, True, True))
-        assert active_blocks(layout) == [(0, 1), (1, 2), (2, 3), (1, 1), (2, 2), (3, 3)]
-        assert edge_count(layout) == 285_552
+        assert list(layout.blocks) == [(0, 1), (1, 2), (2, 3), (1, 1), (2, 2), (3, 3)]
+        assert layout.edges == 285_552
         edges = stored_edges(layout)
-        sl = layout.slices()
+        sl = layout.slices
         for k in (1, 2, 3):
             block = edges[sl[k], sl[k]]
             assert block.sum() == layout.sizes[k] * (layout.sizes[k] - 1)
@@ -131,6 +137,69 @@ class TestMaskStructure:
         assert grad.sum() == 3 * 2
         with pytest.raises(ValueError):
             m.block(0, 2)
+
+
+@st.composite
+def layouts(draw):
+    """A layout of 1-4 layers of widths 1-6 with any intra flags."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=4))
+    intra = draw(st.lists(st.booleans(), min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+    return LayerSpec(tuple(sizes), tuple(intra))
+
+
+class TestBlockTable:
+    """`LayerSpec.blocks`, `edges` and `slices`, computed once per layout."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(layout=layouts(), seed=st.integers(0, 10_000))
+    def test_blocks_tile_the_weights_in_storage_order(self, layout, seed):
+        layers = len(layout.sizes)
+        inter = [(a, a + 1) for a in range(layers - 1)]
+        intra = [(k, k) for k in range(1, layers) if layout.intra_layer[k - 1]]
+        assert list(layout.blocks) == (inter + intra if inter else [(0, 0)])
+        start = 0
+        for (a, b), span in layout.blocks.items():
+            assert span.start == start
+            assert span.stop - start == layout.sizes[a] * layout.sizes[b]
+            start = span.stop
+        assert start == layout.edges
+        bounds = np.cumsum((0,) + layout.sizes)
+        sl = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert layout.slices == tuple(sl)
+
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(layout.n, layout.n))
+        w = w + w.T
+        np.fill_diagonal(w, 0.0)
+        m = BoltzmannMachine.from_dense(layout, w, np.zeros(layout.n))
+        for a, b in itertools.product(range(layers), repeat=2):
+            if (a, b) in layout.blocks:
+                np.testing.assert_array_equal(m.block(a, b), dense_weights(m)[sl[a], sl[b]])
+                np.testing.assert_array_equal(m.block(a, b), w[sl[a], sl[b]])
+            else:
+                with pytest.raises(ValueError, match="share no stored block"):
+                    m.block(a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(layout=layouts())
+    def test_equal_layouts_stay_equal_through_a_checkpoint(self, layout):
+        twin = LayerSpec(list(layout.sizes), list(layout.intra_layer))
+        assert twin == layout and hash(twin) == hash(layout) and repr(twin) == repr(layout)
+        ck = init_state(layout, TrainConfig())
+        loaded = checkpoint.deserialize(checkpoint.serialize(ck)).layout
+        for other in (loaded, pickle.loads(pickle.dumps(layout)), copy.deepcopy(layout)):
+            assert other == layout and hash(other) == hash(layout)
+            assert dict(other.blocks) == dict(layout.blocks)
+            assert (other.slices, other.edges) == (layout.slices, layout.edges)
+
+    def test_table_is_read_only_and_not_a_field(self):
+        layout = LayerSpec((3, 2), (True,))
+        assert [f.name for f in dataclasses.fields(layout)] == ["sizes", "intra_layer"]
+        assert repr(layout) == "LayerSpec(sizes=(3, 2), intra_layer=(True,))"
+        with pytest.raises(TypeError):
+            layout.blocks[0, 0] = slice(0, 9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            layout.edges = 0
 
 
 class TestEnergy:
@@ -208,7 +277,7 @@ class TestLocalField:
         # as a list that ends at the last given layer; an absent layer adds
         # nothing, as if its states were zero.
         m, y = case
-        w, sl = dense_weights(m), m.layout.slices()
+        w, sl = dense_weights(m), m.layout.slices
         for mask in range(1, 2 ** len(sl)):
             present = [k for k in range(len(sl)) if mask >> k & 1]
             rows = [y[:, s] if k in present else None for k, s in enumerate(sl)]
@@ -307,7 +376,7 @@ class TestValidate:
         # Intra edges of a layer without intra connectivity cannot be stored;
         # a vector sized for them is rejected, as are non-finite entries.
         m = make_layered_machine((3, 2), (False,), seed=0)
-        with_intra = edge_count(LayerSpec((3, 2), (True,)))
+        with_intra = LayerSpec((3, 2), (True,)).edges
         padded = BoltzmannMachine(m.layout, np.zeros(with_intra), m.biases)
         assert validate(padded)[0][0] == "length"
         m.block(0, 1)[1, 0] = np.nan

@@ -12,7 +12,7 @@ import pytest
 from conftest import make_machine, random_bits
 from exact_oracles import dense_weights
 from flowbm import optim
-from flowbm.model import BoltzmannMachine, LayerSpec, edge_count, new_machine, validate
+from flowbm.model import BoltzmannMachine, LayerSpec, new_machine, validate
 from flowbm.mpf import Gradient, gradient_and_objective
 from flowbm.optim import (
     AdamState,
@@ -305,7 +305,7 @@ class TestAdamStep:
         # the bias vector end on a chunk boundary or a ragged tail.
         rng = np.random.default_rng(length)
         layout = LayerSpec((1, length), (False,))
-        w, b = rng.normal(0, 0.1, edge_count(layout)), rng.normal(0, 0.1, layout.n)
+        w, b = rng.normal(0, 0.1, layout.edges), rng.normal(0, 0.1, layout.n)
         m, ref = BoltzmannMachine(layout, w, b), BoltzmannMachine(layout, w.copy(), b.copy())
         st, ref_st = init_adam(m), init_adam(ref)
         cfg = TrainConfig(eta=0.01, weight_decay=0.01)

@@ -17,7 +17,6 @@ import numpy as np
 
 from flowbm import checkpoint, mpf, optim
 from flowbm.cli import main
-from flowbm.model import edge_count
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,7 +41,7 @@ def test_checkpoint_check_and_byte_counts_follow_the_store(synthetic_idx, tmp_pa
 
     ck = checkpoint.load_checkpoint(final)
     m, st, cfg = ck.machine(), ck.adam, ck.config
-    e, n = edge_count(m.layout), m.n
+    e, n = m.layout.edges, m.n
     assert e == 784 * 20
     batch = np.random.default_rng(0).integers(0, 2, (40, n))
 

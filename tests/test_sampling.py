@@ -10,7 +10,7 @@ from scipy.stats import chisquare
 
 from conftest import make_layered_machine, random_bits
 from flowbm import metrics
-from flowbm.model import BoltzmannMachine, LayerSpec, edge_count, new_machine
+from flowbm.model import BoltzmannMachine, LayerSpec, new_machine
 from flowbm.sampling import (
     _AHEAD,
     _async_sweep,
@@ -29,7 +29,7 @@ from flowbm.sampling import (
 
 def zero_machine(sizes, intra):
     layout = LayerSpec(sizes, intra)
-    return BoltzmannMachine(layout, np.zeros(edge_count(layout)), np.zeros(layout.n))
+    return BoltzmannMachine(layout, np.zeros(layout.edges), np.zeros(layout.n))
 
 
 def conditional(m, layer, states, zero_above):
