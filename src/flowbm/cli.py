@@ -11,7 +11,9 @@ epochs.csv are written to a temporary file renamed into place
 (`checkpoint.replacing`).
 Every setting has one spelling: flags are matched whole (no prefixes), a
 flag given twice or one that the chosen mode would not read exits 2,
-`--threads` defaults to 1 and no environment variable is read, and every
+`--threads` defaults to 1 and no environment variable is read (though
+OpenBLAS's `OPENBLAS_NUM_THREADS` still sets its thread count, which can
+change train's checkpoint bytes until ROADMAP item 10 lands), and every
 `TrainConfig` field has a string-valued flag of its own name only, which
 `optim.parse_config_items` parses and checks; `--intra` is one 0 or 1 per
 hidden layer, like the checkpoint's intra bytes.  The trainer (`method`: vpf,
@@ -129,10 +131,11 @@ def _layout(args, resumed: LayerSpec | None = None) -> LayerSpec:
 def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
     """The rows of an existing epochs.csv for epochs before `start_epoch`, so
     that a resumed run keeps its history.  The first line must be
-    `EPOCH_HEADER` and each kept row must have a field per column.  Blank
-    lines are skipped, a row that does not start with an epoch number is
-    rejected, and a last row without a line end gets one so that the next
-    row does not join it."""
+    `EPOCH_HEADER`, each kept row must have a field per column, and the
+    kept epochs must count up by one from a non-negative first epoch to
+    `start_epoch - 1`.  Blank lines are skipped, a row that does not start
+    with an epoch number is rejected, and a last row without a line end
+    gets one so that the next row does not join it."""
     if start_epoch == 0 or not path.exists():
         return []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -140,7 +143,7 @@ def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
     if not lines or lines[0].rstrip("\r\n") != EPOCH_HEADER:
         raise UsageError(f"{path}:1: expected the header {EPOCH_HEADER!r}")
     columns = len(training.EpochLog.csv_header())
-    kept = []
+    kept, last = [], None  # `last`: the last kept row's epoch
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -153,7 +156,13 @@ def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
         if epoch < start_epoch:
             if len(fields) != columns:
                 raise UsageError(f"{path}:{lineno}: expected {columns} fields, got {len(fields)}")
+            if epoch < 0 or last is not None and epoch != last + 1:
+                want = "a non-negative epoch" if last is None else f"epoch {last + 1}"
+                raise UsageError(f"{path}:{lineno}: expected {want}, got {epoch}")
+            last = epoch
             kept.append(line if line.endswith("\n") else line + "\r\n")
+    if last is not None and last != start_epoch - 1:
+        raise UsageError(f"{path}: the rows end at epoch {last}, expected {start_epoch - 1}")
     return kept
 
 

@@ -14,8 +14,9 @@ path, call sequence) gives identical draws on any platform.
 `stream(seed, tag, *path)` builds one such `Generator`, for the single
 streams of initialisation, shuffling and the CD chains.  A batch sampler
 draws from `row_streams`, a `RowStreams` whose row i is the stream with
-path `(*prefix, i)`.  It seeds every row at once, with no `Generator` per
-row, and serves each row's uniforms from a bounded block drawn ahead.
+path `(*prefix, i)`.  It hashes every row's seed at once, gives each row
+its own PCG64 at the first draw, and serves each row's uniforms from a
+bounded block drawn ahead.
 
 The row contract: a batch sampler takes one stream per row, and
 `map_shards` alone checks that, cuts the rows into fixed shards, runs
@@ -32,6 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
 from .model import BoltzmannMachine
@@ -49,14 +51,11 @@ _CHUNK = 512
 # near 4 MB.
 _AHEAD = 1024
 
-# numpy's `SeedSequence` hash constants (its `bit_generator` module) and
-# PCG64's 128-bit LCG multiplier.
+# numpy's `SeedSequence` hash constants (its `bit_generator` module).
 _MASK32 = 0xFFFFFFFF
-_MASK128 = 2**128 - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _key_words(*values: int) -> list[int]:
@@ -95,9 +94,10 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
-def _pcg_states(seed: int, key: list[int], rows: np.ndarray) -> tuple[list[int], list[int]]:
-    """PCG64's (state, inc) for `SeedSequence(seed, spawn_key=key + the
-    words of row)`, for every row index in `rows` at once.
+def _pcg_states(seed: int, key: list[int], rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), 4) uint64 words `SeedSequence(seed, spawn_key=key +
+    the words of row).generate_state(4, np.uint64)` returns, for every row
+    index in `rows` at once: the words PCG64 seeds from.
 
     The rows differ only in their last two entropy words, so the seed and
     `key` are mixed into the 4-word pool once, as Python ints.  The row
@@ -118,37 +118,33 @@ def _pcg_states(seed: int, key: list[int], rows: np.ndarray) -> tuple[list[int],
             pool[dst] = _mix(pool[dst], hashmix(word))
     out = _Hash(_INIT_B, _MULT_B)
     words = [out(pool[i % 4]) for i in range(8)]
-    # `generate_state(4, uint64)`: words 2k and 2k + 1 are the low and high
-    # halves of state word k; PCG64 seeds from words (0, 1) and (2, 3).
-    s0, s1, s2, s3 = ((words[2 * k] | words[2 * k + 1] << 32).tolist() for k in range(4))
-    inc = [((a << 64 | b) << 1 | 1) & _MASK128 for a, b in zip(s2, s3)]
-    state = [((i + (a << 64 | b)) * _PCG_MULT + i) & _MASK128 for i, a, b in zip(inc, s0, s1)]
-    return state, inc
+    # Output words 2k and 2k + 1 are the low and high halves of word k.
+    low, high = np.array(words[0::2]), np.array(words[1::2])
+    return np.ascontiguousarray((low | high << 32).T)
 
 
-def _lcg_jump(steps: int) -> tuple[int, int]:
-    """(A, C) such that `steps` PCG64 steps take `state` to
-    `(A * state + C * inc) mod 2**128`."""
-    acc_mult, acc_plus, mult, plus = 1, 0, _PCG_MULT, 1
-    while steps:
-        if steps & 1:
-            acc_mult, acc_plus = acc_mult * mult & _MASK128, (acc_plus * mult + plus) & _MASK128
-        mult, plus = mult * mult & _MASK128, (mult + 1) * plus & _MASK128
-        steps >>= 1
-    return acc_mult, acc_plus
+class _SeedWords(ISeedSequence):
+    """One row's seed sequence: `generate_state` returns its 4 uint64
+    words from `_pcg_states`, all that PCG64 reads from a seed sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 class RowStreams:
     """The streams of a batch sampler's rows, seeded at once.
 
-    Row i continues the stream of PCG64 `(state, inc)` pair i; `row_streams`
-    makes them.  Every draw is `uniforms`' one block of the same width from
-    every row.  Each float64 uniform takes one PCG64 output, so a row's
-    blocks, joined, are its stream's `random(total)`.  The uniforms come from
-    a per-row block drawn ahead, at most `_AHEAD` per row beyond what was
-    asked for.  A refill sets one PCG64 to each row's state in turn, draws
-    the row's part of the block and advances the stored state by the
-    block's width.
+    Row i is the PCG64 seeded from row i of `_pcg_states`' words;
+    `row_streams` makes them.  Each row gets its own `Generator` at the
+    object's first draw, which then carries the row's state.  Every draw
+    is `uniforms`' one block of the same width from every row.  Each
+    float64 uniform takes one PCG64 output, so a row's blocks, joined, are
+    its stream's `random(total)`.  The uniforms come from a per-row block
+    drawn ahead, at most `_AHEAD` per row beyond what was asked for; a
+    refill is one `random` call per row.
 
     A row's stream lives in one object at a time.  Slicing moves the rows
     to the new object, for `map_shards`' shards, so an object can be sliced
@@ -157,30 +153,31 @@ class RowStreams:
     rather than let two objects draw the same uniforms.
     """
 
-    def __init__(self, state: list[int], inc: list[int]):
-        self._state, self._inc = state, inc
-        self._block = np.empty((len(state), 0))
+    def __init__(self, words: np.ndarray):
+        self._words = words
+        self._gens: list[np.random.Generator] | None = None  # built at the first draw
+        self._block = np.empty((len(words), 0))
         self._used = 0
-        self._drew = False
-        self._handed_out = np.zeros(len(state), dtype=bool)
+        self._handed_out = np.zeros(len(words), dtype=bool)
 
     def __len__(self) -> int:
-        return len(self._state)
+        return len(self._words)
 
     def __getitem__(self, rows: slice) -> RowStreams:
-        if self._drew:
+        if self._gens is not None:
             raise ValueError("row streams that have drawn cannot be sliced")
         if self._handed_out[rows].any():
             raise ValueError("a row's stream was already sliced out")
         self._handed_out[rows] = True
-        return RowStreams(self._state[rows], self._inc[rows])
+        return RowStreams(self._words[rows])
 
     def random(self, width: int) -> np.ndarray:
         """A new (len(self), width) matrix: the next `width` uniforms of
         every row."""
         if self._handed_out.any():
             raise ValueError("row streams that were sliced out cannot draw")
-        self._drew = True
+        if self._gens is None:
+            self._gens = [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in self._words]
         ahead = self._block.shape[1] - self._used
         if width <= ahead:
             self._used += width
@@ -192,21 +189,14 @@ class RowStreams:
 
     def _refill(self, width: int) -> None:
         """Replace the block with every row's next `width` uniforms."""
-        block = np.empty((len(self), width))
-        bit_gen = np.random.PCG64(0)
-        gen = np.random.Generator(bit_gen)
-        mult, plus = _lcg_jump(width)
-        for i, (state, inc) in enumerate(zip(self._state, self._inc)):
-            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-            gen.random(out=block[i])
-            self._state[i] = (mult * state + plus * inc) & _MASK128
-        self._block = block
+        self._block = np.empty((len(self), width))
+        for gen, row in zip(self._gens, self._block):
+            gen.random(out=row)
 
 
 def row_streams(seed: int, tag: int, *prefix: int, count: int) -> RowStreams:
     """One stream per row: row `i` draws from `stream(seed, tag, *prefix, i)`."""
-    return RowStreams(*_pcg_states(seed, _key_words(tag, *prefix), np.arange(count)))
+    return RowStreams(_pcg_states(seed, _key_words(tag, *prefix), np.arange(count)))
 
 
 def uniforms(streams: RowStreams, width: int) -> np.ndarray:

@@ -959,6 +959,46 @@ class TestResume:
                     run_dir / "ckpt-epoch-00001.bin", "--epochs", "3", "--out", run_dir]) == 2
         assert f"{log}:4: expected an epoch number, got '+1_0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epochs, edit, message", [
+        (2, lambda rows: rows + ["0,1.0,0.5,0.1,0.0"], ":4: expected epoch 2, got 0"),
+        (3, lambda rows: rows[:1] + rows[2:], ":3: expected epoch 1, got 2"),
+        (3, lambda rows: rows[:2], ": the rows end at epoch 1, expected 2"),
+        (2, lambda rows: ["-1,1.0,0.5,0.1,0.0"] + rows, ":2: expected a non-negative epoch, got -1"),
+    ], ids=["repeated-epoch", "gap", "ends-early", "negative-epoch"])
+    def test_resume_rejects_epochs_out_of_order_before_writing(self, workdir, capsys, epochs,
+                                                               edit, message):
+        # A row whose epoch repeated or ran backwards was kept: appending
+        # epoch 0 to a 2-epoch run's log and resuming from epoch 2 left the
+        # epochs 0, 1, 0, 2 with exit 0.
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]
+        run_dir = workdir / "ordered-log"
+        assert run(base + ["--epochs", str(epochs), "--checkpoint-every", "1",
+                           "--out", run_dir]) == 0
+        log = run_dir / "epochs.csv"
+        header, *rows = log.read_text().splitlines()
+        log.write_text("\r\n".join([header] + edit(rows)) + "\r\n")
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / f"ckpt-epoch-{epochs:05d}.bin", "--epochs", str(epochs + 1),
+                    "--out", run_dir]) == 2
+        assert f"{log}{message}" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_resume_keeps_a_log_that_starts_above_epoch_0(self, workdir):
+        # The run directory's first run was itself a resume, from epoch 1.
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]
+        first, run_dir = workdir / "first", workdir / "resumed-first"
+        assert run(base + ["--epochs", "1", "--out", first]) == 0
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    first / "ckpt-final.bin", "--epochs", "3", "--checkpoint-every", "1",
+                    "--out", run_dir]) == 0
+        log = run_dir / "epochs.csv"
+        assert [row.split(",")[0] for row in log.read_text().splitlines()[1:]] == ["1", "2"]
+        assert run(["train", "--images", workdir / "train.idx", "--resume",
+                    run_dir / "ckpt-epoch-00002.bin", "--epochs", "4", "--out", run_dir]) == 0
+        assert [row.split(",")[0] for row in log.read_text().splitlines()[1:]] == ["1", "2", "3"]
+
     def test_resume_below_checkpoint_epoch_rejected(self, workdir, capsys):
         out = workdir / "ahead"
         assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",

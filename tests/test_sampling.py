@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from flowbm import metrics
 from flowbm.model import BoltzmannMachine, LayerSpec, new_machine
 from flowbm.sampling import (
     _AHEAD,
+    _SeedWords,
     _async_sweep,
     _draw,
     _key_words,
@@ -107,11 +109,14 @@ class TestRngStream:
     @example(seed=2**64 - 1, tag=2**32, prefix=[2**32 + 5, 7], rows=[2**32, 2**64 - 1])
     def test_batched_seeding_matches_seed_sequence(self, seed, tag, prefix, rows):
         # Row streams are seeded without a `SeedSequence` per row; each
-        # row's PCG64 state must be the one `stream` builds for its path.
-        state, inc = _pcg_states(seed, _key_words(tag, *prefix), np.array(rows, dtype=np.uint64))
+        # row's seed words, and the PCG64 state they seed, must be the ones
+        # `stream` builds for its path.
+        words = _pcg_states(seed, _key_words(tag, *prefix), np.array(rows, dtype=np.uint64))
         for i, row in enumerate(rows):
-            expected = stream(seed, tag, *prefix, row).bit_generator.state["state"]
-            assert expected == {"state": state[i], "inc": inc[i]}
+            seq = np.random.SeedSequence(seed, spawn_key=_key_words(tag, *prefix, row))
+            np.testing.assert_array_equal(words[i], seq.generate_state(4, np.uint64))
+            assert (np.random.PCG64(_SeedWords(words[i])).state
+                    == stream(seed, tag, *prefix, row).bit_generator.state)
 
     def test_blocks_join_into_each_rows_stream(self):
         # The widths sum to several times the draw-ahead bound, and cross it
@@ -122,6 +127,21 @@ class TestRngStream:
         joined = np.concatenate([uniforms(streams, w) for w in widths], axis=1)
         for i in range(4):
             np.testing.assert_array_equal(joined[i], stream(7, 2, 3, i).random(sum(widths)))
+
+    def test_per_row_generators_stay_small(self):
+        # Each row holds its own Generator from the first draw on: about
+        # 0.76 KB per row beyond the uniforms.  The bound, twice that, keeps
+        # a larger per-row object from showing up only in a process's RSS.
+        rows = 1024
+        tracemalloc.start()
+        try:
+            streams = row_streams(3, 1, count=rows)
+            block = uniforms(streams, 196)
+            current = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # The block drawn ahead and the copy handed out, 1.6 MB each.
+        assert current - 2 * block.nbytes < rows * 1536
 
 
 class TestConditionalProb:
