@@ -63,15 +63,16 @@ class UsageError(Exception):
 
 
 class _StoreOnce(argparse.Action):
-    """argparse's default store action, except that a flag given twice is a
-    usage error (exit 2) instead of silently taking its last value."""
+    """argparse's default store action, or with `nargs=0` its store_true,
+    except that a flag given twice is a usage error (exit 2) instead of
+    silently taking its last value."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         given = vars(namespace).setdefault("flags_given", set())
         if self.dest in given:
             raise argparse.ArgumentError(self, "given more than once")
         given.add(self.dest)
-        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
 
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
@@ -424,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, text: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.register("action", None, _StoreOnce)
+        p.register("action", "store_true", partial(_StoreOnce, nargs=0, default=False))
         # A type=int or type=float flag reads its value with parse_number.
         for kind in (int, float):
             p.register("type", kind, partial(parse_number, kind=kind))

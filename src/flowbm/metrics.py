@@ -2,7 +2,7 @@
 reconstruction and its L1 error, and Parzen log-likelihood.
 
 `corrupt` draws one block of coin flips per row through
-`sampling.uniforms`, and `reconstruct_batch` runs `sampling`'s clamped
+`RowStreams.random`, and `reconstruct_batch` runs `sampling`'s clamped
 Gibbs schedule under the batch samplers' row contract (`map_shards`).
 """
 
@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .model import BoltzmannMachine
-from .sampling import RowStreams, map_shards, reconstruct_rows, uniforms
+from .sampling import RowStreams, map_shards, reconstruct_rows
 
 IMAGE_SIDE = 28
 CORRUPT_BAND = 12  # rows or columns replaced by noise out of 28
@@ -88,7 +88,7 @@ def corrupt(
     known[BANDS[pattern]] = False
     unknown = ~known.ravel()
     corrupted = images.astype(np.uint8)
-    corrupted[:, unknown] = uniforms(streams, int(unknown.sum())) < 0.5
+    corrupted[:, unknown] = streams.random(int(unknown.sum())) < 0.5
     return corrupted, np.broadcast_to(~unknown, corrupted.shape)
 
 

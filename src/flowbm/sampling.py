@@ -21,10 +21,11 @@ bounded block drawn ahead.
 The row contract: a batch sampler takes one stream per row, and
 `map_shards` alone checks that, cuts the rows into fixed shards, runs
 them (on a thread pool when asked) and stacks the row blocks that come
-back, so results do not depend on the thread count.  Each layer update
-takes one block of uniforms per row from `uniforms`, the only batched
-draw.  The E-step returns the (observed, hidden) pair rows as one uint8
-matrix, a column per vertex in layer order.
+back, so results do not depend on the thread count.  `RowStreams.random`
+is the only batched draw, one block of uniforms per row: a layer update
+takes one block for its draw and one for each intra sweep.  The E-step
+returns the (observed, hidden) pair rows as one uint8 matrix, a column
+per vertex in layer order.
 """
 
 from __future__ import annotations
@@ -99,21 +100,15 @@ def _pcg_states(seed: int, key: list[int], rows: np.ndarray) -> np.ndarray:
     the words of row).generate_state(4, np.uint64)` returns, for every row
     index in `rows` at once: the words PCG64 seeds from.
 
-    The rows differ only in their last two entropy words, so the seed and
-    `key` are mixed into the 4-word pool once, as Python ints.  The row
-    words' mix rounds and the 8 output rounds run as uint64 arrays masked
-    to 32 bits.
+    The rows differ only in their last two entropy words, so the pool
+    starts as numpy's own for (seed, `key`), whose mixing advanced the hash
+    constant 16 times and 4 more per key word.  The row words' mix rounds
+    and the 8 output rounds run as uint64 arrays masked to 32 bits.
     """
-    seed_words = _key_words(seed)
-    entropy = seed_words + [0] * (4 - len(seed_words)) + key
-    hashmix = _Hash(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    pool = [int(w) for w in np.random.SeedSequence(int(seed) & (2**64 - 1), spawn_key=key).pool]
+    hashmix = _Hash(_INIT_A * pow(_MULT_A, 16 + 4 * len(key), 2**32) & _MASK32, _MULT_A)
     rows = np.asarray(rows, dtype=np.uint64)
-    for word in entropy[4:] + [rows & _MASK32, rows >> 32]:
+    for word in (rows & _MASK32, rows >> 32):
         for dst in range(4):
             pool[dst] = _mix(pool[dst], hashmix(word))
     out = _Hash(_INIT_B, _MULT_B)
@@ -140,7 +135,7 @@ class RowStreams:
     Row i is the PCG64 seeded from row i of `_pcg_states`' words;
     `row_streams` makes them.  Each row gets its own `Generator` at the
     object's first draw, which then carries the row's state.  Every draw
-    is `uniforms`' one block of the same width from every row.  Each
+    is `random`'s one block of the same width from every row.  Each
     float64 uniform takes one PCG64 output, so a row's blocks, joined, are
     its stream's `random(total)`.  The uniforms come from a per-row block
     drawn ahead, at most `_AHEAD` per row beyond what was asked for; a
@@ -199,15 +194,9 @@ def row_streams(seed: int, tag: int, *prefix: int, count: int) -> RowStreams:
     return RowStreams(_pcg_states(seed, _key_words(tag, *prefix), np.arange(count)))
 
 
-def uniforms(streams: RowStreams, width: int) -> np.ndarray:
-    """A (len(streams), width) matrix: row i is the next `width` uniforms of
-    row i's stream."""
-    return streams.random(width)
-
-
 def _draw(probs: np.ndarray, streams: RowStreams) -> np.ndarray:
     """Bernoulli rows as floats: one uniform block per stream against `probs`."""
-    return (uniforms(streams, probs.shape[-1]) < probs).astype(np.float64)
+    return (streams.random(probs.shape[-1]) < probs).astype(np.float64)
 
 
 def _async_sweep(
@@ -223,7 +212,7 @@ def _async_sweep(
     layer below is folded into `below_input` (weights below + bias).  Each
     stream serves one uniform block for its row.
     """
-    u = uniforms(streams, h.shape[1])
+    u = streams.random(h.shape[1])
     w_intra = m.block(layer, layer)  # zero diagonal excludes the unit itself
     for j in range(h.shape[1]):
         p = expit(h @ w_intra[:, j] + below_input[:, j])
@@ -256,20 +245,27 @@ def map_shards(
     """`run(streams[sh], *(a[sh] for a in per_row))` over consecutive
     `_CHUNK`-row shards `sh`, the row blocks it returns stacked in order.
 
-    Every array in `per_row` needs one row per stream.  With `threads` > 1
-    and more than one shard, shards run on a thread pool, so `run` must not
-    write anything that another shard reads.
+    Every array in `per_row` needs one row per stream.  Every shard's
+    streams are sliced out before the first shard runs, and each shard's
+    are dropped when its run returns.  With `threads` > 1 and more than one
+    shard, shards run on a thread pool, so `run` must not write anything
+    that another shard reads.
     """
     if any(len(a) != len(streams) for a in per_row):
         raise ValueError("need one stream per row")
     if len(streams) < 1:
         raise ValueError("need at least one row")
     shards = [slice(a, a + _CHUNK) for a in range(0, len(streams), _CHUNK)]
-    args = [[a[sh] for sh in shards] for a in (streams, *per_row)]
+    sliced = [streams[sh] for sh in shards]  # every row moves before any shard draws
+
+    def run_shard(i: int) -> np.ndarray:
+        shard_streams, sliced[i] = sliced[i], None  # freed when the shard returns
+        return run(shard_streams, *(a[shards[i]] for a in per_row))
+
     if threads > 1 and len(shards) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(run, *args)))
-    return np.concatenate(list(map(run, *args)))
+            return np.concatenate(list(pool.map(run_shard, range(len(shards)))))
+    return np.concatenate([run_shard(i) for i in range(len(shards))])
 
 
 def _estep_rows(

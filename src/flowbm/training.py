@@ -66,10 +66,16 @@ class EpochLog:
 
 
 def _data_rows(data) -> np.ndarray:
-    rows = np.atleast_2d(np.asarray(data, dtype=np.uint8))
+    """`data` as a uint8 bit matrix; raises unless it is a matrix with a
+    row and every entry is 0 or 1."""
+    rows = np.atleast_2d(np.asarray(data))
+    if rows.ndim != 2:
+        raise ValueError(f"training data has shape {rows.shape}, expected (rows, pixels)")
     if rows.shape[0] == 0:
         raise ValueError("empty training data")
-    return rows
+    if not ((rows == 0) | (rows == 1)).all():
+        raise ValueError("training data must hold only 0 and 1 (see data.binarize)")
+    return rows.astype(np.uint8, copy=False)
 
 
 def init_state(layout: LayerSpec, cfg: TrainConfig) -> Checkpoint:

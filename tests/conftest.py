@@ -58,15 +58,16 @@ def flow_row(m: BoltzmannMachine, y, clamp: float = Z_CLAMP_DEFAULT):
 @pytest.fixture
 def drawn_widths(monkeypatch):
     """The width of every block that the samplers draw through
-    `sampling.uniforms`, in call order: one entry per layer update."""
+    `sampling.RowStreams.random`, in call order: one entry per layer
+    update's draw and one per intra sweep."""
     widths = []
-    draw = sampling.uniforms
+    draw = sampling.RowStreams.random
 
     def recording(streams, width):
         widths.append(width)
         return draw(streams, width)
 
-    monkeypatch.setattr(sampling, "uniforms", recording)
+    monkeypatch.setattr(sampling.RowStreams, "random", recording)
     return widths
 
 

@@ -425,6 +425,18 @@ class TestOneSpelling:
         assert captured.out == ""
         assert not (workdir / "out").exists()
 
+    @pytest.mark.parametrize("flag", ["--raw", "--samples-from-data"])
+    def test_boolean_flag_given_twice_exits_2(self, workdir, flag, capsys):
+        # Both used to run, the repeat ignored, and exit 0.
+        argv = ["eval-ll", "--test-images", workdir / "test.idx", "--samples-from-data",
+                "--data", workdir / "train.idx", "--raw", "--n-samples", "20", flag]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: given more than once" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("cmd, message", [
         (["generate", "--checkpoint", "{ck}", "--init", "uniform", "--data", "/nonexistent.idx",
           "--out", "{w}/out"], "--data applies only to --init prior"),

@@ -230,9 +230,9 @@ class TestReconstruct:
             reconstruct_batch(m, images[:, :700], known[:, :700], 2, streams())
 
     def test_layer_update_count(self, drawn_widths):
-        # One uniform block per layer update, as wide as the layer: each
-        # Gibbs step draws the hidden layer, its intra sweeps, then the
-        # visible layer.
+        # One uniform block per layer draw and per intra sweep, as wide as
+        # the layer: each Gibbs step draws the hidden layer, its intra
+        # sweeps, then the visible layer.
         sweeps, steps = 2, 3
         m = make_layered_machine((6, 4), (True,), seed=2)
         reconstruct_batch(m, np.zeros((1, 6)), np.zeros((1, 6), dtype=bool), steps,

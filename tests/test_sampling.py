@@ -25,7 +25,6 @@ from flowbm.sampling import (
     mean_activation_prior,
     row_streams,
     stream,
-    uniforms,
 )
 
 
@@ -96,7 +95,7 @@ class TestRngStream:
     def test_row_streams_are_streams_with_the_row_last(self):
         rows = row_streams(9, 2, 4, 1, count=3)
         assert len(rows) == 3 and len(row_streams(9, 2, count=0)) == 0
-        block = uniforms(rows, 5)
+        block = rows.random(5)
         assert block.shape == (3, 5)
         for i in range(3):
             np.testing.assert_array_equal(block[i], stream(9, 2, 4, 1, i).random(5))
@@ -124,7 +123,7 @@ class TestRngStream:
         widths = [196, 196, 700, 0, 1, _AHEAD, 1500, 64, 3 * _AHEAD + 1, 5, 900]
         assert sum(widths) > 6 * _AHEAD
         streams = row_streams(7, 2, 3, count=4)
-        joined = np.concatenate([uniforms(streams, w) for w in widths], axis=1)
+        joined = np.concatenate([streams.random(w) for w in widths], axis=1)
         for i in range(4):
             np.testing.assert_array_equal(joined[i], stream(7, 2, 3, i).random(sum(widths)))
 
@@ -136,7 +135,7 @@ class TestRngStream:
         tracemalloc.start()
         try:
             streams = row_streams(3, 1, count=rows)
-            block = uniforms(streams, 196)
+            block = streams.random(196)
             current = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -376,9 +375,10 @@ class TestGenerate:
             generate_batch(m, np.full(3, 0.5), 0, row_streams(1, 0, count=1))
 
     def test_layer_update_count(self, drawn_widths):
-        # One uniform block per layer update, as wide as the layer: the top
-        # init, then per pair r rounds of (down, up), the upper layer's
-        # intra sweeps after its draw.  Layer 1 has intra edges, layer 2 not.
+        # One uniform block per layer draw and per intra sweep, as wide as
+        # the layer: the top init, then per pair r rounds of (down, up), the
+        # upper layer's intra sweeps after its draw.  Layer 1 has intra
+        # edges, layer 2 not.
         sweeps = 2
         r = 3
         m = make_layered_machine((4, 3, 2), (True, False), seed=11)
@@ -439,12 +439,12 @@ class TestRowContract:
     def test_row_streams_move_to_their_slices(self):
         streams = row_streams(4, 1, count=6)
         head, tail = streams[:4], streams[4:]
-        np.testing.assert_array_equal(uniforms(tail, 3)[1], stream(4, 1, 5).random(3))
+        np.testing.assert_array_equal(tail.random(3)[1], stream(4, 1, 5).random(3))
         with pytest.raises(ValueError, match="already sliced out"):
             streams[3:5]
         with pytest.raises(ValueError, match="sliced out cannot draw"):
-            uniforms(streams, 3)
-        uniforms(head, 2)
+            streams.random(3)
+        head.random(2)
         with pytest.raises(ValueError, match="drawn cannot be sliced"):
             head[:1]
 
@@ -457,6 +457,34 @@ class TestRowContract:
         e_step_batch(m, x, streams)
         with pytest.raises(ValueError, match="already sliced out"):
             e_step_batch(m, x, streams)
+
+    def test_rows_handed_out_raise_before_any_shard_draws(self, drawn_widths):
+        # 1,100 rows make three shards; the second holds rows 600-699, which
+        # another object took, so no shard may draw before the check.
+        m = make_layered_machine((5, 4), (False,), seed=2)
+        x = random_bits(np.random.default_rng(1), (1100, 5))
+        streams = row_streams(2, 0, count=1100)
+        streams[600:700]
+        with pytest.raises(ValueError, match="already sliced out"):
+            e_step_batch(m, x, streams)
+        assert drawn_widths == []
+
+    def test_finished_shards_free_their_streams(self):
+        # A 4,096-row deep E-step is 8 shards.  Each shard's generators and
+        # block drawn ahead (about 4 MB) go when its run returns, so the
+        # peak beyond the result is near one shard's working set: 11 MB.
+        # The bound lies well below the 36 MB of a runner that holds every
+        # shard's streams until the last shard returns.
+        m = make_layered_machine((784, 196, 196, 64), (True, True, True), seed=5)
+        x = random_bits(np.random.default_rng(5), (4096, 784))
+        streams = row_streams(5, 0, count=4096)
+        tracemalloc.start()
+        try:
+            rows = e_step_batch(m, x, streams, intra_sweeps=1, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - rows.nbytes < 20e6
 
 
 class TestPinnedBytes:

@@ -196,6 +196,39 @@ class TestTrainVpf:
         with pytest.raises(ValueError):
             train_vpf(np.zeros((5, 9), dtype=np.uint8), init_state(layout, TrainConfig(epochs=1)))
 
+    TRAINERS = {"vpf": train_vpf, "cd": train_cd}
+
+    @pytest.mark.parametrize("method", TRAINERS)
+    @pytest.mark.parametrize("entry", [0.7, 2, 255, -1, np.nan])
+    def test_rejects_data_that_is_not_bits(self, method, entry):
+        # Each used to train on the entry cast to uint8: 0.7 as 0, 2 as 2.
+        data = bars_data(20, seed=3).astype(np.float64)
+        data[4, 7] = entry
+        state = init_state(LayerSpec((12, 4), (False,)), TrainConfig(epochs=1, method=method))
+        seen = []
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            self.TRAINERS[method](data, state, epoch_callback=lambda *args: seen.append(args))
+        assert seen == [] and state.epoch == 0
+
+    @pytest.mark.parametrize("method", TRAINERS)
+    def test_rejects_data_that_is_not_a_matrix(self, method):
+        # CD used to fail inside its first minibatch, on a matmul shape.
+        data = bars_data(20, seed=3)[:, :, None]
+        state = init_state(LayerSpec((12, 4), (False,)), TrainConfig(epochs=1, method=method))
+        with pytest.raises(ValueError, match=r"shape \(20, 12, 1\), expected \(rows, pixels\)"):
+            self.TRAINERS[method](data, state)
+        assert state.epoch == 0
+
+    @pytest.mark.parametrize("method", TRAINERS)
+    def test_bool_and_float_bits_train_as_uint8(self, method):
+        data = bars_data(30, seed=4)
+        cfg = TrainConfig(epochs=1, seed=6, method=method)
+        runs = [init_state(LayerSpec((12, 4), (False,)), cfg) for _ in range(3)]
+        for state, rows in zip(runs, (data, data.astype(bool), data.astype(np.float64))):
+            self.TRAINERS[method](rows, state)
+        for state in runs[1:]:
+            np.testing.assert_array_equal(state.weights, runs[0].weights)
+
     def test_thread_count_does_not_change_results(self):
         data = bars_data(300, seed=6)
         layout = LayerSpec((12, 5), (True,))
