@@ -5,15 +5,12 @@ The CLI owns the run directory: fixed file names (config.txt, epochs.csv,
 ckpt-epoch-NNNNN.bin, ckpt-final.bin) so downstream tooling can locate
 outputs, and it alone writes epochs.csv, one `training.EpochLog` per row.
 generate writes probabilities.csv, one row per confabulation, each value
-`%.8f`, comma-separated and `\n`-terminated (`images.write_csv`).  Like
-checkpoints, probabilities.csv, config.txt, recon.csv and a restarted
-epochs.csv are written to a temporary file renamed into place
-(`checkpoint.replacing`).
+`%.8f`, comma-separated and `\n`-terminated (`images.write_csv`).  Every
+file but the appended epochs.csv rows is written to a temporary file
+renamed into place (`checkpoint.replacing`).
 Every setting has one spelling: flags are matched whole (no prefixes), a
 flag given twice or one that the chosen mode would not read exits 2,
-`--threads` defaults to 1 and no environment variable is read (though
-OpenBLAS's `OPENBLAS_NUM_THREADS` still sets its thread count, which can
-change train's checkpoint bytes until ROADMAP item 10 lands), and every
+`--threads` defaults to 1 and no environment variable is read, and every
 `TrainConfig` field has a string-valued flag of its own name only, which
 `optim.parse_config_items` parses and checks; `--intra` is one 0 or 1 per
 hidden layer, like the checkpoint's intra bytes.  The trainer (`method`: vpf,
@@ -29,12 +26,21 @@ flags; the trainer advances it, and the same object is saved every
 --checkpoint-every epochs and at the end.  generate, reconstruct and
 eval-ll apply their --r and --intra-sweeps over the checkpoint's config
 the same way.
+
+OpenBLAS splits a product by its thread count, and the split changes the
+product's bits, so `main` runs every command with each OpenBLAS loaded in
+the process pinned to one thread and then restores each one's count: a
+run's bytes do not depend on `OPENBLAS_NUM_THREADS` or the core count.
+The libraries are found through /proc/self/maps; where that file is
+missing, nothing is pinned.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import dataclasses
 import sys
 from functools import partial
@@ -513,11 +519,62 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (setter, getter) names of OpenBLAS's thread count, one pair per build.
+_BLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _blas_thread_calls() -> list:
+    """The (setter, getter) pair of every OpenBLAS mapped into the process
+    that can be opened by its path; none where /proc/self/maps cannot be
+    read."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _BLAS_THREAD_CALLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter, getter = getattr(lib, set_name), getattr(lib, get_name)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                calls.append((setter, getter))
+                break
+    return calls
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread, and restore each one's
+    previous count on the way out."""
+    calls = _blas_thread_calls()
+    before = [getter() for _, getter in calls]
+    for setter, _ in calls:
+        setter(1)
+    try:
+        yield
+    finally:
+        for (setter, _), count in zip(calls, before):
+            setter(count)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except (UsageError, ValueError, OSError, ckpt_io.CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,9 @@ module owns every check on input images: `load_idx` rejects bad magic,
 truncation, a file with no images and images with no pixels, and
 `binarize` returns a (N, pixels) uint8 matrix of bits (pixel/255 >
 threshold).  That bit matrix is the data type every trainer and sampler
-takes.
+takes, and `bit_rows` is its one check: the trainers, the samplers, the
+flow gradient, `metrics.corrupt` and `metrics.reconstruct_batch` pass
+their rows through it.
 """
 
 from __future__ import annotations
@@ -85,3 +87,20 @@ def binarize(raw, threshold: float = 0.5) -> np.ndarray:
 def load_binary_dataset(path, threshold: float = 0.5) -> np.ndarray:
     """The images of an IDX file as bits."""
     return binarize(load_idx(path), threshold)
+
+
+def bit_rows(rows, width: int, what: str) -> np.ndarray:
+    """`rows` as a (count, `width`) uint8 bit matrix.
+
+    Raises `ValueError`, naming `what`, unless `rows` is 2-D with at least
+    one row and `width` columns and holds only 0 and 1; bool, integer and
+    float entries are all accepted.  A uint8 matrix is returned as it is.
+    """
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"{what}: expected (*, {width}), got shape {rows.shape}")
+    if rows.shape[0] == 0:
+        raise ValueError(f"{what}: need at least one row")
+    if not ((rows == 0) | (rows == 1)).all():
+        raise ValueError(f"{what}: expected only 0 and 1 (see data.binarize)")
+    return rows.astype(np.uint8, copy=False)

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from . import checkpoint
+
 PAD = 2  # pixels between and around the images of a grid
 
 # One %.8f value of [0, 10) and its separator: digit, point, two 4-digit
@@ -38,14 +40,15 @@ def to_grey(values: np.ndarray) -> np.ndarray:
 
 
 def write_pgm(path, image: np.ndarray) -> None:
-    """Binary (P5) graymap from a 2-D uint8 or [0, 1] float array."""
+    """Binary (P5) graymap from a 2-D uint8 or [0, 1] float array, written
+    through `checkpoint.replacing`."""
     img = np.asarray(image)
     if img.dtype != np.uint8:
         img = to_grey(img)
     if img.ndim != 2:
         raise ValueError(f"image must be 2-D, got shape {img.shape}")
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    with open(path, "wb") as fh:
+    with checkpoint.replacing(path) as fh:
         fh.write(header)
         fh.write(img.tobytes())
 

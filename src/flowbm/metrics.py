@@ -1,7 +1,8 @@
 """Evaluation suite: sparsity statistics, corruption patterns, image
 reconstruction and its L1 error, and Parzen log-likelihood.
 
-`corrupt` draws one block of coin flips per row through
+`corrupt` and `reconstruct_batch` take their images and mask as
+`data.bit_rows`.  `corrupt` draws one block of coin flips per row through
 `RowStreams.random`, and `reconstruct_batch` runs `sampling`'s clamped
 Gibbs schedule under the batch samplers' row contract (`map_shards`).
 """
@@ -15,6 +16,7 @@ from functools import partial
 import numpy as np
 from scipy.special import logsumexp
 
+from .data import bit_rows
 from .model import BoltzmannMachine
 from .sampling import RowStreams, map_shards, reconstruct_rows
 
@@ -77,17 +79,14 @@ def corrupt(
     a read-only view of one mask for every row.  The named side is the
     band's location: "top" corrupts rows 0-11, "left" columns 0-11, and so on.
     """
-    images = np.asarray(images)
-    if images.ndim != 2 or images.shape[1] != IMAGE_SIDE * IMAGE_SIDE:
-        raise ValueError(f"images have shape {images.shape}, expected (*, {IMAGE_SIDE**2})")
-    if images.shape[0] != len(streams):
+    corrupted = bit_rows(images, IMAGE_SIDE**2, "images").copy()
+    if len(corrupted) != len(streams):
         raise ValueError("need one stream per row")
     if pattern not in BANDS:
         raise ValueError(f"unknown corruption pattern {pattern!r}")
     known = np.ones((IMAGE_SIDE, IMAGE_SIDE), dtype=bool)
     known[BANDS[pattern]] = False
     unknown = ~known.ravel()
-    corrupted = images.astype(np.uint8)
     corrupted[:, unknown] = streams.random(int(unknown.sum())) < 0.5
     return corrupted, np.broadcast_to(~unknown, corrupted.shape)
 
@@ -114,12 +113,8 @@ def reconstruct_batch(
     """
     if len(m.layout.sizes) < 2:
         raise ValueError("reconstruction needs a hidden layer")
-    corrupted = np.atleast_2d(np.asarray(corrupted))
-    known = np.atleast_2d(np.asarray(known, dtype=bool))
-    if corrupted.ndim != 2 or corrupted.shape[1] != m.layout.sizes[0]:
-        raise ValueError(
-            f"corrupted images have shape {corrupted.shape}, expected (*, {m.layout.sizes[0]})"
-        )
+    corrupted = bit_rows(corrupted, m.layout.sizes[0], "corrupted images")
+    known = bit_rows(known, m.layout.sizes[0], "known-pixel mask").view(bool)
     if known.shape != corrupted.shape:
         raise ValueError("corrupted image / mask shape mismatch")
     if gibbs_steps < 1:

@@ -15,9 +15,10 @@ are
     dK/dw_ij = y_j alpha_i delta_i + y_i alpha_j delta_j
 
 and the learner descends, i.e. applies the negative of these.
-`gradient_and_objective` computes both from one batched evaluation of
-(alpha, z, delta), z from `BoltzmannMachine.local_field` given every layer's
-row, the kernel that also gives the samplers their conditionals.  The
+`gradient_and_objective` computes both for a batch of `data.bit_rows` from
+one batched evaluation of (alpha, z, delta), z from
+`BoltzmannMachine.local_field` given every layer's row, the kernel that
+also gives the samplers their conditionals.  The
 epsilon prefactor of the underlying KL divergence is absorbed into the
 learning rate; the exact flow on enumerable machines (`brute_force_flow`
 in tests/exact_oracles.py) recovers it.
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import bit_rows
 from .model import BoltzmannMachine
 
 Z_CLAMP_DEFAULT = 30.0
@@ -45,17 +47,6 @@ class Gradient:
     d_weights: np.ndarray
     d_biases: np.ndarray
     clamp_hits: int = 0
-
-
-def _as_batch(m: BoltzmannMachine, data) -> np.ndarray:
-    batch = np.asarray(data, dtype=np.float64)
-    if batch.ndim == 1:
-        batch = batch[None, :]
-    if batch.ndim != 2 or batch.shape[1] != m.n:
-        raise ValueError(f"data has shape {batch.shape}, expected (*, {m.n})")
-    if batch.shape[0] == 0:
-        raise ValueError("empty data")
-    return batch
 
 
 def _flow_arrays(m: BoltzmannMachine, batch: np.ndarray, clamp: float):
@@ -76,7 +67,7 @@ def gradient_and_objective(
 ) -> tuple[Gradient, float]:
     """Batch-mean analytic gradient over the stored blocks, and the objective:
     the mean over data points of sum_j delta_j (epsilon-free value)."""
-    y = _as_batch(m, batch)
+    y = bit_rows(batch, m.n, "flow batch").astype(np.float64)
     alpha, _, delta, hits = _flow_arrays(m, y, clamp)
     objective = float(delta.sum(axis=1).mean())
     a = np.multiply(alpha, delta, out=alpha)  # (B, n)

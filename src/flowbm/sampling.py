@@ -24,8 +24,9 @@ them (on a thread pool when asked) and stacks the row blocks that come
 back, so results do not depend on the thread count.  `RowStreams.random`
 is the only batched draw, one block of uniforms per row: a layer update
 takes one block for its draw and one for each intra sweep.  The E-step
-returns the (observed, hidden) pair rows as one uint8 matrix, a column
-per vertex in layer order.
+takes its observed rows as `data.bit_rows` and returns the (observed,
+hidden) pair rows as one uint8 matrix, a column per vertex in layer
+order.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
+from .data import bit_rows
 from .model import BoltzmannMachine
 
 # Rows per shard for every batch sampler (E-step, generation and
@@ -297,11 +299,7 @@ def e_step_batch(
     layer k in columns `m.layout.slices[k]`.  The result is independent
     of `threads` (see `map_shards`).
     """
-    x_rows = np.atleast_2d(np.asarray(x_rows))
-    if x_rows.ndim != 2 or x_rows.shape[1] != m.layout.sizes[0]:
-        raise ValueError(
-            f"observed rows have shape {x_rows.shape}, expected (*, {m.layout.sizes[0]})"
-        )
+    x_rows = bit_rows(x_rows, m.layout.sizes[0], "observed rows")
     return map_shards(partial(_estep_rows, m, intra_sweeps), streams, x_rows, threads=threads)
 
 

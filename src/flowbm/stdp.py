@@ -10,8 +10,11 @@ plasticity shape.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+
+from . import checkpoint
 
 
 @dataclass
@@ -46,9 +49,12 @@ def stdp_curve(delta_pre: float, delta_post: float, dts) -> list[StdpPoint]:
 
 
 def emit_stdp_csv(points: list[StdpPoint], path) -> None:
-    """Two-column CSV (dt, dw) with a header row."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dt", "dw"])
-        for p in points:
-            writer.writerow([repr(p.dt), repr(p.dw)])
+    """Two-column CSV (dt, dw) with a header row, `csv.writer`'s `\\r\\n` line
+    ends, written through `checkpoint.replacing`."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(["dt", "dw"])
+    for p in points:
+        writer.writerow([repr(p.dt), repr(p.dw)])
+    with checkpoint.replacing(path) as fh:
+        fh.write(text.getvalue().encode("utf-8"))

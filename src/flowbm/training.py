@@ -12,9 +12,9 @@ E-step pairs, or the data rows) and a minibatch's gradient.
 The whole training state is a `checkpoint.Checkpoint`: layout, parameters,
 Adam moments, `TrainConfig` and the number of epochs done.  A new run is
 `init_state`, the epoch-0 checkpoint; a resumed run is a loaded one.  The
-trainers take the data as the (N, pixels) bit matrix of `data.binarize`
-and the `Checkpoint` they advance in place, hand it with each epoch's
-`EpochLog` to a callback and write no files.  `EpochLog`'s fields are the
+trainers take the data as the (N, pixels) bit matrix of `data.binarize`,
+checked by `data.bit_rows`, and the `Checkpoint` they advance in place,
+hand it with each epoch's `EpochLog` to a callback and write no files.  `EpochLog`'s fields are the
 columns of a run's epochs.csv.
 """
 
@@ -30,6 +30,7 @@ from scipy.special import expit
 
 from . import metrics, mpf, optim
 from .checkpoint import Checkpoint
+from .data import bit_rows
 from .model import LayerSpec, new_machine
 from .optim import TrainConfig
 from .sampling import e_step_batch, row_streams, stream
@@ -65,19 +66,6 @@ class EpochLog:
         return dataclasses.astuple(self)
 
 
-def _data_rows(data) -> np.ndarray:
-    """`data` as a uint8 bit matrix; raises unless it is a matrix with a
-    row and every entry is 0 or 1."""
-    rows = np.atleast_2d(np.asarray(data))
-    if rows.ndim != 2:
-        raise ValueError(f"training data has shape {rows.shape}, expected (rows, pixels)")
-    if rows.shape[0] == 0:
-        raise ValueError("empty training data")
-    if not ((rows == 0) | (rows == 1)).all():
-        raise ValueError("training data must hold only 0 and 1 (see data.binarize)")
-    return rows.astype(np.uint8, copy=False)
-
-
 def init_state(layout: LayerSpec, cfg: TrainConfig) -> Checkpoint:
     """The epoch-0 checkpoint of a new run: fresh machine and optimizer state."""
     m = new_machine(layout, stream(cfg.seed, TAG_INIT).integers(2**63), cfg.init_scale)
@@ -97,11 +85,7 @@ def _train(data, state: Checkpoint, epoch_callback, epoch_rows, gradient) -> lis
     objective or a parameter non-finite raises `DivergenceError` before
     the callback sees it.
     """
-    x_rows = _data_rows(data)
-    if x_rows.shape[1] != state.layout.sizes[0]:
-        raise ValueError(
-            f"data width {x_rows.shape[1]} does not match observed layer {state.layout.sizes[0]}"
-        )
+    x_rows = bit_rows(data, state.layout.sizes[0], "training data")
     m, cfg = state.machine(), state.config
     logs: list[EpochLog] = []
     for epoch in range(state.epoch, cfg.epochs):

@@ -1,16 +1,21 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import errno
 import hashlib
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import read_pgm, read_stdp_csv, write_idx_images, write_idx_labels
 from flowbm import checkpoint as ckpt_io
+from flowbm import cli, training
 from flowbm.cli import build_parser, main
 from flowbm.checkpoint import load_checkpoint
 from flowbm.images import write_csv
@@ -1164,3 +1169,102 @@ class TestFailedWritesKeepOldFiles:
         assert "No space left on device" in capsys.readouterr().err
         assert (rec / "recon.csv").read_bytes() == before
         assert not (rec / ".recon.csv.tmp").exists()
+
+    # The image grids and the curve CSV used to be opened in place.
+    def test_failed_rewrite_of_confabulations_keeps_the_old_file(self, workdir, disk_full_on,
+                                                                 capsys):
+        out, gen = workdir / "gen-run", workdir / "gen-full"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
+                    "--epochs", "1", "--out", out]) == 0
+        base = ["generate", "--checkpoint", out / "ckpt-final.bin", "--out", gen]
+        assert run(base + ["--count", "3"]) == 0
+        before = (gen / "confabulations.pgm").read_bytes()
+        disk_full_on("confabulations.pgm")
+        assert run(base + ["--count", "4"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (gen / "confabulations.pgm").read_bytes() == before
+        assert not (gen / ".confabulations.pgm.tmp").exists()
+
+    def test_failed_rewrite_of_triptych_keeps_the_old_file(self, workdir, disk_full_on, capsys):
+        out, rec = workdir / "trip-run", workdir / "trip-full"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
+                    "--epochs", "1", "--out", out]) == 0
+        base = ["reconstruct", "--checkpoint", out / "ckpt-final.bin", "--images",
+                workdir / "test.idx", "--pattern", "top", "--trials", "1", "--out", rec]
+        assert run(base + ["--limit", "3"]) == 0
+        before = (rec / "triptych-top.pgm").read_bytes()
+        disk_full_on("triptych-top.pgm")
+        assert run(base + ["--limit", "4"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert (rec / "triptych-top.pgm").read_bytes() == before
+        assert not (rec / ".triptych-top.pgm.tmp").exists()
+
+    def test_failed_rewrite_of_stdp_curve_keeps_the_old_file(self, workdir, disk_full_on,
+                                                            capsys):
+        path = workdir / "curve.csv"
+        base = ["stdp-curve", "--delta-pre", "1.0", "--delta-post", "1.0", "--dt-min", "-0.1",
+                "--dt-max", "0.1", "--out", path]
+        assert run(base + ["--points", "11"]) == 0
+        before = path.read_bytes()
+        assert before.startswith(b"dt,dw\r\n")
+        disk_full_on("curve.csv")
+        assert run(base + ["--points", "21"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert path.read_bytes() == before
+        assert not (workdir / ".curve.csv.tmp").exists()
+
+
+class TestBlasThreads:
+    """OpenBLAS splits a product by its thread count, and the split changes
+    the product's bits: `train` used to write other bytes at
+    `OPENBLAS_NUM_THREADS` 1 and 2."""
+
+    def test_blas_thread_count_does_not_change_train_bytes(self, workdir):
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for threads in ("1", "2", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = str(src)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = workdir / f"blas-{threads}"
+            # 784-32 is a shape whose products OpenBLAS splits at 2 threads.
+            subprocess.run([sys.executable, "-m", "flowbm.cli", "train", "--images",
+                            str(workdir / "train.idx"), "--layout", "784-32", "--epochs", "2",
+                            "--seed", "5", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            with open(out / "epochs.csv", newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            wall = rows[0].index("wall_time_s")
+            outputs.append(((out / "ckpt-final.bin").read_bytes(),
+                            [row[:wall] + row[wall + 1:] for row in rows]))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+
+    def test_main_runs_at_one_blas_thread_and_restores_the_count(self, workdir, monkeypatch):
+        calls = cli._blas_thread_calls()
+        if not calls:
+            pytest.skip("no OpenBLAS is loaded")
+        before = [get() for _, get in calls]
+        seen = []
+        train_vpf = training.train_vpf
+
+        def spy(*args, **kwargs):
+            seen.append([get() for _, get in calls])
+            return train_vpf(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train_vpf", spy)
+        try:
+            for set_count, _ in calls:
+                set_count(3)
+            assert run(["train", "--images", workdir / "train.idx", "--layout", "784-8",
+                        "--epochs", "1", "--out", workdir / "blas-run"]) == 0
+            assert seen == [[1] * len(calls)]
+            assert [get() for _, get in calls] == [3] * len(calls)
+            # A command that exits 2 restores the count too.
+            assert run(["train", "--images", workdir / "missing.idx", "--layout", "784-8",
+                        "--out", workdir / "blas-fail"]) == 2
+            assert [get() for _, get in calls] == [3] * len(calls)
+        finally:
+            for (set_count, _), count in zip(calls, before):
+                set_count(count)

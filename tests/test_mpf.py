@@ -111,11 +111,11 @@ class TestFlowTerms:
         _, z, delta = flow_row(m, [1, 0])
         assert z[1] == 30.0
         assert np.isfinite(delta).all()
-        g, _ = gradient_and_objective(m, [1, 0])
+        g, _ = gradient_and_objective(m, [[1, 0]])
         assert g.clamp_hits == 1
         # The count belongs to one call: a second call reports 1 again.
-        assert gradient_and_objective(m, [1, 0])[0].clamp_hits == 1
-        assert gradient_and_objective(two_vertex_machine(w12=1.0), [1, 0])[0].clamp_hits == 0
+        assert gradient_and_objective(m, [[1, 0]])[0].clamp_hits == 1
+        assert gradient_and_objective(two_vertex_machine(w12=1.0), [[1, 0]])[0].clamp_hits == 0
 
 
 class TestObjective:

@@ -215,7 +215,7 @@ class TestTrainVpf:
         # CD used to fail inside its first minibatch, on a matmul shape.
         data = bars_data(20, seed=3)[:, :, None]
         state = init_state(LayerSpec((12, 4), (False,)), TrainConfig(epochs=1, method=method))
-        with pytest.raises(ValueError, match=r"shape \(20, 12, 1\), expected \(rows, pixels\)"):
+        with pytest.raises(ValueError, match=r"expected \(\*, 12\), got shape \(20, 12, 1\)"):
             self.TRAINERS[method](data, state)
         assert state.epoch == 0
 
