@@ -61,12 +61,12 @@ def squared_weight(m: BoltzmannMachine) -> float:
 
 def recon_error(original: np.ndarray, reconstructed: np.ndarray):
     """L1 distance between two equal-length bit vectors, or one distance per
-    row of two equal-shape matrices."""
-    a = np.asarray(original, dtype=np.float64)
-    b = np.asarray(reconstructed, dtype=np.float64)
+    row of two equal-shape matrices: the count of differing bits, as a
+    float64 (an exact integer)."""
+    a, b = np.asarray(original), np.asarray(reconstructed)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return np.abs(a - b).sum(axis=-1)
+    return np.count_nonzero(a != b, axis=-1).astype(np.float64)
 
 
 def corrupt(
@@ -107,9 +107,12 @@ def reconstruct_batch(
     visible layer.  Layers above the first hidden one take no part, so a
     deep machine reconstructs exactly as its sub-machine of the visible
     and first hidden layers does.  Known pixels are re-clamped to
-    their given values after every visible update; the unknown pixels of
-    the final visible update are thresholded at 0.5 from the Bernoulli
-    probabilities instead of sampled.
+    their given values after every visible update.  The final visible
+    update sets each unknown pixel to its Bernoulli probability thresholded
+    at 0.5, keeping a sampled bit only where the probability is exactly
+    1/2; a shard where no visible field lies within 2**-30 of 0 can have
+    no such tie and draws nothing for that update (see
+    `sampling.reconstruct_rows`).
     """
     if len(m.layout.sizes) < 2:
         raise ValueError("reconstruction needs a hidden layer")

@@ -27,10 +27,19 @@ takes one block for its draw and one for each intra sweep.  The E-step
 takes its observed rows as `data.bit_rows` and returns the (observed,
 hidden) pair rows as one uint8 matrix, a column per vertex in layer
 order.
+
+Shards on a thread pool share one interpreter lock, and two loops of
+small numpy calls trade it on every call: two 512-row sweeps of 196
+units ran no faster on two threads than one after the other.  So `_LOOP_LOCK` admits one shard at a time to the two such
+loops, an intra sweep's per-unit loop and a refill's per-row loop,
+while the other shard runs its GEMMs and large ufuncs.  It changes when
+a shard runs those loops, never what they compute.  The lock is not
+reentrant, so nothing that may take it runs inside those loops.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
@@ -53,6 +62,15 @@ _CHUNK = 512
 # one that draws often refills rarely, and a 512-row shard's block stays
 # near 4 MB.
 _AHEAD = 1024
+
+# Held around the per-unit loop of `_async_sweep` and the per-row loop of
+# `RowStreams._refill`; see the module docstring.
+_LOOP_LOCK = threading.Lock()
+
+# `reconstruct_rows` thresholds a final visible field z at 0 when every
+# |z| in the shard exceeds this: there expit(z) lies at least 2.3e-10
+# from 1/2, on z's side, so no probability is an exact 1/2 tie.
+_TIE_FIELD = 2.0**-30
 
 # numpy's `SeedSequence` hash constants (its `bit_generator` module).
 _MASK32 = 0xFFFFFFFF
@@ -187,8 +205,9 @@ class RowStreams:
     def _refill(self, width: int) -> None:
         """Replace the block with every row's next `width` uniforms."""
         self._block = np.empty((len(self), width))
-        for gen, row in zip(self._gens, self._block):
-            gen.random(out=row)
+        with _LOOP_LOCK:
+            for gen, row in zip(self._gens, self._block):
+                gen.random(out=row)
 
 
 def row_streams(seed: int, tag: int, *prefix: int, count: int) -> RowStreams:
@@ -214,11 +233,12 @@ def _async_sweep(
     layer below is folded into `below_input` (weights below + bias).  Each
     stream serves one uniform block for its row.
     """
-    u = streams.random(h.shape[1])
+    u = streams.random(h.shape[1])  # may refill, which takes the lock
     w_intra = m.block(layer, layer)  # zero diagonal excludes the unit itself
-    for j in range(h.shape[1]):
-        p = expit(h @ w_intra[:, j] + below_input[:, j])
-        h[:, j] = u[:, j] < p
+    with _LOOP_LOCK:
+        for j in range(h.shape[1]):
+            p = expit(h @ w_intra[:, j] + below_input[:, j])
+            h[:, j] = u[:, j] < p
 
 
 def _update_hidden(
@@ -349,7 +369,7 @@ def generate_batch(
     top_probs = np.asarray(top_init, dtype=np.float64)
     if top_probs.shape != (sizes[-1],):
         raise ValueError(f"prior has shape {top_probs.shape}, expected ({sizes[-1]},)")
-    if top_probs.min() < 0.0 or top_probs.max() > 1.0:
+    if not ((top_probs >= 0.0) & (top_probs <= 1.0)).all():  # NaN fails both
         raise ValueError("prior probabilities must lie in [0, 1]")
     return map_shards(partial(_generate_rows, m, r, intra_sweeps, top_probs), streams,
                       threads=threads)
@@ -364,20 +384,26 @@ def reconstruct_rows(
     known: np.ndarray,
 ) -> np.ndarray:
     """Clamped alternating Gibbs for a block of images (rows); the uint8
-    reconstructions.  `metrics.reconstruct_batch` states the schedule."""
+    reconstructions.  `metrics.reconstruct_batch` states the schedule.
+
+    The final visible update thresholds the probability at 0.5 and keeps a
+    sampled bit only at an exact tie, so a degenerate zero-weight machine
+    yields fair coin flips.  When no field of the shard lies within
+    `_TIE_FIELD` of 0 (a NaN field counts as one that does), no probability
+    can tie and the sign of the field decides with no draw; the streams
+    are dropped after this step, so the skipped draw changes no output.
+    """
     v = given = corrupted.astype(np.float64)
     for t in range(gibbs_steps):
         h = _update_hidden(m, 1, [v], streams, intra_sweeps)
-        probs_v = expit(m.local_field(0, [v, h]))
-        sampled = _draw(probs_v, streams)
+        field = m.local_field(0, [v, h])
         if t < gibbs_steps - 1:
-            v = np.where(known, given, sampled)
+            v = np.where(known, given, _draw(expit(field), streams))
+        elif np.abs(field).min() > _TIE_FIELD:  # False when a field is NaN
+            v = np.where(known, given, field > 0)
         else:
-            # Final update is the 0.5-thresholded probability; an exact tie
-            # (probability 1/2) keeps the sampled bit, so a degenerate
-            # zero-weight machine yields fair coin flips.
-            up = (probs_v > 0.5).astype(np.float64)
-            thresholded = np.where(probs_v == 0.5, sampled, up)
+            probs_v = expit(field)
+            thresholded = np.where(probs_v == 0.5, _draw(probs_v, streams), probs_v > 0.5)
             v = np.where(known, given, thresholded)
     return v.astype(np.uint8)
 

@@ -1,9 +1,12 @@
+import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from conftest import make_layered_machine, random_bits
 from flowbm.metrics import (
@@ -18,7 +21,31 @@ from flowbm.metrics import (
 )
 from conftest import zero_machine
 from flowbm.model import BoltzmannMachine, LayerSpec, new_machine
-from flowbm.sampling import row_streams, stream
+from flowbm.sampling import _draw, _update_hidden, map_shards, row_streams, stream
+
+
+def reference_rows(m, gibbs_steps, intra_sweeps, streams, corrupted, known):
+    """`sampling.reconstruct_rows` as it was before the final visible update
+    learnt to skip its draw: every step draws the visible layer, and the
+    final one keeps the sampled bit only where the probability is 1/2."""
+    v = given = corrupted.astype(np.float64)
+    for t in range(gibbs_steps):
+        h = _update_hidden(m, 1, [v], streams, intra_sweeps)
+        probs_v = expit(m.local_field(0, [v, h]))
+        sampled = _draw(probs_v, streams)
+        if t == gibbs_steps - 1:
+            sampled = np.where(probs_v == 0.5, sampled, probs_v > 0.5)
+        v = np.where(known, given, sampled)
+    return v.astype(np.uint8)
+
+
+# Visible biases at and around the 2**-30 field below which the final
+# update keeps its draw, fields whose probability rounds to exactly 1/2,
+# and the saturated and undefined ends.
+TIE = 2.0**-30
+FIELDS = [sign * float(x) for x in (TIE, np.nextafter(TIE, 0.0), np.nextafter(TIE, np.inf),
+                                    1e-17, 5e-324, 0.0, 1.0, np.inf) for sign in (1.0, -1.0)]
+FIELDS.append(np.nan)
 
 
 def rbm_with_block(block: np.ndarray) -> BoltzmannMachine:
@@ -232,12 +259,44 @@ class TestReconstruct:
     def test_layer_update_count(self, drawn_widths):
         # One uniform block per layer draw and per intra sweep, as wide as
         # the layer: each Gibbs step draws the hidden layer, its intra
-        # sweeps, then the visible layer.
+        # sweeps, then the visible layer, except the final step, whose
+        # visible fields all lie more than 2**-30 from 0 for every hidden
+        # state, so its threshold needs no draw.
         sweeps, steps = 2, 3
         m = make_layered_machine((6, 4), (True,), seed=2)
+        hidden = np.array(list(itertools.product((0.0, 1.0), repeat=4)))
+        assert np.abs(m.local_field(0, [None, hidden])).min() > TIE
+        reconstruct_batch(m, np.zeros((1, 6)), np.zeros((1, 6), dtype=bool), steps,
+                          row_streams(9, 0, count=1), intra_sweeps=sweeps)
+        assert drawn_widths == [4, 4, 4, 6] * (steps - 1) + [4, 4, 4]
+
+    def test_a_possible_tie_keeps_the_final_draw(self, drawn_widths):
+        # Zero weights and biases: every visible probability is exactly 1/2.
+        sweeps, steps = 2, 3
+        m = zero_machine(LayerSpec((6, 4), (True,)))
         reconstruct_batch(m, np.zeros((1, 6)), np.zeros((1, 6), dtype=bool), steps,
                           row_streams(9, 0, count=1), intra_sweeps=sweeps)
         assert drawn_widths == [4, 4, 4, 6] * steps
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fields", [[x] for x in FIELDS] + [
+        FIELDS, [x for x in FIELDS if abs(x) > TIE]],
+        ids=[str(x) for x in FIELDS] + ["all", "clear of 0"])
+    def test_final_update_matches_the_drawn_threshold(self, fields, threads):
+        # A zero-weight machine's visible fields are its visible biases;
+        # each case sets them to `fields` next to a field of 2 and one of -2.
+        # 600 rows make two shards.
+        biases = np.array(fields + [2.0, -2.0])
+        m = zero_machine(LayerSpec((len(biases), 3), (True,)))
+        m.biases[: len(biases)] = biases
+        rng = np.random.default_rng(3)
+        images = random_bits(rng, (600, len(biases)))
+        known = rng.random(images.shape) < 0.3
+        streams = lambda: row_streams(17, 0, count=len(images))
+        out = reconstruct_batch(m, images, known, 2, streams(), threads=threads)
+        expected = map_shards(partial(reference_rows, m, 2, 1), streams(), images, known,
+                              threads=threads)
+        np.testing.assert_array_equal(out, expected)
 
     def test_thread_count_does_not_change_batch(self):
         # 1100 rows make three shards, so threads=3 takes the pooled path.

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +209,9 @@ class TestSampleLayer:
             generate_batch(m, np.array([0.5, 1.2]), 1, row_streams(0, 0, count=1))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             generate_batch(m, np.array([-0.1, 0.5]), 1, row_streams(0, 0, count=1))
+        # NaN fails no ordered comparison, so it passed the min and max.
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            generate_batch(m, np.array([np.nan, 0.5]), 1, row_streams(0, 0, count=1))
 
     def test_mean_concentration(self):
         draws = _draw(np.full(10, 0.5), row_streams(3, 0, count=10_000))
@@ -485,6 +492,62 @@ class TestRowContract:
         finally:
             tracemalloc.stop()
         assert peak - rows.nbytes < 20e6
+
+
+CONCURRENT_CALLERS = """
+import threading
+
+import numpy as np
+
+from flowbm import metrics
+from flowbm.model import LayerSpec, new_machine
+from flowbm.sampling import e_step_batch, generate_batch, row_streams
+
+ROWS = 1100  # three shards
+m = new_machine(LayerSpec((784, 24, 24, 12), (True, True, True)), seed=4, init_scale=0.3)
+x = (np.random.default_rng(4).random((ROWS, 784)) < 0.3).astype(np.uint8)
+corrupted, known = metrics.corrupt(x, "left", row_streams(4, 3, count=ROWS))
+
+
+def calls(tag):
+    streams = lambda i: row_streams(tag, i, count=ROWS)
+    return [generate_batch(m, np.full(12, 0.5), 2, streams(0), threads=2),
+            e_step_batch(m, x, streams(1), threads=2),
+            metrics.reconstruct_batch(m, corrupted, known, 2, streams(2), threads=2)]
+
+
+serial = [calls(tag) for tag in (1, 2)]
+results = {}
+start = threading.Barrier(2)
+
+
+def caller(tag):
+    start.wait()
+    results[tag] = calls(tag)
+
+
+callers = [threading.Thread(target=caller, args=(tag,)) for tag in (1, 2)]
+for t in callers:
+    t.start()
+for t in callers:
+    t.join()
+for tag, expected in zip((1, 2), serial):
+    for got, want in zip(results[tag], expected):
+        np.testing.assert_array_equal(got, want)
+print("same results")
+"""
+
+
+def test_concurrent_callers_get_their_serial_results():
+    # Two user threads, each sampling on a pool of two, share the module's
+    # loop lock.  A subprocess with a timeout turns a deadlock into a failure.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", CONCURRENT_CALLERS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.strip() == "same results"
 
 
 class TestPinnedBytes:
