@@ -49,11 +49,11 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from . import metrics, stdp, training
+from . import metrics, sampling, stdp, training
 from .data import load_binary_dataset, load_idx
 from .model import LayerSpec, parse_number
 from .optim import TrainConfig, load_config, parse_config_items
-from .sampling import generate_batch, mean_activation_prior, row_streams
+from .sampling import generate_batch, row_streams
 from .images import square_side, tile_images, write_csv, write_pgm
 
 TAG_GENERATE = 11
@@ -238,8 +238,9 @@ def _confabulate(args, ck, tag: int, count: int, threads: int) -> np.ndarray:
     """Confabulations from checkpoint `ck` as set by the generate/eval-ll flags.
 
     `r` and `intra_sweeps` are the checkpoint's config under the --r and
-    --intra-sweeps flags; the top layer starts uniform or from the
-    mean-activation prior over `--data`, whose rows `--limit` caps.
+    --intra-sweeps flags; the top layer starts uniform or from its mean
+    E-step state over `--data`, whose rows `--limit` caps.  The E-step is
+    looked up on `sampling` at call time, so a wrapper set there sees it.
     """
     m = ck.machine()
     cfg = _build_config(args, ck.config)
@@ -247,8 +248,9 @@ def _confabulate(args, ck, tag: int, count: int, threads: int) -> np.ndarray:
         if not args.data:
             raise UsageError("--init prior needs --data with training images")
         ds = _load_dataset(args.data, args.threshold, args.limit)
-        top_init = mean_activation_prior(m, ds, row_streams(args.seed, tag, 0, count=len(ds)),
-                                         cfg.intra_sweeps, threads)
+        rows = sampling.e_step_batch(m, ds, row_streams(args.seed, tag, 0, count=len(ds)),
+                                     cfg.intra_sweeps, threads)
+        top_init = rows[:, m.layout.slices[-1]].astype(np.float64).mean(axis=0)
     else:
         top_init = np.full(m.layout.sizes[-1], 0.5)
     streams = row_streams(args.seed, tag, 1, count=count)

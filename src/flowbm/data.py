@@ -7,8 +7,8 @@ truncation, a file with no images and images with no pixels, and
 `binarize` returns a (N, pixels) uint8 matrix of bits (pixel/255 >
 threshold).  That bit matrix is the data type every trainer and sampler
 takes, and `bit_rows` is its one check: the trainers, the samplers, the
-flow gradient, `metrics.corrupt` and `metrics.reconstruct_batch` pass
-their rows through it.
+flow gradient and `metrics`' `corrupt`, `reconstruct_batch` and
+`recon_error` pass their rows through it.
 """
 
 from __future__ import annotations

@@ -34,9 +34,12 @@ _BLOCK_VALUES = 16_384  # per block: 180 kB of text, under 1 MB of temporaries
 
 
 def to_grey(values: np.ndarray) -> np.ndarray:
-    """Map [0, 1] floats (or bits) to uint8 grey levels."""
+    """Map [0, 1] floats (or bits) to uint8 grey levels; `ValueError` on
+    any other value, NaN and infinities included."""
     arr = np.asarray(values, dtype=np.float64)
-    return np.clip(np.round(arr * 255.0), 0, 255).astype(np.uint8)
+    if not ((arr >= 0.0) & (arr <= 1.0)).all():  # NaN fails both
+        raise ValueError("grey levels need values in [0, 1]")
+    return np.round(arr * 255.0).astype(np.uint8)
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -86,9 +89,10 @@ def write_csv(fh, values: np.ndarray) -> None:
 
 
 def square_side(length: int) -> int:
-    """The side of a square image of `length` pixels; ValueError if none."""
-    side = math.isqrt(length)
-    if side * side != length:
+    """The side of a square image of `length` pixels, at least one;
+    ValueError if none."""
+    side = math.isqrt(max(length, 0))
+    if length < 1 or side * side != length:
         raise ValueError(f"images of length {length} are not square")
     return side
 

@@ -1,10 +1,10 @@
 """Evaluation suite: sparsity statistics, corruption patterns, image
 reconstruction and its L1 error, and Parzen log-likelihood.
 
-`corrupt` and `reconstruct_batch` take their images and mask as
-`data.bit_rows`.  `corrupt` draws one block of coin flips per row through
-`RowStreams.random`, and `reconstruct_batch` runs `sampling`'s clamped
-Gibbs schedule under the batch samplers' row contract (`map_shards`).
+`corrupt`, `reconstruct_batch` and `recon_error` take their images and
+mask as `data.bit_rows`.  `corrupt` and `reconstruct_batch` draw under the
+batch samplers' row contract (`map_shards`): `corrupt` one block of coin
+flips per row, `reconstruct_batch` `sampling`'s clamped Gibbs schedule.
 """
 
 from __future__ import annotations
@@ -59,14 +59,23 @@ def squared_weight(m: BoltzmannMachine) -> float:
     return float(np.sum(w**2) / w.shape[1])
 
 
-def recon_error(original: np.ndarray, reconstructed: np.ndarray):
-    """L1 distance between two equal-length bit vectors, or one distance per
-    row of two equal-shape matrices: the count of differing bits, as a
-    float64 (an exact integer)."""
-    a, b = np.asarray(original), np.asarray(reconstructed)
+def recon_error(original: np.ndarray, reconstructed: np.ndarray) -> np.ndarray:
+    """One L1 distance per row of two equal-shape bit matrices
+    (`data.bit_rows`): the count of differing bits, as a float64 (an exact
+    integer)."""
+    a = np.asarray(original)
+    a = bit_rows(a, a.shape[-1] if a.ndim else 0, "original rows")
+    b = bit_rows(reconstructed, a.shape[1], "reconstructed rows")
     if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return np.count_nonzero(a != b, axis=-1).astype(np.float64)
+        raise ValueError(f"row count mismatch: {a.shape} vs {b.shape}")
+    return np.count_nonzero(a != b, axis=1).astype(np.float64)
+
+
+def _corrupt_rows(unknown: np.ndarray, streams: RowStreams, images: np.ndarray) -> np.ndarray:
+    """A copy of a block of images with the `unknown` pixels coin flips."""
+    corrupted = images.copy()
+    corrupted[:, unknown] = streams.random(np.count_nonzero(unknown)) < 0.5
+    return corrupted
 
 
 def corrupt(
@@ -74,20 +83,19 @@ def corrupt(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Replace a 12-row (or column) band of each image (row) with coin flips.
 
-    Row i's flips are one block of uniforms from row i of `streams`.  Returns the
-    corrupted images and the known-pixel mask (False on the corrupted band),
-    a read-only view of one mask for every row.  The named side is the
-    band's location: "top" corrupts rows 0-11, "left" columns 0-11, and so on.
+    Row i's flips are one block of uniforms from row i of `streams`, on
+    `map_shards`' shards.  Returns the corrupted images and the known-pixel
+    mask (False on the corrupted band), a read-only view of one mask for
+    every row.  The named side is the band's location: "top" corrupts rows
+    0-11, "left" columns 0-11, and so on.
     """
-    corrupted = bit_rows(images, IMAGE_SIDE**2, "images").copy()
-    if len(corrupted) != len(streams):
-        raise ValueError("need one stream per row")
+    images = bit_rows(images, IMAGE_SIDE**2, "images")
     if pattern not in BANDS:
         raise ValueError(f"unknown corruption pattern {pattern!r}")
     known = np.ones((IMAGE_SIDE, IMAGE_SIDE), dtype=bool)
     known[BANDS[pattern]] = False
     unknown = ~known.ravel()
-    corrupted[:, unknown] = streams.random(int(unknown.sum())) < 0.5
+    corrupted = map_shards(partial(_corrupt_rows, unknown), streams, images, threads=1)
     return corrupted, np.broadcast_to(~unknown, corrupted.shape)
 
 

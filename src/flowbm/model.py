@@ -9,11 +9,12 @@ with every unordered edge counted once.  Layered machines connect
 consecutive layers only, optionally adding intra-layer edges inside hidden
 layers; a single-layer machine is fully observed with all-to-all edges.
 
-Only those edges are stored.  The weights are one flat vector of length
-`LayerSpec.edges` holding the blocks of `LayerSpec.blocks` back to back in
-row-major order: each inter-layer block once, as (lower layer) x (upper
-layer), and each intra-layer block as a symmetric square with a zero
-diagonal.  Gradients and optimizer moments use the same vector, so
+Only those edges are stored, and the layout sizes every machine: the
+weights are one flat vector of length `LayerSpec.edges`, the biases one of
+`LayerSpec.n`.  The weights hold the blocks of `LayerSpec.blocks` back to
+back in row-major order: each inter-layer block once, as (lower layer) x
+(upper layer), and each intra-layer block as a symmetric square with a
+zero diagonal.  Gradients and optimizer moments use the same vector, so
 elementwise updates need no knowledge of the blocks; readers take 2-D
 views with `BoltzmannMachine.block`.
 
@@ -24,6 +25,7 @@ by one kernel, `BoltzmannMachine.local_field`, with a term for each given row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from types import MappingProxyType
@@ -123,15 +125,17 @@ class LayerSpec:
 
 @dataclass
 class BoltzmannMachine:
-    """Layout, flat block-sparse weights (see the module docstring), biases."""
+    """Layout, flat block-sparse weights and biases, sized by the layout."""
 
     layout: LayerSpec
     weights: np.ndarray
     biases: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.biases.shape[0]
+    def __post_init__(self):
+        expected = ((self.layout.edges,), (self.layout.n,))
+        if (self.weights.shape, self.biases.shape) != expected:
+            raise ValueError(f"weights and biases have shapes {self.weights.shape} and "
+                             f"{self.biases.shape}; the layout needs {expected}")
 
     def block(self, a: int, b: int, flat: np.ndarray | None = None) -> np.ndarray:
         """2-D view of block (a, b) of `flat`, by default of the weights.
@@ -182,8 +186,8 @@ def new_machine(layout: LayerSpec, seed: int, init_scale: float = 0.01) -> Boltz
     the stored blocks are taken from it, so all structural invariants hold
     by construction.
     """
-    if init_scale <= 0:
-        raise ValueError(f"init_scale must be positive, got {init_scale}")
+    if not (math.isfinite(init_scale) and init_scale > 0):
+        raise ValueError(f"init_scale must be positive and finite, got {init_scale}")
     n = layout.n
     rng = np.random.default_rng(np.random.SeedSequence(int(seed) & (2**64 - 1)))
     w = rng.uniform(-init_scale, init_scale, size=(n, n))
@@ -195,13 +199,10 @@ def new_machine(layout: LayerSpec, seed: int, init_scale: float = 0.01) -> Boltz
 def validate(m: BoltzmannMachine) -> list[tuple]:
     """Full-scan structural check; returns every violation with vertex indices.
 
-    Kinds: ("length", weights shape, biases shape, expected lengths);
-    ("nonfinite_weight", i, j) once per stored entry; ("nonfinite_bias", i);
-    ("asymmetric", i, j) with i < j and ("diagonal", i) inside intra blocks.
+    Kinds: ("nonfinite_weight", i, j) once per stored entry; ("nonfinite_bias",
+    i); ("asymmetric", i, j) with i < j and ("diagonal", i) inside intra
+    blocks.  The lengths were checked when the machine was built.
     """
-    expected = (m.layout.edges, m.layout.n)
-    if m.weights.shape != expected[:1] or m.biases.shape != expected[1:]:
-        return [("length", m.weights.shape, m.biases.shape, expected)]
     violations: list[tuple] = []
     sl = m.layout.slices
     for a, b in m.layout.blocks:

@@ -67,7 +67,7 @@ def gradient_and_objective(
 ) -> tuple[Gradient, float]:
     """Batch-mean analytic gradient over the stored blocks, and the objective:
     the mean over data points of sum_j delta_j (epsilon-free value)."""
-    y = bit_rows(batch, m.n, "flow batch").astype(np.float64)
+    y = bit_rows(batch, m.layout.n, "flow batch").astype(np.float64)
     alpha, _, delta, hits = _flow_arrays(m, y, clamp)
     objective = float(delta.sum(axis=1).mean())
     a = np.multiply(alpha, delta, out=alpha)  # (B, n)

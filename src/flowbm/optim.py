@@ -127,7 +127,7 @@ class AdamState:
 
 
 def init_adam(m: BoltzmannMachine) -> AdamState:
-    e, n = m.layout.edges, m.n
+    e, n = m.layout.edges, m.layout.n
     return AdamState(np.zeros(e), np.zeros(e), np.zeros(n), np.zeros(n), 0)
 
 

@@ -1,8 +1,9 @@
 """Conditional Bernoulli sampling for layered machines, one stream per row.
 
 Covers the bottom-up inference pass from the layers below (the E-step),
-asynchronous intra-layer Gibbs sweeps, top-down confabulation generation
-and the clamped Gibbs schedule of `metrics.reconstruct_batch`.  A layer's
+asynchronous intra-layer Gibbs sweeps, top-down confabulation generation,
+the clamped Gibbs schedule of `metrics.reconstruct_batch` and the row
+shards that `metrics.corrupt` draws its coin flips on.  A layer's
 conditional is the logistic of its `BoltzmannMachine.local_field`, a term
 for each given row; an intra-layer sweep adds each unit's intra term to
 that field one unit at a time.
@@ -50,9 +51,9 @@ from scipy.special import expit
 from .data import bit_rows
 from .model import BoltzmannMachine
 
-# Rows per shard for every batch sampler (E-step, generation and
-# reconstruction).  `map_shards` alone sets shard boundaries, from the row
-# count only: a boundary that moved with the thread count would change
+# Rows per shard for every batch sampler (E-step, generation, corruption
+# and reconstruction).  `map_shards` alone sets shard boundaries, from the
+# row count only: a boundary that moved with the thread count would change
 # results.
 _CHUNK = 512
 
@@ -406,16 +407,3 @@ def reconstruct_rows(
             thresholded = np.where(probs_v == 0.5, _draw(probs_v, streams), probs_v > 0.5)
             v = np.where(known, given, thresholded)
     return v.astype(np.uint8)
-
-
-def mean_activation_prior(
-    m: BoltzmannMachine,
-    data,
-    streams: RowStreams,
-    intra_sweeps: int = 1,
-    threads: int = 1,
-) -> np.ndarray:
-    """Per-unit mean of the top layer's inferred states over a dataset,
-    one stream per data row."""
-    rows = e_step_batch(m, data, streams, intra_sweeps, threads)
-    return rows[:, m.layout.slices[-1]].astype(np.float64).mean(axis=0)

@@ -19,7 +19,7 @@ from flowbm.model import BoltzmannMachine
 
 def dense_weights(m: BoltzmannMachine) -> np.ndarray:
     """Symmetric (n, n) matrix, zero off the stored blocks."""
-    sl, w = m.layout.slices, np.zeros((m.n, m.n))
+    sl, w = m.layout.slices, np.zeros((m.layout.n, m.layout.n))
     for a, b in m.layout.blocks:
         w[sl[b], sl[a]] = m.block(a, b).T
         w[sl[a], sl[b]] = m.block(a, b)  # an intra block keeps its own entries
@@ -29,8 +29,8 @@ def dense_weights(m: BoltzmannMachine) -> np.ndarray:
 def energy(m: BoltzmannMachine, s: np.ndarray) -> float:
     """Energy of one state: ``-1/2 s^T W s - b^T s`` (W symmetric, zero diag)."""
     s = np.asarray(s, dtype=np.float64)
-    if s.shape != (m.n,):
-        raise ValueError(f"state has shape {s.shape}, expected ({m.n},)")
+    if s.shape != (m.layout.n,):
+        raise ValueError(f"state has shape {s.shape}, expected ({m.layout.n},)")
     return float(-0.5 * s @ dense_weights(m) @ s - m.biases @ s)
 
 
@@ -47,7 +47,7 @@ def state_index(bits: np.ndarray) -> np.ndarray:
 
 
 def all_state_energies(m: BoltzmannMachine) -> np.ndarray:
-    states = enumerate_states(m.n)
+    states = enumerate_states(m.layout.n)
     w = dense_weights(m)
     return -0.5 * np.einsum("si,ij,sj->s", states, w, states) - states @ m.biases
 
@@ -58,11 +58,11 @@ def rate_matrix(m: BoltzmannMachine) -> np.ndarray:
     Entry [x, y] is the rate from state y to its one-bit-flip neighbor x;
     diagonals make every column sum to zero.
     """
-    num = 2**m.n
+    num = 2**m.layout.n
     energies = all_state_energies(m)
     gamma = np.zeros((num, num))
     idx = np.arange(num)
-    for j in range(m.n):
+    for j in range(m.layout.n):
         flipped = idx ^ (1 << j)
         gamma[flipped, idx] = np.exp(0.5 * (energies[idx] - energies[flipped]))
     np.fill_diagonal(gamma, 0.0)
@@ -96,8 +96,8 @@ def brute_force_flow(m: BoltzmannMachine, data, eps: float) -> float:
     `mpf.gradient_and_objective` times eps converges to this as eps -> 0
     when no data point is a one-hop neighbor of another.
     """
-    if m.n > 20:
-        raise ValueError(f"brute force enumeration capped at 20 vertices, got {m.n}")
+    if m.layout.n > 20:
+        raise ValueError(f"brute force enumeration capped at 20 vertices, got {m.layout.n}")
     if eps < 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     p0 = observed_empirical(m, data)
@@ -167,7 +167,7 @@ def stationary_table(m: BoltzmannMachine) -> np.ndarray:
     x_index + (h_index << n_obs).
     """
     n_obs = m.layout.sizes[0]
-    n_hid = m.n - n_obs
+    n_hid = m.layout.n - n_obs
     p = np.exp(-all_state_energies(m))
     p /= p.sum()
     return p.reshape(2**n_hid, 2**n_obs).T
@@ -186,10 +186,10 @@ def bottom_up_conditional(m: BoltzmannMachine) -> np.ndarray:
     if any(m.layout.intra_layer):
         raise ValueError("bottom-up q is a product of sigmoids only without intra edges")
     n_obs = m.layout.sizes[0]
-    x, h = enumerate_states(n_obs), enumerate_states(m.n - n_obs)
+    x, h = enumerate_states(n_obs), enumerate_states(m.layout.n - n_obs)
     shape = (len(x), len(h))
     s = np.concatenate([np.broadcast_to(x[:, None], shape + (n_obs,)),
-                        np.broadcast_to(h[None, :], shape + (m.n - n_obs,))], axis=2)
+                        np.broadcast_to(h[None, :], shape + (m.layout.n - n_obs,))], axis=2)
     sl, q = m.layout.slices, np.ones(shape)
     for k in range(1, len(sl)):
         on = scipy.special.expit(s[..., sl[k - 1]] @ m.block(k - 1, k) + m.biases[sl[k]])
@@ -203,12 +203,12 @@ def upper_bound_check(m: BoltzmannMachine, data, eps: float, q_cond=None):
 
     The joint chain starts at q(h|x) p0(x); the variational value is the
     joint KL after time eps and can never drop below the observed-marginal
-    KL, whatever q is.  Exponential in m.n; keep machines small.
+    KL, whatever q is.  Exponential in m.layout.n; keep machines small.
     """
-    if m.n > 12:
-        raise ValueError(f"joint enumeration capped at 12 vertices, got {m.n}")
+    if m.layout.n > 12:
+        raise ValueError(f"joint enumeration capped at 12 vertices, got {m.layout.n}")
     n_obs = m.layout.sizes[0]
-    n_hid = m.n - n_obs
+    n_hid = m.layout.n - n_obs
     p0 = observed_empirical(m, data)
     if q_cond is None:
         q_cond = exact_hidden_conditional(m)

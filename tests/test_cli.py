@@ -18,8 +18,11 @@ from flowbm import checkpoint as ckpt_io
 from flowbm import cli, training
 from flowbm.cli import build_parser, main
 from flowbm.checkpoint import load_checkpoint
+from flowbm.data import load_binary_dataset
 from flowbm.images import write_csv
+from flowbm.model import LayerSpec
 from flowbm.optim import TrainConfig
+from flowbm.sampling import e_step_batch, row_streams
 
 SUBCOMMANDS = ("train", "generate", "reconstruct", "eval-ll", "stdp-curve", "inspect")
 
@@ -776,6 +779,52 @@ class TestParzenRange:
         assert run(["eval-ll", "--checkpoint", run_dir / "ckpt-final.bin", "--test-images",
                     workdir / "test.idx", "--init", "uniform", "--sigma", "1e200"]) == 2
         assert "--sigma must be positive" in capsys.readouterr().err
+
+
+class TestInitPrior:
+    """--init prior starts generation from the top layer's mean state over
+    the E-step rows of the first --limit --data images."""
+
+    @staticmethod
+    def prior_of(argv, monkeypatch) -> np.ndarray:
+        """The top-layer probabilities that `argv` hands to generation."""
+        seen, original = [], cli.generate_batch
+
+        def record(m, top_init, *args):
+            seen.append(top_init)
+            return original(m, top_init, *args)
+
+        monkeypatch.setattr("flowbm.cli.generate_batch", record)
+        assert run(argv) == 0
+        return seen[0]
+
+    @staticmethod
+    def save(workdir, biases_of_top=None):
+        state = training.init_state(LayerSpec((784, 10, 6), (False, True)),
+                                    TrainConfig(seed=4, init_scale=0.3))
+        if biases_of_top is not None:
+            state.biases[-6:] = biases_of_top
+        ckpt_io.save_checkpoint(workdir / "prior.bin", state)
+        return state
+
+    def test_prior_is_the_mean_top_state_of_the_e_step(self, workdir, monkeypatch):
+        m = self.save(workdir).machine()
+        prior = self.prior_of(["generate", "--checkpoint", workdir / "prior.bin", "--init",
+                               "prior", "--data", workdir / "train.idx", "--limit", "40",
+                               "--seed", "3", "--count", "2", "--out", workdir / "gen"],
+                              monkeypatch)
+        data = load_binary_dataset(workdir / "train.idx")[:40]
+        rows = e_step_batch(m, data, row_streams(3, cli.TAG_GENERATE, 0, count=40))
+        np.testing.assert_array_equal(prior, rows[:, m.layout.slices[-1]].mean(axis=0))
+        assert prior.shape == (6,) and 0.0 < prior.min() and prior.max() < 1.0
+
+    def test_saturated_top_biases_give_a_saturated_prior(self, workdir, monkeypatch):
+        self.save(workdir, biases_of_top=[40.0, -40.0] * 3)
+        prior = self.prior_of(["eval-ll", "--checkpoint", workdir / "prior.bin",
+                               "--test-images", workdir / "test.idx", "--init", "prior",
+                               "--data", workdir / "train.idx", "--limit", "7",
+                               "--n-samples", "4"], monkeypatch)
+        np.testing.assert_array_equal(prior, [1.0, 0.0] * 3)
 
 
 class TestProbabilitiesCsv:

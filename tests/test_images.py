@@ -2,6 +2,7 @@ import io
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
@@ -84,3 +85,30 @@ class TestWriteCsv:
                 tracemalloc.stop()
         assert peak < 2_000_000
         assert (tmp_path / "probabilities.csv").read_bytes() == savetxt_bytes(values)
+
+
+class TestGreyLevels:
+    def test_unit_interval_and_bits_map_to_bytes(self):
+        values = np.array([[0.0, 1.0, 0.5, 1 / 255, 0.998]])
+        np.testing.assert_array_equal(images.to_grey(values), [[0, 255, 128, 1, 254]])
+        np.testing.assert_array_equal(images.to_grey(np.array([[0, 1]])), [[0, 255]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, 2.0, -1e-300,
+                                     np.nextafter(1.0, 2.0)])
+    def test_non_finite_and_out_of_range_values_are_rejected(self, bad, tmp_path):
+        with pytest.raises(ValueError, match=r"values in \[0, 1\]"):
+            images.to_grey(np.array([[0.5, bad]]))
+        with pytest.raises(ValueError, match=r"values in \[0, 1\]"):
+            images.write_pgm(tmp_path / "grid.pgm", np.array([[0.5, bad]]))
+        assert not list(tmp_path.iterdir())
+
+
+class TestSquareSide:
+    @pytest.mark.parametrize("length, side", [(1, 1), (4, 2), (784, 28)])
+    def test_square_lengths(self, length, side):
+        assert images.square_side(length) == side
+
+    @pytest.mark.parametrize("length", [0, -1, -4, 2, 12, 783])
+    def test_other_lengths_are_rejected(self, length):
+        with pytest.raises(ValueError, match="not square"):
+            images.square_side(length)

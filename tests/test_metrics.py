@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -142,6 +143,27 @@ class TestCorrupt:
         corrupted, _ = corrupt(images, "top", row_streams(3, 0, count=200))
         assert abs(corrupted[:, :336].mean() - 0.5) < 0.01
 
+    def test_draws_shard_by_shard_in_bounded_memory(self):
+        # The flips of 4,096 rows run on map_shards' 512-row shards: every
+        # row still takes the first block of its own stream, and the peak
+        # beyond the result stays near one shard's uniforms, where one
+        # whole-batch draw would hold 11 MB of them.
+        rows = 4096
+        images = random_bits(np.random.default_rng(5), (rows, 784))
+        streams = row_streams(6, 0, count=rows)
+        tracemalloc.start()
+        try:
+            corrupted, known = corrupt(images, "bottom", streams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - corrupted.nbytes < 10 * 2**20
+        for i in (0, 511, 512, 4095):
+            expected = (stream(6, 0, i).random(336) < 0.5).astype(np.uint8)
+            np.testing.assert_array_equal(corrupted[i][~known[i]], expected)
+        with pytest.raises(ValueError, match="already sliced out"):
+            corrupt(images, "bottom", streams)
+
     def test_rejects_wrong_size_and_pattern(self):
         with pytest.raises(ValueError):
             corrupt(np.zeros((1, 100), dtype=np.uint8), "top", row_streams(0, 0, count=1))
@@ -155,16 +177,25 @@ class TestCorrupt:
 
 class TestReconError:
     def test_examples(self):
-        a = np.zeros(784, dtype=np.uint8)
+        a = np.zeros((1, 784), dtype=np.uint8)
         assert recon_error(a, a) == 0.0
         assert recon_error(a, 1 - a) == 784.0
         b = a.copy()
-        b[:12] = 1
+        b[0, :12] = 1
         assert recon_error(a, b) == 12.0
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            recon_error(np.zeros(3), np.zeros(4))
+            recon_error(np.zeros((1, 3)), np.zeros((1, 4)))
+        with pytest.raises(ValueError, match="expected"):
+            recon_error(np.zeros(3), np.zeros(3))  # a vector is not a row matrix
+
+    @pytest.mark.parametrize("original", [[[0.5, 255]], [[0, 2]], [[np.nan, 0]], [[-1, 0]]])
+    def test_non_bits_rejected(self, original):
+        with pytest.raises(ValueError, match="original rows: expected only 0 and 1"):
+            recon_error(original, [[0, 0]])
+        with pytest.raises(ValueError, match="reconstructed rows: expected only 0 and 1"):
+            recon_error([[0, 0]], original)
 
     def test_one_distance_per_row(self):
         # The form `cmd_reconstruct` uses: one L1 error per image.
@@ -178,7 +209,7 @@ class TestReconError:
     @given(seed=st.integers(0, 1000), n=st.integers(1, 64))
     def test_counts_differing_bits(self, seed, n):
         rng = np.random.default_rng(seed)
-        a, b = random_bits(rng, n), random_bits(rng, n)
+        a, b = random_bits(rng, (1, n)), random_bits(rng, (1, n))
         assert recon_error(a, b) == int((a != b).sum())
 
 

@@ -34,11 +34,11 @@ def edgewise_energy(m, s):
     """Independent scalar implementation: loop over unordered edges."""
     w, edges = dense_weights(m), stored_edges(m.layout)
     total = 0.0
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
+    for i in range(m.layout.n):
+        for j in range(i + 1, m.layout.n):
             if edges[i, j]:
                 total -= w[i, j] * s[i] * s[j]
-    for i in range(m.n):
+    for i in range(m.layout.n):
         total -= m.biases[i] * s[i]
     return total
 
@@ -202,6 +202,24 @@ class TestBlockTable:
             layout.edges = 0
 
 
+class TestMachineSize:
+    """The layout sizes every machine: its constructor checks both vectors."""
+
+    @pytest.mark.parametrize("edges, n", [(5, 5), (7, 5), (6, 4), (6, 6), ((6, 1), 5),
+                                          (6, (5, 1)), ((), 5)])
+    def test_mis_sized_vectors_are_rejected(self, edges, n):
+        layout = LayerSpec((3, 2), (False,))
+        with pytest.raises(ValueError, match="the layout needs"):
+            BoltzmannMachine(layout, np.zeros(edges), np.zeros(n))
+        assert BoltzmannMachine(layout, np.zeros(6), np.zeros(5)).biases.shape == (5,)
+
+    def test_from_dense_rejects_a_short_bias_vector(self):
+        layout = LayerSpec((2, 1), (False,))
+        with pytest.raises(ValueError, match="the layout needs"):
+            BoltzmannMachine.from_dense(layout, np.zeros((3, 3)), np.zeros(2))
+        assert BoltzmannMachine.from_dense(layout, np.zeros((3, 3)), np.zeros(3)).weights.shape == (2,)
+
+
 class TestEnergy:
     def test_all_zero_state(self):
         m = make_machine(5, seed=0)
@@ -235,7 +253,7 @@ class TestEnergy:
 
     def test_layered_energy_respects_mask(self):
         m = make_layered_machine((4, 3, 2), (True, False), seed=3)
-        s = random_bits(np.random.default_rng(0), m.n)
+        s = random_bits(np.random.default_rng(0), m.layout.n)
         assert energy(m, s) == pytest.approx(edgewise_energy(m, s), rel=1e-12)
 
     def test_bit_flip_delta_matches_flow_input(self):
@@ -264,7 +282,7 @@ def machines_and_rows(draw):
     seed = draw(st.integers(0, 10_000))
     m = make_layered_machine(sizes, intra, seed=seed)
     count = draw(st.integers(1, 4))
-    return m, np.random.default_rng(seed + 1).normal(0.0, 1.0, (count, m.n))
+    return m, np.random.default_rng(seed + 1).normal(0.0, 1.0, (count, m.layout.n))
 
 
 class TestLocalField:
@@ -315,7 +333,7 @@ class TestLocalField:
 class TestNewMachine:
     def test_fully_observed_structure(self):
         m = new_machine(LayerSpec((4,)), seed=0)
-        assert m.n == 4
+        assert m.layout.n == 4
         assert m.weights.shape == (16,)
         assert (dense_weights(m) != 0).sum() == 12
         assert validate(m) == []
@@ -336,8 +354,10 @@ class TestNewMachine:
         assert np.abs(m.weights).max() <= 0.05
 
     def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            new_machine(LayerSpec((4,)), seed=0, init_scale=0.0)
+        # TrainConfig's rule for init_scale: positive and finite.
+        for scale in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                new_machine(LayerSpec((4,)), seed=0, init_scale=scale)
 
     def test_random_layouts_pass_validate(self):
         rng = np.random.default_rng(99)
@@ -365,20 +385,21 @@ class TestValidate:
 
     def test_detects_mask_breach(self):
         # An edge outside the stored blocks has no place in the vector: a
-        # vector with one entry too many is a length violation, and the
+        # vector with one entry too many cannot make a machine, and the
         # dense view of a valid machine is zero off the blocks.
         m = make_layered_machine((3, 2), (False,), seed=0)
         assert (dense_weights(m)[~stored_edges(m.layout)] == 0.0).all()
-        grown = BoltzmannMachine(m.layout, np.append(m.weights, 0.5), m.biases)
-        assert validate(grown) == [("length", (7,), (5,), (6, 5))]
+        with pytest.raises(ValueError, match=r"shapes \(7,\) and \(5,\); .* \(\(6,\), \(5,\)\)"):
+            BoltzmannMachine(m.layout, np.append(m.weights, 0.5), m.biases)
 
     def test_detects_extra_mask_edge(self):
         # Intra edges of a layer without intra connectivity cannot be stored;
-        # a vector sized for them is rejected, as are non-finite entries.
+        # a vector sized for them is rejected, and validate reports
+        # non-finite entries.
         m = make_layered_machine((3, 2), (False,), seed=0)
         with_intra = LayerSpec((3, 2), (True,)).edges
-        padded = BoltzmannMachine(m.layout, np.zeros(with_intra), m.biases)
-        assert validate(padded)[0][0] == "length"
+        with pytest.raises(ValueError, match="the layout needs"):
+            BoltzmannMachine(m.layout, np.zeros(with_intra), m.biases)
         m.block(0, 1)[1, 0] = np.nan
         m.biases[4] = np.inf
         assert validate(m) == [("nonfinite_weight", 1, 3), ("nonfinite_bias", 4)]

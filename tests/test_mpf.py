@@ -48,8 +48,8 @@ def finite_difference_gradient(m, batch, h=1e-5):
     def at(w_new):
         return objective(BoltzmannMachine.from_dense(m.layout, w_new, m.biases), batch)
 
-    for i in range(m.n):
-        for j in range(i + 1, m.n):
+    for i in range(m.layout.n):
+        for j in range(i + 1, m.layout.n):
             if not edges[i, j]:
                 continue
             saved = w[i, j]
@@ -59,7 +59,7 @@ def finite_difference_gradient(m, batch, h=1e-5):
             down = at(w)
             w[i, j] = w[j, i] = saved
             dw[i, j] = dw[j, i] = (up - down) / (2 * h)
-    for i in range(m.n):
+    for i in range(m.layout.n):
         saved = m.biases[i]
         m.biases[i] = saved + h
         up = objective(m, batch)
@@ -172,7 +172,7 @@ class TestGradient:
     def test_structural_invariants(self):
         for seed in range(10):
             m = make_layered_machine((4, 3, 2), (True, False), seed=seed, w_scale=0.4)
-            batch = random_bits(np.random.default_rng(seed), (5, m.n))
+            batch = random_bits(np.random.default_rng(seed), (5, m.layout.n))
             g, _ = gradient_and_objective(m, batch)
             # Laid out like the weights, with symmetric zero-diagonal intra
             # blocks: the gradient passes the machine's own check.

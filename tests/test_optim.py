@@ -63,7 +63,7 @@ def mstep_digests(layout: str, intra: str) -> dict[str, str]:
     """SHA-256 of one flow gradient on 40 fixed rows, and of the parameters
     and moments after three gradient-and-step rounds on the same rows."""
     m = new_machine(LayerSpec.from_strings(layout, intra), seed=17, init_scale=0.1)
-    batch = (np.random.default_rng(17).random((40, m.n)) < 0.3).astype(np.uint8)
+    batch = (np.random.default_rng(17).random((40, m.layout.n)) < 0.3).astype(np.uint8)
     g, objective = gradient_and_objective(m, batch)
     digests = {"d_weights": sha(g.d_weights), "d_biases": sha(g.d_biases),
                "objective": repr(objective)}
@@ -250,11 +250,11 @@ class TestAdamStep:
         st = init_adam(m)
         cfg = TrainConfig(weight_decay=0.0005)
         for i in range(500):
-            raw = rng.normal(0, 1.0, (m.n, m.n))
+            raw = rng.normal(0, 1.0, (m.layout.n, m.layout.n))
             gw = (raw + raw.T) / 2
             np.fill_diagonal(gw, 0.0)
-            stored = BoltzmannMachine.from_dense(m.layout, gw, np.zeros(m.n)).weights
-            step(m, Gradient(stored, rng.normal(0, 1.0, m.n)), st, cfg)
+            stored = BoltzmannMachine.from_dense(m.layout, gw, np.zeros(m.layout.n)).weights
+            step(m, Gradient(stored, rng.normal(0, 1.0, m.layout.n)), st, cfg)
             assert validate(m) == []
         assert st.t == 500
 

@@ -15,8 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from flowbm import checkpoint, mpf, optim
+from flowbm import checkpoint, mpf, optim, training
 from flowbm.cli import main
+from flowbm.model import LayerSpec
+from flowbm.optim import TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -41,7 +43,7 @@ def test_checkpoint_check_and_byte_counts_follow_the_store(synthetic_idx, tmp_pa
 
     ck = checkpoint.load_checkpoint(final)
     m, st, cfg = ck.machine(), ck.adam, ck.config
-    e, n = m.layout.edges, m.n
+    e, n = m.layout.edges, m.layout.n
     assert e == 784 * 20
     batch = np.random.default_rng(0).integers(0, 2, (40, n))
 
@@ -79,3 +81,29 @@ def test_sites_resolve_and_counters_read_the_parameters_they_mean():
         for index, expected in COUNTER_PARAMETERS[work.__name__].items():
             assert params[index] == expected, (module_name, attr, index)
     assert {"_rows", "_samples", "_images", "_state_bytes"} <= counters
+
+
+def test_spans_time_the_prior_e_step_and_the_corruption(synthetic_idx, tmp_path):
+    # `cli` looks `sampling.e_step_batch` up on the module at call time, so
+    # the tracer's wrapper times the E-step behind eval-ll's prior; a name
+    # imported into `cli` would escape it.
+    spans = load_perfbench("spans")
+    images = str(synthetic_idx[0])
+    ck = tmp_path / "ck.bin"
+    checkpoint.save_checkpoint(ck, training.init_state(LayerSpec((784, 12), (False,)), TrainConfig()))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["eval-ll", "--checkpoint", str(ck), "--test-images", images,
+                     "--init", "prior", "--data", images, "--limit", "40",
+                     "--n-samples", "20"]) == 0
+        first = len(tracer.spans)
+        assert main(["reconstruct", "--checkpoint", str(ck), "--images", images,
+                     "--limit", "30", "--trials", "2", "--out", str(tmp_path / "rec")]) == 0
+    finally:
+        tracer.uninstall()
+    names = [s.name for s in tracer.spans]
+    estep = names.index("sampling.estep")
+    assert estep < first and tracer.spans[estep].work == 40
+    assert names[estep + 1] == "sampling.generate" and tracer.spans[estep + 1].work == 20
+    assert names[first:].count("metrics.corrupt") == 2 * 4  # trials x patterns

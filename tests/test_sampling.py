@@ -26,7 +26,6 @@ from flowbm.sampling import (
     _update_hidden,
     e_step_batch,
     generate_batch,
-    mean_activation_prior,
     row_streams,
     stream,
 )
@@ -400,27 +399,6 @@ class TestGenerate:
         np.testing.assert_array_equal(a, b)
 
 
-class TestMeanActivationPrior:
-    def test_zero_machine_prior_is_half(self):
-        m = zero_machine((4, 3), (False,))
-        data = np.zeros((10_000, 4), dtype=np.uint8)
-        prior = mean_activation_prior(m, data, row_streams(5, 0, count=len(data)))
-        assert np.abs(prior - 0.5).max() < 0.02
-
-    def test_saturated_weights_reproduce_top_state(self):
-        m = zero_machine((2, 2), (False,))
-        m.biases[2:] = (40.0, -40.0)  # sigmoid saturates to exactly 1 / almost 0
-        prior = mean_activation_prior(m, np.array([[1, 0]], dtype=np.uint8), row_streams(0, 0, count=1))
-        np.testing.assert_array_equal(prior, [1.0, 0.0])
-
-    def test_range_and_empty_rejection(self):
-        m = make_layered_machine((5, 4), (True,), seed=1)
-        prior = mean_activation_prior(m, random_bits(np.random.default_rng(0), (50, 5)), row_streams(2, 0, count=50))
-        assert prior.min() >= 0.0 and prior.max() <= 1.0
-        with pytest.raises(ValueError):
-            mean_activation_prior(m, np.zeros((0, 5)), row_streams(2, 0, count=0))
-
-
 class TestRowContract:
     """`map_shards` checks every batch sampler's rows against its streams."""
 
@@ -585,6 +563,8 @@ class TestPinnedBytes:
             "6a23d442d9156b73150e817f23fc5c3568ac8a11b3234fc70029805a58c6901e")
         assert recon_sha.hexdigest() == (
             "5fd742db17fe07155691bdcf61ca6876e5853b8920824348df56cdca1ab5f6f0")
-        prior = mean_activation_prior(m, x, row_streams(3, 5, count=self.ROWS), threads=threads)
+        # generate's --init prior: the top layer's mean over the E-step rows.
+        rows = e_step_batch(m, x, row_streams(3, 5, count=self.ROWS), threads=threads)
+        prior = rows[:, m.layout.slices[-1]].astype(np.float64).mean(axis=0)
         assert self.sha(prior, "<f8") == (
             "5e071779e39604891f3f66e078ccd9756d90c7e003515f87fee4749f2b72938f")

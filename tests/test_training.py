@@ -56,7 +56,7 @@ def exact_samples(m: BoltzmannMachine, count: int, seed: int) -> np.ndarray:
     p /= p.sum()
     rng = np.random.default_rng(seed)
     idx = rng.choice(p.size, size=count, p=p)
-    return enumerate_states(m.n)[idx].astype(np.uint8)
+    return enumerate_states(m.layout.n)[idx].astype(np.uint8)
 
 
 def bars_data(count: int, seed: int) -> np.ndarray:
