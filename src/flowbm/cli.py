@@ -3,11 +3,12 @@ stdp-curve, inspect.
 
 The CLI owns the run directory: fixed file names (config.txt, epochs.csv,
 ckpt-epoch-NNNNN.bin, ckpt-final.bin) so downstream tooling can locate
-outputs, and it alone writes epochs.csv, one `training.EpochLog` per row.
+outputs.  It alone formats epochs.csv, `EPOCH_HEADER` and then one
+`training.EpochLog` per row, and replaces it whole after every epoch.
 generate writes probabilities.csv, one row per confabulation, each value
 `%.8f`, comma-separated and `\n`-terminated (`images.write_csv`).  Every
-file but the appended epochs.csv rows is written to a temporary file
-renamed into place (`checkpoint.replacing`).
+file is written to a temporary file renamed into place
+(`checkpoint.replacing`), so a failed write keeps the last whole file.
 Every setting has one spelling: flags are matched whole (no prefixes), a
 flag given twice or one that the chosen mode would not read exits 2,
 `--threads` defaults to 1 and no environment variable is read, and every
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import ctypes
 import dataclasses
 import sys
@@ -61,7 +61,7 @@ TAG_RECON = 12
 TAG_EVAL = 13
 
 CONFIG_FLAGS = tuple(f.name for f in dataclasses.fields(TrainConfig))
-EPOCH_HEADER = ",".join(training.EpochLog.csv_header())
+EPOCH_HEADER = ",".join(f.name for f in dataclasses.fields(training.EpochLog))
 
 
 class UsageError(Exception):
@@ -149,7 +149,7 @@ def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
         lines = fh.readlines()
     if not lines or lines[0].rstrip("\r\n") != EPOCH_HEADER:
         raise UsageError(f"{path}:1: expected the header {EPOCH_HEADER!r}")
-    columns = len(training.EpochLog.csv_header())
+    columns = EPOCH_HEADER.count(",") + 1
     kept, last = [], None  # `last`: the last kept row's epoch
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -173,10 +173,10 @@ def _epoch_rows_before(path: Path, start_epoch: int) -> list[str]:
     return kept
 
 
-def _restart_epoch_csv(path: Path, kept: list[str]) -> None:
-    """Write the epochs.csv header followed by the `kept` rows through
+def _write_epoch_csv(path: Path, rows: list[str]) -> None:
+    """Write the epochs.csv header followed by `rows` through
     `checkpoint.replacing`, so that a failed write keeps the old file."""
-    text = EPOCH_HEADER + "\r\n" + "".join(kept)
+    text = EPOCH_HEADER + "\r\n" + "".join(rows)
     with ckpt_io.replacing(path) as fh:
         fh.write(text.encode("utf-8"))
 
@@ -198,9 +198,13 @@ def cmd_train(args) -> int:
     layout, cfg = state.layout, state.config
     if cfg.epochs < state.epoch:
         raise UsageError(f"--epochs {cfg.epochs} is below the checkpoint's epoch {state.epoch}")
+    unread = {} if any(layout.intra_layer) else {"intra_sweeps": NO_INTRA}
+    if args.resume:
+        unread["init_scale"] = "does not apply to --resume: the checkpoint's weights are kept"
     if cfg.method != "vpf":
         training.require_rbm(layout)
-        _reject_unread(args, {"threads": f"does not apply to method {cfg.method}"})
+        unread["threads"] = f"does not apply to method {cfg.method}"
+    _reject_unread(args, unread)
     ds = _load_dataset(args.images, args.threshold, args.limit)
     if ds.shape[1] != layout.sizes[0]:
         raise UsageError(f"data width {ds.shape[1]} does not match observed layer {layout.sizes[0]}")
@@ -208,17 +212,17 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     csv_path = out / "epochs.csv"
-    kept_rows = _epoch_rows_before(csv_path, state.epoch)
+    rows = _epoch_rows_before(csv_path, state.epoch)
     out.mkdir(parents=True, exist_ok=True)
-    _restart_epoch_csv(csv_path, kept_rows)
+    _write_epoch_csv(csv_path, rows)
     sizes, intra = layout.to_strings()
     with ckpt_io.replacing(out / "config.txt") as fh:
         fh.write(f"# layout = {sizes}\n# intra = {intra}\n{cfg.to_text()}".encode("utf-8"))
     every = args.checkpoint_every
 
     def on_epoch(state, _pairs, log):
-        with open(csv_path, "a", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerow(log.csv_row())
+        rows.append(",".join(map(str, dataclasses.astuple(log))) + "\r\n")
+        _write_epoch_csv(csv_path, rows)
         if every and state.epoch % every == 0:
             ckpt_io.save_checkpoint(out / f"ckpt-epoch-{state.epoch:05d}.bin", state)
         print(f"epoch {log.epoch}: objective {log.objective_value:.6f} "
@@ -243,6 +247,8 @@ def _confabulate(args, ck, tag: int, count: int, threads: int) -> np.ndarray:
     looked up on `sampling` at call time, so a wrapper set there sees it.
     """
     m = ck.machine()
+    if not any(m.layout.intra_layer):
+        _reject_unread(args, {"intra_sweeps": NO_INTRA})
     cfg = _build_config(args, ck.config)
     if args.init == "prior":
         if not args.data:
@@ -266,6 +272,7 @@ def _reject_unread(args, unread: dict[str, str]) -> None:
 
 
 PRIOR_DATA = "applies only to the --data images of --init prior"
+NO_INTRA = "does not apply: no layer that this command updates has intra-layer edges"
 
 
 def _unread_sampling_flags(args) -> dict[str, str]:
@@ -307,6 +314,8 @@ def cmd_reconstruct(args) -> int:
     m = ck.machine()
     if len(m.layout.sizes) < 2:
         raise UsageError("reconstruction needs a machine with a hidden layer")
+    if not m.layout.intra_layer[0]:  # the only hidden layer that reconstruction updates
+        _reject_unread(args, {"intra_sweeps": NO_INTRA})
     _require_positive("--trials", args.trials)
     _require_positive("--gibbs-steps", args.gibbs_steps)
     threads = _threads(args)

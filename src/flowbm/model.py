@@ -123,7 +123,7 @@ class LayerSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoltzmannMachine:
     """Layout, flat block-sparse weights and biases, sized by the layout."""
 

@@ -20,7 +20,7 @@ from .mpf import Z_CLAMP_DEFAULT, Gradient
 _CHUNK = 16_384
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """All training hyperparameters; defaults match the experiment setup."""
 

@@ -252,8 +252,11 @@ def _update_hidden(
     """New bits for hidden `layer` from the layers below in `rows`.
 
     The layer is drawn from its conditional, then refined by `intra_sweeps`
-    asynchronous sweeps when it has intra-layer edges.
+    asynchronous sweeps when it has intra-layer edges; a negative count
+    raises `ValueError`.
     """
+    if intra_sweeps < 0:
+        raise ValueError(f"intra_sweeps must be non-negative, got {intra_sweeps}")
     below = m.local_field(layer, rows[:layer])
     h = _draw(expit(below), streams)
     if (layer, layer) in m.layout.blocks:
@@ -270,10 +273,12 @@ def map_shards(
 
     Every array in `per_row` needs one row per stream.  Every shard's
     streams are sliced out before the first shard runs, and each shard's
-    are dropped when its run returns.  With `threads` > 1 and more than one
-    shard, shards run on a thread pool, so `run` must not write anything
-    that another shard reads.
+    are dropped when its run returns.  `threads` is an integer of at least
+    1; with `threads` > 1 and more than one shard, shards run on a thread
+    pool, so `run` must not write anything that another shard reads.
     """
+    if not isinstance(threads, (int, np.integer)) or threads < 1:
+        raise ValueError(f"threads must be an integer of at least 1, got {threads!r}")
     if any(len(a) != len(streams) for a in per_row):
         raise ValueError("need one stream per row")
     if len(streams) < 1:

@@ -4,13 +4,12 @@ A pre-before-post spike pair separated by a small interval eps yields an
 expected potentiation (1/eps) * exp(-delta_pre * eps); the reversed order
 yields an expected depression -delta_post * exp(-delta_post * eps).  The
 curve over signed intervals reproduces the classic timing-dependent
-plasticity shape.
+plasticity shape.  `emit_stdp_csv` formats the curve's CSV itself and
+replaces the file whole, as `cli` does with each of its outputs.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -49,12 +48,9 @@ def stdp_curve(delta_pre: float, delta_post: float, dts) -> list[StdpPoint]:
 
 
 def emit_stdp_csv(points: list[StdpPoint], path) -> None:
-    """Two-column CSV (dt, dw) with a header row, `csv.writer`'s `\\r\\n` line
-    ends, written through `checkpoint.replacing`."""
-    text = io.StringIO(newline="")
-    writer = csv.writer(text)
-    writer.writerow(["dt", "dw"])
-    for p in points:
-        writer.writerow([repr(p.dt), repr(p.dw)])
+    """Two-column CSV (dt, dw, each value its `repr`) with a header row and
+    `\\r\\n` line ends, built as text and written whole through
+    `checkpoint.replacing`."""
+    text = "dt,dw\r\n" + "".join(f"{p.dt!r},{p.dw!r}\r\n" for p in points)
     with checkpoint.replacing(path) as fh:
-        fh.write(text.getvalue().encode("utf-8"))
+        fh.write(text.encode("utf-8"))

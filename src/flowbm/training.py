@@ -14,13 +14,13 @@ Adam moments, `TrainConfig` and the number of epochs done.  A new run is
 `init_state`, the epoch-0 checkpoint; a resumed run is a loaded one.  The
 trainers take the data as the (N, pixels) bit matrix of `data.binarize`,
 checked by `data.bit_rows`, and the `Checkpoint` they advance in place,
-hand it with each epoch's `EpochLog` to a callback and write no files.  `EpochLog`'s fields are the
-columns of a run's epochs.csv.
+hand it with each epoch's `EpochLog` to a callback and write no files.
+`EpochLog` is only the record: its fields are the columns of a run's
+epochs.csv, which `cli` alone formats and writes.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 from dataclasses import dataclass
@@ -57,13 +57,6 @@ class EpochLog:
     weight_sparsity: float
     squared_weight: float
     wall_time_s: float
-
-    @classmethod
-    def csv_header(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in dataclasses.fields(cls))
-
-    def csv_row(self) -> tuple:
-        return dataclasses.astuple(self)
 
 
 def init_state(layout: LayerSpec, cfg: TrainConfig) -> Checkpoint:

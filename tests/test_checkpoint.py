@@ -246,6 +246,9 @@ class TestFailureModes:
         blob = serialize(sample_checkpoint())
         with pytest.raises(CheckpointCorruptError):
             deserialize(blob + b"garbage")
+        # With the CRC recomputed over the longer body, only the length check sees it.
+        with pytest.raises(CheckpointCorruptError, match="^7 trailing bytes$"):
+            deserialize(with_crc(blob[:-4] + b"garbage"))
 
     def test_truncation_rejected(self):
         blob = serialize(sample_checkpoint())

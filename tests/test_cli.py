@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import contextlib
 import csv
 import dataclasses
@@ -25,6 +26,8 @@ from flowbm.optim import TrainConfig
 from flowbm.sampling import e_step_batch, row_streams
 
 SUBCOMMANDS = ("train", "generate", "reconstruct", "eval-ll", "stdp-curve", "inspect")
+NO_INTRA = ("--intra-sweeps does not apply: "
+            "no layer that this command updates has intra-layer edges")
 
 
 @pytest.fixture
@@ -165,8 +168,10 @@ class TestHelpAndUsage:
           "--data", "{w}/train.idx", "--limit", "-5"], "--limit"),
         (["stdp-curve", "--delta-pre", "nan", "--delta-post", "1.0", "--dt-min", "-0.1",
           "--dt-max", "0.1", "--out", "{w}/bad"], "firing rates"),
+        (["stdp-curve", "--delta-pre", "1.0", "--delta-post", "1.0", "--dt-min", "-0.1",
+          "--dt-max", "0.1", "--points", "1", "--out", "{w}/bad"], "--points must be at least 2"),
     ], ids=["checkpoint-every", "limit-test-negative", "limit-test-zero", "sigma-nan",
-            "limit-from-data-zero", "limit-from-data-negative", "delta-pre-nan"])
+            "limit-from-data-zero", "limit-from-data-negative", "delta-pre-nan", "points-1"])
     def test_misread_numeric_flags_rejected(self, workdir, cmd, flag, capsys):
         # Each of these used to exit 0: writing every epoch, dropping test
         # rows, printing nan, or ignoring --limit.
@@ -175,6 +180,26 @@ class TestHelpAndUsage:
         assert flag in captured.err
         assert "parzen_ll" not in captured.out
         assert not (workdir / "bad").exists()
+
+    @pytest.mark.parametrize("cmd, message", [
+        (["train", "--images", "{w}/train.idx", "--out", "{w}/out"],
+         "--layout is required unless resuming"),
+        (["reconstruct", "--checkpoint", "{w}/observed.bin", "--images", "{w}/test.idx",
+          "--out", "{w}/out"], "reconstruction needs a machine with a hidden layer"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data"],
+         "--samples-from-data needs --data"),
+        (["eval-ll", "--test-images", "{w}/test.idx", "--init", "uniform"],
+         "--checkpoint required unless --samples-from-data"),
+    ], ids=["train-no-layout", "reconstruct-no-hidden-layer", "from-data-no-data",
+            "eval-ll-no-checkpoint"])
+    def test_missing_input_exits_2_before_writing(self, workdir, cmd, message, capsys):
+        ckpt_io.save_checkpoint(workdir / "observed.bin",
+                                training.init_state(LayerSpec((16,)), TrainConfig()))
+        assert run([a.format(w=workdir) for a in cmd]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+        assert not (workdir / "out").exists()
 
     @pytest.mark.parametrize("cmd, message", [
         (["generate", "--init", "uniform", "--limit", "0", "--out", "{w}/gen"],
@@ -301,12 +326,19 @@ class TestEndToEnd:
                   "method": "cd", "k": "2"}
         assert set(values) == {f.name for f in dataclasses.fields(TrainConfig)}
         assert all(str(getattr(TrainConfig(), k)) != v for k, v in values.items())
-        flags = [a for k, v in values.items() for a in ("--" + k.replace("_", "-"), v)]
-        out = workdir / "flags"
-        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
-                    "--limit", "30", "--out", out] + flags) == 0
-        lines = (out / "config.txt").read_text().splitlines()
-        written = dict(line.split(" = ") for line in lines if not line.startswith("#"))
+        # intra_sweeps is read only where a layer has intra edges, which CD
+        # cannot train, so it takes a second run.
+        written = {}
+        for intra, names in (("0", set(values) - {"intra_sweeps"}),
+                             ("1", {"intra_sweeps", "epochs"})):
+            flags = [a for k in names for a in ("--" + k.replace("_", "-"), values[k])]
+            out = workdir / f"flags-{intra}"
+            assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                        "--intra", intra, "--limit", "30", "--out", out]
+                       + flags) == 0
+            lines = (out / "config.txt").read_text().splitlines()
+            config = dict(line.split(" = ") for line in lines if not line.startswith("#"))
+            written.update((k, config[k]) for k in names)
         assert written == values
 
     def test_config_file_sets_epochs_of_deep_layout(self, workdir):
@@ -476,11 +508,23 @@ class TestOneSpelling:
           "--threads", "2", "--out", "{w}/out"], "--threads does not apply to method cd"),
         (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--method", "pcd",
           "--threads", "1", "--out", "{w}/out"], "--threads does not apply to method pcd"),
+        (["generate", "--checkpoint", "{ck}", "--intra-sweeps", "5", "--out", "{w}/out"],
+         NO_INTRA),
+        (["reconstruct", "--checkpoint", "{ck}", "--images", "{w}/test.idx", "--intra-sweeps",
+          "5", "--out", "{w}/out"], NO_INTRA),
+        (["eval-ll", "--checkpoint", "{ck}", "--test-images", "{w}/test.idx", "--init",
+          "uniform", "--intra-sweeps", "5"], NO_INTRA),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-8", "--intra-sweeps", "4",
+          "--out", "{w}/out"], NO_INTRA),
+        (["train", "--images", "{w}/train.idx", "--resume", "{ck}", "--init-scale", "0.5",
+          "--epochs", "2", "--out", "{w}/out"], "--init-scale does not apply to --resume"),
     ], ids=["generate-uniform-data", "eval-ll-uniform-data", "from-data-checkpoint",
             "from-data-r", "from-data-intra-sweeps", "generate-uniform-threshold",
             "from-data-seed", "from-data-init-uniform", "from-data-init-prior",
             "from-data-threads", "from-data-raw-threshold", "uniform-raw-threshold",
-            "train-cd-threads", "train-pcd-threads"])
+            "train-cd-threads", "train-pcd-threads", "generate-intra-sweeps",
+            "reconstruct-intra-sweeps", "eval-ll-intra-sweeps", "train-intra-sweeps",
+            "resume-init-scale"])
     def test_flag_the_mode_does_not_read_exits_2(self, workdir, cmd, message, capsys):
         # Each of these used to be ignored with exit 0, like --limit was.  A
         # flag with a default counts as given only when it is on the command line.
@@ -493,6 +537,28 @@ class TestOneSpelling:
         assert message in captured.err
         assert captured.out == ""
         assert not (workdir / "out").exists()
+
+    def test_intra_sweeps_where_an_updated_layer_has_intra_edges(self, workdir, capsys):
+        # Reconstruction updates the first hidden layer only; generation and
+        # training update every hidden layer.
+        train, test = workdir / "train.idx", workdir / "test.idx"
+        for intra, reconstruct_code in (("0,1", 2), ("1,0", 0)):
+            out = workdir / f"deep-{intra}"
+            assert run(["train", "--images", train, "--layout", "784-6-4", "--intra", intra,
+                        "--epochs", "1", "--intra-sweeps", "2", "--out", out]) == 0
+            ck = out / "ckpt-final.bin"
+            assert run(["train", "--images", train, "--resume", ck, "--epochs", "2",
+                        "--intra-sweeps", "3", "--out", out]) == 0
+            assert run(["generate", "--checkpoint", ck, "--count", "2", "--intra-sweeps", "2",
+                        "--out", out / "gen"]) == 0
+            assert run(["eval-ll", "--checkpoint", ck, "--test-images", test, "--init",
+                        "uniform", "--n-samples", "4", "--intra-sweeps", "2"]) == 0
+            capsys.readouterr()
+            assert run(["reconstruct", "--checkpoint", ck, "--images", test, "--limit", "3",
+                        "--trials", "1", "--intra-sweeps", "2", "--out", out / "rec"]
+                       ) == reconstruct_code
+            assert (NO_INTRA in capsys.readouterr().err) == (reconstruct_code == 2)
+            assert (out / "rec").exists() == (reconstruct_code == 0)
 
     def test_flags_that_the_mode_reads_stay_accepted(self, workdir, capsys):
         ck = workdir / "run-read" / "ckpt-final.bin"
@@ -975,6 +1041,62 @@ class TestResume:
         assert "No space left on device" in capsys.readouterr().err
         assert log.read_bytes() == before
         assert not (run_dir / ".epochs.csv.tmp").exists()
+
+    @pytest.mark.parametrize("failing_write", [3, 4])
+    def test_disk_full_during_a_run_keeps_whole_rows_and_resumes(self, workdir, monkeypatch,
+                                                                  capsys, failing_write):
+        # Each epoch's row used to be appended in place: a disk that filled
+        # halfway through the append left a torn last row.  Write 1 is the
+        # start of the run, write k + 2 follows epoch k.
+        base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4",
+                "--epochs", "3"]
+        full, run_dir = workdir / "whole", workdir / "torn"
+        assert run(base + ["--out", full]) == 0
+        real_open, opened = builtins.open, []
+
+        class DiskFullMidway:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        def open_filling_up(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            name = os.path.basename(file)
+            if name in ("epochs.csv", ".epochs.csv.tmp") and set(mode) & set("wa"):
+                opened.append(file)
+                if len(opened) == failing_write:
+                    return DiskFullMidway(fh)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", open_filling_up)
+        assert run(base + ["--checkpoint-every", "1", "--out", run_dir]) == 2
+        monkeypatch.undo()
+        assert "No space left on device" in capsys.readouterr().err
+        log = run_dir / "epochs.csv"
+        header, *rows, last = log.read_bytes().split(b"\r\n")
+        assert header == cli.EPOCH_HEADER.encode() and last == b""
+        assert [row.split(b",")[0] for row in rows] == [b"%d" % e for e in range(failing_write - 2)]
+        assert all(len(row.split(b",")) == 5 for row in rows)
+        assert not (run_dir / ".epochs.csv.tmp").exists()
+        kept = log.read_bytes()
+        newest = sorted(run_dir.glob("ckpt-epoch-*.bin"))[-1]
+        assert load_checkpoint(newest).epoch == failing_write - 2
+        assert run(["train", "--images", workdir / "train.idx", "--resume", newest,
+                    "--epochs", "3", "--out", run_dir]) == 0
+        assert log.read_bytes().startswith(kept)
+        columns = lambda d: [line.split(",")[:4]  # all but wall_time_s
+                             for line in (d / "epochs.csv").read_text().splitlines()]
+        assert columns(run_dir) == columns(full)
+        assert (run_dir / "ckpt-final.bin").read_bytes() == (full / "ckpt-final.bin").read_bytes()
 
     def test_resume_rejects_malformed_epoch_log_before_writing(self, workdir, capsys):
         base = ["train", "--images", workdir / "train.idx", "--layout", "784-8", "--seed", "4"]

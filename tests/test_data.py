@@ -60,6 +60,15 @@ class TestLoadIdx:
         with pytest.raises(IdxFormatError, match=str(16 + 4 * 28 * 28)):
             load_idx(path)
 
+    @pytest.mark.parametrize("length, offset", [(0, 0), (3, 0), (6, 4), (15, 12)])
+    def test_file_shorter_than_its_header_is_rejected(self, tmp_path, length, offset):
+        import struct
+
+        path = tmp_path / "stub.idx"
+        path.write_bytes(struct.pack(">IIII", 0x803, 1, 2, 2)[:length])
+        with pytest.raises(IdxFormatError, match=f"truncated header at byte {offset}$"):
+            load_idx(path)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         import struct
 

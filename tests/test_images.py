@@ -103,6 +103,15 @@ class TestGreyLevels:
         assert not list(tmp_path.iterdir())
 
 
+class TestWritePgm:
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_an_image_that_is_not_2d_is_rejected(self, tmp_path, shape):
+        path = tmp_path / "image.pgm"
+        with pytest.raises(ValueError, match="image must be 2-D"):
+            images.write_pgm(path, np.zeros(shape, dtype=np.uint8))
+        assert not path.exists()
+
+
 class TestSquareSide:
     @pytest.mark.parametrize("length, side", [(1, 1), (4, 2), (784, 28)])
     def test_square_lengths(self, length, side):

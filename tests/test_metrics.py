@@ -286,6 +286,11 @@ class TestReconstruct:
             reconstruct_batch(m, images, known, 2, streams(2))
         with pytest.raises(ValueError, match="expected"):
             reconstruct_batch(m, images[:, :700], known[:, :700], 2, streams())
+        with pytest.raises(ValueError, match="mask shape mismatch"):
+            reconstruct_batch(m, images, known[:2], 2, streams())
+        observed = BoltzmannMachine(LayerSpec((4,)), np.zeros(16), np.zeros(4))
+        with pytest.raises(ValueError, match="needs a hidden layer"):
+            reconstruct_batch(observed, images, known, 2, streams())
 
     def test_layer_update_count(self, drawn_widths):
         # One uniform block per layer draw and per intra sweep, as wide as

@@ -219,6 +219,18 @@ class TestMachineSize:
             BoltzmannMachine.from_dense(layout, np.zeros((3, 3)), np.zeros(2))
         assert BoltzmannMachine.from_dense(layout, np.zeros((3, 3)), np.zeros(3)).weights.shape == (2,)
 
+    @pytest.mark.parametrize("field, value", [("weights", np.zeros(3)), ("biases", np.zeros(2)),
+                                              ("layout", LayerSpec((3,)))])
+    def test_fields_cannot_be_reassigned_past_the_check(self, field, value):
+        # `m.biases = np.zeros(2)` on a 2-1 machine passed `validate`, and
+        # local_field then returned an empty field with no error.
+        m = new_machine(LayerSpec((2, 1), (False,)), seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(m, field, value)
+        assert (m.weights.shape, m.biases.shape) == ((2,), (3,))
+        m.weights[0] = 0.5  # the vectors themselves stay writable for the trainers
+        assert validate(m) == []
+
 
 class TestEnergy:
     def test_all_zero_state(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -104,13 +105,25 @@ class TestTrainConfig:
         ("weight_decay", float("nan")), ("weight_decay", float("inf")),
         ("clamp_z", float("nan")), ("clamp_z", float("inf")),
         ("clamp_z", 0.0), ("weight_decay", -1e-4), ("adam_eps", 0.0), ("init_scale", 0.0),
-        ("r", 0), ("intra_sweeps", -1), ("method", "sgd"), ("k", 0),
+        ("r", 0), ("intra_sweeps", -1), ("method", "sgd"), ("k", 0), ("epochs", -1),
     ])
     def test_rejects_nonfinite_and_degenerate_values(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
         with pytest.raises(ValueError, match=field):
             parse_config_items({field: repr(value)})
+
+    @pytest.mark.parametrize("field, value", [("eta", float("nan")), ("minibatch", 0),
+                                              ("method", "sgd")])
+    def test_fields_cannot_be_reassigned_past_the_check(self, field, value):
+        # `cfg.eta = nan` was accepted, and `init_state` then gave a state
+        # whose serialized bytes `deserialize` rejected.
+        cfg = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+        assert cfg == TrainConfig()
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, **{field: value})
 
     def test_config_file_roundtrip(self, tmp_path):
         cfg = TrainConfig(eta=0.0025, minibatch=17, seed=99, epochs=7)
@@ -288,8 +301,16 @@ class TestAdamStep:
         st = init_adam(m)
         g = Gradient(rng.normal(size=m.weights.shape), rng.normal(size=m.biases.shape))
         step(m, g, st, TrainConfig())
-        owner = m if field in ("weights", "biases") else st
-        setattr(owner, field, np.append(getattr(owner, field), 0.5))
+        if field in ("weights", "biases"):
+            # A frozen machine cannot be resized, so the step gets another
+            # machine whose other vector still fits: 5 vertices, or 25 edges.
+            sizes = (3, 2) if field == "weights" else (5, 5)
+            m = new_machine(LayerSpec(sizes, (False,)), seed=4)
+            other = "biases" if field == "weights" else "weights"
+            assert getattr(m, other).shape == getattr(g, "d_" + other).shape
+            assert getattr(m, field).shape != getattr(g, "d_" + field).shape
+        else:
+            setattr(st, field, np.append(getattr(st, field), 0.5))
         before = [a.copy() for a in (m.weights, m.biases, st.m1_w, st.m2_w, st.m1_b, st.m2_b)]
         with pytest.raises(ValueError, match="shapes do not match"):
             step(m, g, st, TrainConfig())

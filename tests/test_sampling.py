@@ -379,6 +379,8 @@ class TestGenerate:
             generate_batch(m, "weird", 1, row_streams(1, 0, count=1))
         with pytest.raises(ValueError):
             generate_batch(m, np.full(3, 0.5), 0, row_streams(1, 0, count=1))
+        with pytest.raises(ValueError, match="needs at least one hidden layer"):
+            generate_batch(zero_machine((4,), ()), np.full(4, 0.5), 1, row_streams(1, 0, count=1))
 
     def test_layer_update_count(self, drawn_widths):
         # One uniform block per layer draw and per intra sweep, as wide as
@@ -403,12 +405,14 @@ class TestRowContract:
     """`map_shards` checks every batch sampler's rows against its streams."""
 
     SAMPLERS = {
-        "e_step": lambda m, images, streams: e_step_batch(m, images, streams),
-        "reconstruct": lambda m, images, streams: metrics.reconstruct_batch(
-            m, images, np.ones(images.shape, dtype=bool), 2, streams),
+        "e_step": lambda m, images, streams, **kw: e_step_batch(m, images, streams, **kw),
+        "reconstruct": lambda m, images, streams, **kw: metrics.reconstruct_batch(
+            m, images, np.ones(images.shape, dtype=bool), 2, streams, **kw),
+        "generate": lambda m, _images, streams, **kw: generate_batch(
+            m, np.full(6, 0.5), 1, streams, **kw),
     }
 
-    @pytest.mark.parametrize("name", SAMPLERS)
+    @pytest.mark.parametrize("name", ["e_step", "reconstruct"])  # generate takes no rows
     def test_one_stream_fewer_than_rows_is_rejected(self, name):
         m = make_layered_machine((784, 6), (False,), seed=1)
         images = random_bits(np.random.default_rng(0), (3, 784))
@@ -420,6 +424,28 @@ class TestRowContract:
         m = make_layered_machine((784, 6), (False,), seed=1)
         with pytest.raises(ValueError, match="at least one row"):
             self.SAMPLERS[name](m, np.zeros((0, 784), dtype=np.uint8), row_streams(0, 0, count=0))
+
+    @pytest.mark.parametrize("threads", [0, -2, 2.0, "2", None])
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_threads_other_than_an_integer_of_at_least_1_are_rejected(self, name, threads,
+                                                                      drawn_widths):
+        # threads=0 and threads=-2 ran serially.
+        m = make_layered_machine((784, 6), (False,), seed=1)
+        images = random_bits(np.random.default_rng(0), (3, 784))
+        sampler = self.SAMPLERS[name]
+        with pytest.raises(ValueError, match="threads must be an integer of at least 1"):
+            sampler(m, images, row_streams(0, 0, count=3), threads=threads)
+        assert drawn_widths == []
+        assert sampler(m, images, row_streams(0, 0, count=3), threads=np.int64(2)).shape[0] == 3
+
+    @pytest.mark.parametrize("sweeps", [-1, -3])
+    @pytest.mark.parametrize("name", SAMPLERS)
+    def test_a_negative_intra_sweep_count_is_rejected(self, name, sweeps):
+        # A negative count gave exactly the output of 0 sweeps.
+        m = make_layered_machine((784, 6), (True,), seed=1)
+        images = random_bits(np.random.default_rng(0), (3, 784))
+        with pytest.raises(ValueError, match=f"intra_sweeps must be non-negative, got {sweeps}"):
+            self.SAMPLERS[name](m, images, row_streams(0, 0, count=3), intra_sweeps=sweeps)
 
     def test_row_streams_move_to_their_slices(self):
         streams = row_streams(4, 1, count=6)

@@ -476,15 +476,21 @@ class TestResume:
 
 
 class TestEpochCsv:
-    def test_roundtrip(self, tmp_path):
-        logs = [EpochLog(0, 1.5, 0.4, 0.2, 0.01), EpochLog(1, 1.25, 0.35, 0.25, 0.02)]
-        path = tmp_path / "epochs.csv"
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows([EpochLog.csv_header()] + [log.csv_row() for log in logs])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "epoch,objective_value,weight_sparsity,squared_weight,wall_time_s"
-        assert len(lines) == 3
-        assert lines[1].startswith("0,1.5,")
+    def test_roundtrip(self, synthetic_idx, tmp_path, monkeypatch):
+        # The CLI formats epochs.csv; read back, its rows are the trainer's logs.
+        from flowbm import cli, training
+
+        logs, trained = [], training.train_vpf
+        monkeypatch.setattr(training, "train_vpf",
+                            lambda *args, **kwargs: logs.extend(trained(*args, **kwargs)))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--images", str(synthetic_idx[0]), "--layout", "784-6",
+                         "--epochs", "2", "--out", str(out)]) == 0
+        path = out / "epochs.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[0] == b"epoch,objective_value,weight_sparsity,squared_weight,wall_time_s"
+        assert len(lines) == 4 and lines[-1] == b""
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         assert [EpochLog(int(r[0]), *map(float, r[1:])) for r in rows] == logs
+        assert [log.epoch for log in logs] == [0, 1]
