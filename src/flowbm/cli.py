@@ -9,9 +9,12 @@ generate writes probabilities.csv, one row per confabulation, each value
 `%.8f`, comma-separated and `\n`-terminated (`images.write_csv`).  Every
 file is written to a temporary file renamed into place
 (`checkpoint.replacing`), so a failed write keeps the last whole file.
-Every setting has one spelling: flags are matched whole (no prefixes), a
-flag given twice or one that the chosen mode would not read exits 2,
-`--threads` defaults to 1 and no environment variable is read, and every
+Every setting has one spelling.  Flags are matched whole (no prefixes).
+A flag given twice, a flag that the chosen mode would not read, or a
+--config key that changes such a setting exits 2.  `--threads` defaults to
+1 and no environment variable is read.  An integer flag's minimum is part
+of its parser type (`_at_least`), so a value below it exits 2 while the
+arguments are parsed, as a value that is no integer does.  Every
 `TrainConfig` field has a string-valued flag of its own name only, which
 `optim.parse_config_items` parses and checks; `--intra` is one 0 or 1 per
 hidden layer, like the checkpoint's intra bytes.  The trainer (`method`: vpf,
@@ -81,18 +84,22 @@ class _StoreOnce(argparse.Action):
         setattr(namespace, self.dest, True if self.nargs == 0 else values)
 
 
+def _at_least(minimum: int):
+    """The parser type of an integer flag: `parse_number(text, int)`, which
+    must be at least `minimum`; argparse exits 2 naming the flag otherwise."""
+
+    def parse(text: str) -> int:
+        value = parse_number(text, int)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" names the type by it
+    return parse
+
+
 def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
-
-
-def _threads(args) -> int:
-    _require_positive("--threads", args.threads)
-    return args.threads
-
-
-def _require_positive(flag: str, value: int) -> None:
-    if value < 1:
-        raise UsageError(f"{flag} must be at least 1, got {value}")
+    p.add_argument("--threads", type=_at_least(1), default=1, help="worker threads")
 
 
 def _add_config_flags(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
@@ -111,12 +118,6 @@ def _build_config(args, base: TrainConfig) -> TrainConfig:
     items = {name: getattr(args, name) for name in args.config_flags
              if getattr(args, name) is not None}
     return parse_config_items(items, cfg)
-
-
-def _load_dataset(images, threshold: float, limit: int | None) -> np.ndarray:
-    if limit is not None:
-        _require_positive("--limit", limit)
-    return load_binary_dataset(images, threshold)[:limit]
 
 
 def _layout(args, resumed: LayerSpec | None = None) -> LayerSpec:
@@ -182,12 +183,11 @@ def _write_epoch_csv(path: Path, rows: list[str]) -> None:
 
 
 def cmd_train(args) -> int:
-    if args.checkpoint_every < 0:
-        raise UsageError(f"--checkpoint-every must be non-negative, got {args.checkpoint_every}")
     if args.resume:
         state = ckpt_io.load_checkpoint(args.resume)
         _layout(args, state.layout)
-        state.config = _build_config(args, state.config)
+        base = state.config
+        state.config = _build_config(args, base)
         if state.config.method == "pcd":
             raise UsageError("cannot resume a pcd run: its persistent chains are not checkpointed")
     else:
@@ -199,16 +199,17 @@ def cmd_train(args) -> int:
     if cfg.epochs < state.epoch:
         raise UsageError(f"--epochs {cfg.epochs} is below the checkpoint's epoch {state.epoch}")
     unread = {} if any(layout.intra_layer) else {"intra_sweeps": NO_INTRA}
+    if len(layout.sizes) == 1:
+        unread["threads"] = "does not apply: a fully-observed layout has no E-step"
     if args.resume:
         unread["init_scale"] = "does not apply to --resume: the checkpoint's weights are kept"
     if cfg.method != "vpf":
         training.require_rbm(layout)
         unread["threads"] = f"does not apply to method {cfg.method}"
-    _reject_unread(args, unread)
-    ds = _load_dataset(args.images, args.threshold, args.limit)
+    _reject_unread(args, unread, base, cfg)
+    ds = load_binary_dataset(args.images, args.threshold)[: args.limit]
     if ds.shape[1] != layout.sizes[0]:
         raise UsageError(f"data width {ds.shape[1]} does not match observed layer {layout.sizes[0]}")
-    threads = _threads(args)
 
     out = Path(args.out)
     csv_path = out / "epochs.csv"
@@ -230,7 +231,7 @@ def cmd_train(args) -> int:
               f"[{log.wall_time_s:.1f}s]")
 
     if cfg.method == "vpf":
-        training.train_vpf(ds, state, threads=threads, epoch_callback=on_epoch)
+        training.train_vpf(ds, state, threads=args.threads, epoch_callback=on_epoch)
     else:
         training.train_cd(ds, state, epoch_callback=on_epoch)
     ckpt_io.save_checkpoint(out / "ckpt-final.bin", state)
@@ -238,7 +239,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _confabulate(args, ck, tag: int, count: int, threads: int) -> np.ndarray:
+def _confabulate(args, ck, tag: int, count: int) -> np.ndarray:
     """Confabulations from checkpoint `ck` as set by the generate/eval-ll flags.
 
     `r` and `intra_sweeps` are the checkpoint's config under the --r and
@@ -253,22 +254,27 @@ def _confabulate(args, ck, tag: int, count: int, threads: int) -> np.ndarray:
     if args.init == "prior":
         if not args.data:
             raise UsageError("--init prior needs --data with training images")
-        ds = _load_dataset(args.data, args.threshold, args.limit)
+        ds = load_binary_dataset(args.data, args.threshold)[: args.limit]
         rows = sampling.e_step_batch(m, ds, row_streams(args.seed, tag, 0, count=len(ds)),
-                                     cfg.intra_sweeps, threads)
+                                     cfg.intra_sweeps, args.threads)
         top_init = rows[:, m.layout.slices[-1]].astype(np.float64).mean(axis=0)
     else:
         top_init = np.full(m.layout.sizes[-1], 0.5)
     streams = row_streams(args.seed, tag, 1, count=count)
-    return generate_batch(m, top_init, cfg.r, streams, cfg.intra_sweeps, threads)
+    return generate_batch(m, top_init, cfg.r, streams, cfg.intra_sweeps, args.threads)
 
 
-def _reject_unread(args, unread: dict[str, str]) -> None:
-    """Exit 2 on the first given flag in `unread`, which maps each flag that
-    the chosen mode would not read to the reason."""
+def _reject_unread(args, unread: dict[str, str], base: TrainConfig | None = None,
+                   cfg: TrainConfig | None = None) -> None:
+    """Exit 2 on the first setting in `unread`, which maps each flag or
+    config key that the chosen mode would not read to the reason: a given
+    flag, or a key that `cfg`, built over `base`, sets to another value.
+    The flag is checked first, so such a key was set by the --config file."""
     for name, reason in unread.items():
         if name in getattr(args, "flags_given", ()):
             raise UsageError(f"--{name.replace('_', '-')} {reason}")
+        if cfg is not None and getattr(cfg, name, None) != getattr(base, name, None):
+            raise UsageError(f"{args.config}: {name} {reason}")
 
 
 PRIOR_DATA = "applies only to the --data images of --init prior"
@@ -295,11 +301,9 @@ def _unread_sampling_flags(args) -> dict[str, str]:
 
 def cmd_generate(args) -> int:
     _reject_unread(args, _unread_sampling_flags(args))
-    _require_positive("--count", args.count)
-    threads = _threads(args)
     ck = ckpt_io.load_checkpoint(args.checkpoint)
     square_side(ck.layout.sizes[0])
-    probs = _confabulate(args, ck, TAG_GENERATE, args.count, threads)
+    probs = _confabulate(args, ck, TAG_GENERATE, args.count)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with ckpt_io.replacing(out / "probabilities.csv") as fh:
@@ -316,10 +320,7 @@ def cmd_reconstruct(args) -> int:
         raise UsageError("reconstruction needs a machine with a hidden layer")
     if not m.layout.intra_layer[0]:  # the only hidden layer that reconstruction updates
         _reject_unread(args, {"intra_sweeps": NO_INTRA})
-    _require_positive("--trials", args.trials)
-    _require_positive("--gibbs-steps", args.gibbs_steps)
-    threads = _threads(args)
-    ds = _load_dataset(args.images, args.threshold, args.limit)
+    ds = load_binary_dataset(args.images, args.threshold)[: args.limit]
     for width, what in ((m.layout.sizes[0], "the checkpoint's visible layer"),
                         (metrics.IMAGE_SIDE**2, "the 28x28 images that reconstruction corrupts")):
         if ds.shape[1] != width:
@@ -336,7 +337,7 @@ def cmd_reconstruct(args) -> int:
             corrupted, known = metrics.corrupt(ds, pattern, noise)
             streams = row_streams(args.seed, TAG_RECON, trial, 1, count=len(ds))
             recon = metrics.reconstruct_batch(
-                m, corrupted, known, args.gibbs_steps, streams, sweeps, threads)
+                m, corrupted, known, args.gibbs_steps, streams, sweeps, args.threads)
             total += float(metrics.recon_error(ds, recon).mean())
             if trial == 0:
                 head = min(10, len(ds))
@@ -360,16 +361,12 @@ def _eval_images(args, path) -> np.ndarray:
     if args.raw:
         raw = load_idx(path)
         return raw.reshape(raw.shape[0], -1).astype(np.float64) / 255.0
-    return _load_dataset(path, args.threshold, None)
+    return load_binary_dataset(path, args.threshold)
 
 
 def cmd_eval_ll(args) -> int:
     _reject_unread(args, _unread_sampling_flags(args))
-    _require_positive("--n-samples", args.n_samples)
-    threads = _threads(args)
     metrics.check_sigma(args.sigma, "--sigma")
-    if args.limit_test is not None:
-        _require_positive("--limit-test", args.limit_test)
     test = _eval_images(args, args.test_images)[: args.limit_test]
     if args.samples_from_data:
         if not args.data:
@@ -382,7 +379,7 @@ def cmd_eval_ll(args) -> int:
         if ck.layout.sizes[0] != test.shape[1]:
             raise UsageError(f"test images of width {test.shape[1]} do not match "
                              f"the checkpoint's visible layer ({ck.layout.sizes[0]})")
-        samples = _confabulate(args, ck, TAG_EVAL, args.n_samples, threads)
+        samples = _confabulate(args, ck, TAG_EVAL, args.n_samples)
     mean, stderr = metrics.parzen_ll(samples, test, args.sigma)
     print(f"parzen_ll {mean:.4f} stderr {stderr:.4f} "
           f"(samples={len(samples)}, test={len(test)}, sigma={args.sigma})")
@@ -390,8 +387,6 @@ def cmd_eval_ll(args) -> int:
 
 
 def cmd_stdp_curve(args) -> int:
-    if args.points < 2:
-        raise UsageError("--points must be at least 2")
     dts = [dt for dt in np.linspace(args.dt_min, args.dt_max, args.points) if dt != 0.0]
     points = stdp.stdp_curve(args.delta_pre, args.delta_post, dts)
     stdp.emit_stdp_csv(points, args.out)
@@ -451,11 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("train", "train a machine and write a run directory")
     p.add_argument("--images", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--limit", type=int, default=None, help="use only the first N images")
+    p.add_argument("--limit", type=_at_least(1), default=None, help="use only the first N images")
     p.add_argument("--layout", default=None, help='e.g. "784-196" or "784-196-196-64"')
     p.add_argument("--intra", default=None, help='one 0 or 1 per hidden layer, e.g. "1,1,1"')
     p.add_argument("--out", required=True, help="run directory")
-    p.add_argument("--checkpoint-every", type=int, default=0)
+    p.add_argument("--checkpoint-every", type=_at_least(0), default=0)
     p.add_argument("--resume", default=None, help="checkpoint to continue from")
     p.add_argument("--config", type=str, default=None, help="key=value config file")
     _add_config_flags(p, CONFIG_FLAGS)
@@ -468,11 +463,12 @@ def build_parser() -> argparse.ArgumentParser:
                      "comma-separated, newline-terminated, and their image grid "
                      "confabulations.pgm.")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--count", type=int, default=100)
+    p.add_argument("--count", type=_at_least(1), default=100)
     p.add_argument("--init", choices=("uniform", "prior"), default="uniform")
     p.add_argument("--data", default=None, help="training images for --init prior")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--limit", type=int, default=None, help="--init prior: first N --data images")
+    p.add_argument("--limit", type=_at_least(1), default=None,
+                   help="--init prior: first N --data images")
     _add_config_flags(p, ("r", "intra_sweeps"))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -485,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--images", required=True, help="test images (IDX)")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--pattern", choices=metrics.PATTERNS + ("all",), default="all")
-    p.add_argument("--gibbs-steps", type=int, default=2)
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--limit", type=int, default=None, help="use only the first N images")
+    p.add_argument("--gibbs-steps", type=_at_least(1), default=2)
+    p.add_argument("--trials", type=_at_least(1), default=3)
+    p.add_argument("--limit", type=_at_least(1), default=None, help="use only the first N images")
     _add_config_flags(p, ("intra_sweeps",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -498,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--test-images", required=True)
     p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--n-samples", type=int, default=10000)
+    p.add_argument("--n-samples", type=_at_least(1), default=10000)
     p.add_argument("--sigma", type=float, default=0.2)
     p.add_argument("--init", choices=("uniform", "prior"), default="prior")
     p.add_argument("--data", default=None, help="training images for the prior / as samples")
@@ -507,8 +503,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--raw", action="store_true",
                    help="continuous [0,1] pixels, no threshold, for --test-images and "
                         "for --data under --samples-from-data")
-    p.add_argument("--limit", type=int, default=None, help="--init prior: first N --data images")
-    p.add_argument("--limit-test", type=int, default=None)
+    p.add_argument("--limit", type=_at_least(1), default=None,
+                   help="--init prior: first N --data images")
+    p.add_argument("--limit-test", type=_at_least(1), default=None)
     _add_config_flags(p, ("r", "intra_sweeps"))
     p.add_argument("--seed", type=int, default=0)
     _add_threads(p)
@@ -519,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta-post", type=float, required=True)
     p.add_argument("--dt-min", type=float, required=True)
     p.add_argument("--dt-max", type=float, required=True)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--points", type=_at_least(2), default=200)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stdp_curve)
 

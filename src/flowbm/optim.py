@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from .mpf import Z_CLAMP_DEFAULT, Gradient
 # passes.  16k and 32k measured best on the paper layouts; 4k, and one
 # pass over the whole vectors, were 20-43% slower.
 _CHUNK = 16_384
+
+_ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,14 @@ class TrainConfig:
     k: int = 1
 
     def __post_init__(self):
+        # Each field takes its declared type, so that a saved config reads
+        # back equal: an int field any integer but bool, a float field any
+        # real but bool, stored as a Python float.
+        for name, kind in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _ACCEPTED[kind]):
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+            object.__setattr__(self, name, kind(value))
         for name in ("eta", "adam_eps", "init_scale", "clamp_z"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -68,15 +79,18 @@ class TrainConfig:
         return "\n".join(lines) + "\n"
 
 
+FIELD_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type]
+               for f in dataclasses.fields(TrainConfig)}
+
+
 def parse_config_items(items: dict[str, str], base: TrainConfig | None = None) -> TrainConfig:
     """Build a TrainConfig from string key/value pairs over `base` defaults."""
     base = base or TrainConfig()
-    fields = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
     updates = {}
     for key, raw_value in items.items():
-        if key not in fields:
+        if key not in FIELD_TYPES:
             raise ValueError(f"unknown config key {key!r}")
-        kind = {"int": int, "float": float, "str": str}[fields[key]]
+        kind = FIELD_TYPES[key]
         value = raw_value.strip()
         try:
             updates[key] = value if kind is str else parse_number(value, kind)

@@ -115,13 +115,17 @@ class TestHelpAndUsage:
         ["eval-ll", "--test-images", "{w}/test.idx", "--n-samples", "0", "--init", "uniform"],
     ])
     def test_nonpositive_counts_rejected(self, workdir, cmd, capsys):
+        # The flag's parser type rejects the count, as it does a misspelled one.
         out = workdir / "run-c"
         assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
                     "--epochs", "1", "--out", out]) == 0
         args = [cmd[0], "--checkpoint", out / "ckpt-final.bin"]
         args += [a.format(w=workdir) for a in cmd[1:]]
-        assert run(args) == 2
-        assert "at least 1" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 2
+        flag = cmd[cmd.index("0") - 1]
+        assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
         assert not (workdir / "gen-zero").exists()
         assert not (workdir / "rec-zero").exists()
 
@@ -155,27 +159,39 @@ class TestHelpAndUsage:
 
     @pytest.mark.parametrize("cmd, flag", [
         (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--epochs", "1",
-          "--checkpoint-every", "-1", "--out", "{w}/bad"], "--checkpoint-every"),
+          "--checkpoint-every", "-1", "--out", "{w}/bad"],
+         "argument --checkpoint-every: must be at least 0, got -1"),
         (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
-          "--data", "{w}/train.idx", "--limit-test", "-50"], "--limit-test"),
+          "--data", "{w}/train.idx", "--limit-test", "-50"],
+         "argument --limit-test: must be at least 1, got -50"),
         (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
-          "--data", "{w}/train.idx", "--limit-test", "0"], "--limit-test"),
+          "--data", "{w}/train.idx", "--limit-test", "0"],
+         "argument --limit-test: must be at least 1, got 0"),
         (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
           "--data", "{w}/train.idx", "--sigma", "nan"], "--sigma"),
         (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
-          "--data", "{w}/train.idx", "--limit", "0"], "--limit"),
+          "--data", "{w}/train.idx", "--limit", "0"], "argument --limit: must be at least 1, got 0"),
         (["eval-ll", "--test-images", "{w}/test.idx", "--samples-from-data",
-          "--data", "{w}/train.idx", "--limit", "-5"], "--limit"),
+          "--data", "{w}/train.idx", "--limit", "-5"],
+         "argument --limit: must be at least 1, got -5"),
         (["stdp-curve", "--delta-pre", "nan", "--delta-post", "1.0", "--dt-min", "-0.1",
           "--dt-max", "0.1", "--out", "{w}/bad"], "firing rates"),
         (["stdp-curve", "--delta-pre", "1.0", "--delta-post", "1.0", "--dt-min", "-0.1",
-          "--dt-max", "0.1", "--points", "1", "--out", "{w}/bad"], "--points must be at least 2"),
+          "--dt-max", "0.1", "--points", "1", "--out", "{w}/bad"],
+         "argument --points: must be at least 2, got 1"),
     ], ids=["checkpoint-every", "limit-test-negative", "limit-test-zero", "sigma-nan",
             "limit-from-data-zero", "limit-from-data-negative", "delta-pre-nan", "points-1"])
     def test_misread_numeric_flags_rejected(self, workdir, cmd, flag, capsys):
         # Each of these used to exit 0: writing every epoch, dropping test
-        # rows, printing nan, or ignoring --limit.
-        assert run([a.format(w=workdir) for a in cmd]) == 2
+        # rows, printing nan, or ignoring --limit.  A range of one flag is its
+        # parser type's, so argparse exits 2 before the command runs.
+        argv = [a.format(w=workdir) for a in cmd]
+        if flag.startswith("argument "):
+            with pytest.raises(SystemExit) as exc:
+                run(argv)
+            assert exc.value.code == 2
+        else:
+            assert run(argv) == 2
         captured = capsys.readouterr()
         assert flag in captured.err
         assert "parzen_ll" not in captured.out
@@ -203,7 +219,7 @@ class TestHelpAndUsage:
 
     @pytest.mark.parametrize("cmd, message", [
         (["generate", "--init", "uniform", "--limit", "0", "--out", "{w}/gen"],
-         "--limit applies only to the --data images of --init prior"),
+         "argument --limit: must be at least 1, got 0"),
         (["generate", "--init", "uniform", "--limit", "5", "--out", "{w}/gen"],
          "--limit applies only to the --data images of --init prior"),
         (["eval-ll", "--test-images", "{w}/test.idx", "--init", "uniform", "--limit", "5"],
@@ -218,7 +234,13 @@ class TestHelpAndUsage:
                     "--epochs", "1", "--out", out]) == 0
         capsys.readouterr()
         args = [cmd[0], "--checkpoint", out / "ckpt-final.bin"]
-        assert run(args + [a.format(w=workdir) for a in cmd[1:]]) == 2
+        args += [a.format(w=workdir) for a in cmd[1:]]
+        if message.startswith("argument "):  # the parser type's range rule comes first
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 2
+        else:
+            assert run(args) == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert "parzen_ll" not in captured.out
@@ -396,6 +418,20 @@ REQUIRED = {
     "inspect": ["--checkpoint", "x"],
 }
 
+# Every integer flag of each subcommand and its minimum, which its parser
+# type checks (None: no minimum).
+MINIMUMS = {
+    None: {},
+    "train": {"--limit": 1, "--checkpoint-every": 0, "--threads": 1},
+    "generate": {"--count": 1, "--limit": 1, "--seed": None, "--threads": 1},
+    "reconstruct": {"--gibbs-steps": 1, "--trials": 1, "--limit": 1, "--seed": None,
+                    "--threads": 1},
+    "eval-ll": {"--n-samples": 1, "--limit": 1, "--limit-test": 1, "--seed": None,
+                "--threads": 1},
+    "stdp-curve": {"--points": 2},
+    "inspect": {},
+}
+
 
 class TestOneSpelling:
     def test_each_command_has_exactly_the_listed_flags(self):
@@ -417,6 +453,33 @@ class TestOneSpelling:
                 parser.parse_args(argv)
             assert exc.value.code == 2, prefix
             assert "unrecognized arguments: " + prefix in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", list(FLAGS), ids=lambda cmd: cmd or "top")
+    def test_each_integer_flag_rejects_a_value_below_its_minimum_while_parsing(self, cmd,
+                                                                               capsys):
+        # Each minimum used to be checked in the command body, or not at all
+        # (--threads 0 reached the samplers), after argparse had read the int.
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = (sub.choices[cmd] if cmd else parser)._actions
+        integer_flags = {a.option_strings[0] for a in actions
+                         if getattr(a.type, "__name__", None) == "int"}
+        assert integer_flags == set(MINIMUMS[cmd])
+        required = REQUIRED[cmd] if cmd is None else [cmd, *REQUIRED[cmd]]
+        for flag, minimum in MINIMUMS[cmd].items():
+            dest = flag[2:].replace("-", "_")
+            lowest = 0 if minimum is None else minimum
+            assert getattr(parser.parse_args(required + [flag, str(lowest)]), dest) == lowest
+            if minimum is None:
+                continue
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(required + [flag, str(minimum - 1)])
+            assert exc.value.code == 2, flag
+            assert (f"argument {flag}: must be at least {minimum}, got {minimum - 1}"
+                    in capsys.readouterr().err)
+            with pytest.raises(SystemExit):
+                parser.parse_args(required + [flag, "abc"])
+            assert f"argument {flag}: invalid int value: 'abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [
         ["--epoch", "1"], ["--lambda", "0.01"], ["--labels", "{w}/labels.idx"],
@@ -518,13 +581,15 @@ class TestOneSpelling:
           "--out", "{w}/out"], NO_INTRA),
         (["train", "--images", "{w}/train.idx", "--resume", "{ck}", "--init-scale", "0.5",
           "--epochs", "2", "--out", "{w}/out"], "--init-scale does not apply to --resume"),
+        (["train", "--images", "{w}/train.idx", "--layout", "784", "--threads", "2",
+          "--out", "{w}/out"], "--threads does not apply: a fully-observed layout has no E-step"),
     ], ids=["generate-uniform-data", "eval-ll-uniform-data", "from-data-checkpoint",
             "from-data-r", "from-data-intra-sweeps", "generate-uniform-threshold",
             "from-data-seed", "from-data-init-uniform", "from-data-init-prior",
             "from-data-threads", "from-data-raw-threshold", "uniform-raw-threshold",
             "train-cd-threads", "train-pcd-threads", "generate-intra-sweeps",
             "reconstruct-intra-sweeps", "eval-ll-intra-sweeps", "train-intra-sweeps",
-            "resume-init-scale"])
+            "resume-init-scale", "train-fully-observed-threads"])
     def test_flag_the_mode_does_not_read_exits_2(self, workdir, cmd, message, capsys):
         # Each of these used to be ignored with exit 0, like --limit was.  A
         # flag with a default counts as given only when it is on the command line.
@@ -559,6 +624,49 @@ class TestOneSpelling:
                        ) == reconstruct_code
             assert (NO_INTRA in capsys.readouterr().err) == (reconstruct_code == 2)
             assert (out / "rec").exists() == (reconstruct_code == 0)
+
+    @pytest.mark.parametrize("flags, text, message", [
+        (["--layout", "784-6"], "intra_sweeps = 4\n",
+         "intra_sweeps does not apply: no layer that this command updates has intra-layer edges"),
+        (["--resume", "{run}/ckpt-epoch-00001.bin"], "init_scale = 0.5\n",
+         "init_scale does not apply to --resume: the checkpoint's weights are kept"),
+    ], ids=["intra-sweeps", "resume-init-scale"])
+    def test_config_file_key_that_the_run_does_not_read_exits_2(self, workdir, flags, text,
+                                                                 message, capsys):
+        # Both ran with exit 0; the resume wrote init_scale = 0.5 to its checkpoints.
+        run_dir = workdir / "run-cfg"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--epochs", "2", "--checkpoint-every", "1", "--out", run_dir]) == 0
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        capsys.readouterr()
+        cfg_file = workdir / "c.cfg"
+        cfg_file.write_text(text)
+        for out in (workdir / "out", run_dir):
+            assert run(["train", "--images", workdir / "train.idx", "--config", cfg_file,
+                        "--out", out] + [a.format(run=run_dir) for a in flags]) == 2
+            captured = capsys.readouterr()
+            assert f"{cfg_file}: {message}" in captured.err
+            assert captured.out == ""
+        assert not (workdir / "out").exists()
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_a_runs_own_config_file_is_read_back_on_resume_and_on_a_new_run(self, workdir):
+        # config.txt holds every key, intra_sweeps and init_scale too, at the
+        # values that the run used.
+        first = workdir / "own"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--epochs", "2", "--checkpoint-every", "1", "--seed", "4",
+                    "--out", first]) == 0
+        own = workdir / "own.cfg"
+        own.write_bytes((first / "config.txt").read_bytes())
+        resumed, again = workdir / "own-resumed", workdir / "own-again"
+        assert run(["train", "--images", workdir / "train.idx", "--config", own,
+                    "--resume", first / "ckpt-epoch-00001.bin", "--out", resumed]) == 0
+        assert run(["train", "--images", workdir / "train.idx", "--config", own,
+                    "--layout", "784-6", "--out", again]) == 0
+        final = (first / "ckpt-final.bin").read_bytes()
+        assert (resumed / "ckpt-final.bin").read_bytes() == final
+        assert (again / "ckpt-final.bin").read_bytes() == final
 
     def test_flags_that_the_mode_reads_stay_accepted(self, workdir, capsys):
         ck = workdir / "run-read" / "ckpt-final.bin"

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_machine, random_bits
 from exact_oracles import dense_weights
+from flowbm import checkpoint as ckpt_io
 from flowbm import optim
 from flowbm.model import BoltzmannMachine, LayerSpec, new_machine, validate
 from flowbm.mpf import Gradient, gradient_and_objective
@@ -24,6 +28,7 @@ from flowbm.optim import (
     parse_config_text,
     step,
 )
+from flowbm.training import init_state
 
 
 def scalar_machine(w=0.0, b=(0.0, 0.0)):
@@ -163,6 +168,45 @@ class TestTrainConfig:
     def test_integer_fields_stay_integers(self):
         cfg = parse_config_items({"minibatch": "12", "seed": "5"})
         assert isinstance(cfg.minibatch, int) and isinstance(cfg.seed, int)
+
+    @pytest.mark.parametrize("field, value", [
+        ("minibatch", 2.5), ("epochs", True), ("seed", 3.0), ("r", "5"), ("eta", True),
+        ("eta", "0.1"), ("init_scale", None), ("method", 1), ("k", np.True_),
+    ])
+    def test_a_field_of_another_type_is_rejected(self, field, value):
+        # minibatch=2.5, epochs=True and seed=3.0 saved checkpoints whose
+        # load failed with "must be int".
+        with pytest.raises(ValueError, match=f"{field} must be "):
+            TrainConfig(**{field: value})
+
+    def test_numbers_are_stored_as_the_declared_type(self):
+        cfg = TrainConfig(eta=1, clamp_z=np.float32(20.0), minibatch=np.int64(25),
+                          weight_decay=np.int8(0))
+        assert (cfg.eta, cfg.clamp_z, cfg.minibatch, cfg.weight_decay) == (1.0, 20.0, 25, 0.0)
+        for name, kind in optim.FIELD_TYPES.items():
+            assert type(getattr(cfg, name)) is kind, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_configs_of_ints_and_floats_round_trip_through_a_checkpoint(self, data):
+        # TrainConfig(eta=1) saved a checkpoint that load_checkpoint rejected:
+        # its header was not as serialize writes it.
+        def number(lo, hi, integer):
+            ints = st.integers(math.ceil(lo), math.floor(hi))
+            if integer:
+                return st.one_of(ints, ints.map(np.int64))
+            return st.one_of(ints, st.floats(lo, hi))
+
+        ranges = {"eta": (1e-9, 10), "beta1": (0, 0.999), "beta2": (0, 0.999),
+                  "adam_eps": (1e-12, 1), "weight_decay": (0, 1), "minibatch": (1, 500),
+                  "epochs": (0, 500), "seed": (0, 2**63 - 1), "r": (1, 20), "intra_sweeps": (0, 5),
+                  "init_scale": (1e-6, 1), "clamp_z": (1e-3, 50), "k": (1, 1)}
+        fields = {name: data.draw(number(lo, hi, optim.FIELD_TYPES[name] is int), label=name)
+                  for name, (lo, hi) in ranges.items()}
+        cfg = TrainConfig(**fields)
+        state = init_state(LayerSpec((4, 3), (True,)), cfg)
+        assert ckpt_io.deserialize(ckpt_io.serialize(state)).config == cfg
+        assert parse_config_text(cfg.to_text()) == cfg
 
     def test_unparsable_value_names_the_key(self):
         for key, value, kind in (("r", "2.5", "int"), ("eta", "fast", "float")):
