@@ -12,9 +12,10 @@ file is written to a temporary file renamed into place
 Every setting has one spelling.  Flags are matched whole (no prefixes).
 A flag given twice, a flag that the chosen mode would not read, or a
 --config key that changes such a setting exits 2.  `--threads` defaults to
-1 and no environment variable is read.  An integer flag's minimum is part
-of its parser type (`_at_least`), so a value below it exits 2 while the
-arguments are parsed, as a value that is no integer does.  Every
+1 and no environment variable is read.  An integer flag's minimum, and
+`--seed`'s maximum 2**64 - 1, are part of its parser type (`_at_least`), so
+a value out of range exits 2 while the arguments are parsed, as a value
+that is no integer does.  Every
 `TrainConfig` field has a string-valued flag of its own name only, which
 `optim.parse_config_items` parses and checks; `--intra` is one 0 or 1 per
 hidden layer, like the checkpoint's intra bytes.  The trainer (`method`: vpf,
@@ -55,7 +56,7 @@ from . import checkpoint as ckpt_io
 from . import metrics, sampling, stdp, training
 from .data import load_binary_dataset, load_idx
 from .model import LayerSpec, parse_number
-from .optim import TrainConfig, load_config, parse_config_items
+from .optim import MAX_SEED, TrainConfig, load_config, parse_config_items
 from .sampling import generate_batch, row_streams
 from .images import square_side, tile_images, write_csv, write_pgm
 
@@ -84,14 +85,17 @@ class _StoreOnce(argparse.Action):
         setattr(namespace, self.dest, True if self.nargs == 0 else values)
 
 
-def _at_least(minimum: int):
+def _at_least(minimum: int, maximum: int | None = None):
     """The parser type of an integer flag: `parse_number(text, int)`, which
-    must be at least `minimum`; argparse exits 2 naming the flag otherwise."""
+    must be at least `minimum` and, where given, at most `maximum`; argparse
+    exits 2 naming the flag otherwise."""
 
     def parse(text: str) -> int:
         value = parse_number(text, int)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse's "invalid int value" names the type by it
@@ -100,6 +104,10 @@ def _at_least(minimum: int):
 
 def _add_threads(p: argparse.ArgumentParser) -> None:
     p.add_argument("--threads", type=_at_least(1), default=1, help="worker threads")
+
+
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=_at_least(0, MAX_SEED), default=0)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, names: tuple[str, ...]) -> None:
@@ -470,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=_at_least(1), default=None,
                    help="--init prior: first N --data images")
     _add_config_flags(p, ("r", "intra_sweeps"))
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed(p)
     p.add_argument("--out", required=True)
     _add_threads(p)
     p.set_defaults(func=cmd_generate)
@@ -485,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_at_least(1), default=3)
     p.add_argument("--limit", type=_at_least(1), default=None, help="use only the first N images")
     _add_config_flags(p, ("intra_sweeps",))
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed(p)
     p.add_argument("--out", required=True)
     _add_threads(p)
     p.set_defaults(func=cmd_reconstruct)
@@ -507,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="--init prior: first N --data images")
     p.add_argument("--limit-test", type=_at_least(1), default=None)
     _add_config_flags(p, ("r", "intra_sweeps"))
-    p.add_argument("--seed", type=int, default=0)
+    _add_seed(p)
     _add_threads(p)
     p.set_defaults(func=cmd_eval_ll)
 

@@ -119,8 +119,16 @@ def reconstruct_batch(
     update sets each unknown pixel to its Bernoulli probability thresholded
     at 0.5, keeping a sampled bit only where the probability is exactly
     1/2; a shard where no visible field lies within 2**-30 of 0 can have
-    no such tie and draws nothing for that update (see
-    `sampling.reconstruct_rows`).
+    no such tie and draws nothing for that update.
+
+    The visible update evaluates only the pixels that some row fills in,
+    the columns where `known` is not all True: the 336 band pixels of a
+    mask that `corrupt` made, the union of the unknown pixels for per-row
+    masks (`sampling.reconstruct_rows` pads them to a multiple of 8 with
+    pixels that every row knows).  A batch with every pixel known comes
+    back unchanged, with no draw.  Each step draws its uniforms in one
+    refill per row, the same uniforms in the same order as an update of
+    every pixel reads.
     """
     if len(m.layout.sizes) < 2:
         raise ValueError("reconstruction needs a hidden layer")
@@ -130,7 +138,8 @@ def reconstruct_batch(
         raise ValueError("corrupted image / mask shape mismatch")
     if gibbs_steps < 1:
         raise ValueError(f"gibbs_steps must be at least 1, got {gibbs_steps}")
-    return map_shards(partial(reconstruct_rows, m, gibbs_steps, intra_sweeps), streams,
+    fill = np.flatnonzero(~known.all(axis=0))
+    return map_shards(partial(reconstruct_rows, m, fill, gibbs_steps, intra_sweeps), streams,
                       corrupted, known, threads=threads)
 
 

@@ -22,6 +22,10 @@ _CHUNK = 16_384
 
 _ACCEPTED = {int: numbers.Integral, float: numbers.Real, str: str}
 
+# Seeds are the integers 0 to this, each the one spelling of its streams
+# (`sampling.stream` reads a seed modulo 2**64).
+MAX_SEED = 2**64 - 1
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -63,6 +67,8 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         if self.minibatch < 1:
             raise ValueError(f"minibatch must be at least 1, got {self.minibatch}")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must lie in 0 to {MAX_SEED}, got {self.seed}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.r < 1:

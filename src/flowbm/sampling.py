@@ -24,7 +24,9 @@ The row contract: a batch sampler takes one stream per row, and
 them (on a thread pool when asked) and stacks the row blocks that come
 back, so results do not depend on the thread count.  `RowStreams.random`
 is the only batched draw, one block of uniforms per row: a layer update
-takes one block for its draw and one for each intra sweep.  The E-step
+takes one block for its draw and one for each intra sweep.  Reconstruction
+first `reserve`s each Gibbs step's uniforms, so a step's blocks come from
+one refill sized to what the step reads.  The E-step
 takes its observed rows as `data.bit_rows` and returns the (observed,
 hidden) pair rows as one uint8 matrix, a column per vertex in layer
 order.
@@ -49,7 +51,7 @@ from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
 from .data import bit_rows
-from .model import BoltzmannMachine
+from .model import BoltzmannMachine, LayerSpec
 
 # Rows per shard for every batch sampler (E-step, generation, corruption
 # and reconstruction).  `map_shards` alone sets shard boundaries, from the
@@ -61,7 +63,9 @@ _CHUNK = 512
 # refill draws what the request lacks, or twice the previous block if that
 # is more, up to this: a stream that draws once draws only what it uses,
 # one that draws often refills rarely, and a 512-row shard's block stays
-# near 4 MB.
+# near 4 MB.  A `reserve` draws exactly what a reconstruction step reads:
+# 1,176 uniforms on a non-final step of `784-196` intra `1`, 4.8 MB per
+# 512-row shard.
 _AHEAD = 1024
 
 # Held around the per-unit loop of `_async_sweep` and the per-row loop of
@@ -159,8 +163,9 @@ class RowStreams:
     is `random`'s one block of the same width from every row.  Each
     float64 uniform takes one PCG64 output, so a row's blocks, joined, are
     its stream's `random(total)`.  The uniforms come from a per-row block
-    drawn ahead, at most `_AHEAD` per row beyond what was asked for; a
-    refill is one `random` call per row.
+    drawn ahead, at most `_AHEAD` per row beyond what was asked for, or
+    exactly what `reserve` asked for; a refill is one `random` call per
+    row.
 
     A row's stream lives in one object at a time.  Slicing moves the rows
     to the new object, for `map_shards`' shards, so an object can be sliced
@@ -190,11 +195,7 @@ class RowStreams:
     def random(self, width: int) -> np.ndarray:
         """A new (len(self), width) matrix: the next `width` uniforms of
         every row."""
-        if self._handed_out.any():
-            raise ValueError("row streams that were sliced out cannot draw")
-        if self._gens is None:
-            self._gens = [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in self._words]
-        ahead = self._block.shape[1] - self._used
+        ahead = self._ahead()
         if width <= ahead:
             self._used += width
             return self._block[:, self._used - width : self._used].copy()
@@ -202,6 +203,27 @@ class RowStreams:
         self._refill(max(width - ahead, min(_AHEAD, 2 * self._block.shape[1])))
         self._used = width - ahead
         return np.concatenate([have, self._block[:, : self._used]], axis=1)
+
+    def reserve(self, width: int) -> None:
+        """Hold every row's next `width` uniforms in the block, drawing
+        what it lacks in one refill, so the next `random` calls of up to
+        `width` uniforms in all draw nothing more.  It changes no uniform."""
+        ahead = self._ahead()
+        if width > ahead:
+            have = self._block[:, self._used :]
+            self._refill(width - ahead)
+            if ahead:
+                self._block = np.concatenate([have, self._block], axis=1)
+            self._used = 0
+
+    def _ahead(self) -> int:
+        """The uniforms per row drawn and not yet served; builds the
+        generators at the first draw."""
+        if self._handed_out.any():
+            raise ValueError("row streams that were sliced out cannot draw")
+        if self._gens is None:
+            self._gens = [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in self._words]
+        return self._block.shape[1] - self._used
 
     def _refill(self, width: int) -> None:
         """Replace the block with every row's next `width` uniforms."""
@@ -242,6 +264,15 @@ def _async_sweep(
             h[:, j] = u[:, j] < p
 
 
+def _sweeps(m: BoltzmannMachine, layer: int, intra_sweeps: int) -> int:
+    """The intra sweeps an update of hidden `layer` runs: `intra_sweeps`
+    where the layer has intra-layer edges, else 0.  A negative count raises
+    `ValueError`."""
+    if intra_sweeps < 0:
+        raise ValueError(f"intra_sweeps must be non-negative, got {intra_sweeps}")
+    return intra_sweeps if (layer, layer) in m.layout.blocks else 0
+
+
 def _update_hidden(
     m: BoltzmannMachine,
     layer: int,
@@ -251,17 +282,14 @@ def _update_hidden(
 ) -> np.ndarray:
     """New bits for hidden `layer` from the layers below in `rows`.
 
-    The layer is drawn from its conditional, then refined by `intra_sweeps`
-    asynchronous sweeps when it has intra-layer edges; a negative count
-    raises `ValueError`.
+    The layer is drawn from its conditional, then refined by `_sweeps`
+    asynchronous sweeps, each a block of uniforms as wide as the layer.
     """
-    if intra_sweeps < 0:
-        raise ValueError(f"intra_sweeps must be non-negative, got {intra_sweeps}")
+    sweeps = _sweeps(m, layer, intra_sweeps)
     below = m.local_field(layer, rows[:layer])
     h = _draw(expit(below), streams)
-    if (layer, layer) in m.layout.blocks:
-        for _ in range(intra_sweeps):
-            _async_sweep(m, layer, h, below, streams)
+    for _ in range(sweeps):
+        _async_sweep(m, layer, h, below, streams)
     return h
 
 
@@ -341,16 +369,23 @@ def _generate_rows(
     Starting from a Bernoulli draw of the top layer from `top_probs`, each
     layer pair (i, i-1) is mixed with r alternating Gibbs rounds,
     asynchronously refreshing layer i when it has intra-layer edges; the
-    final state of layer i-1 seeds the next pair.
+    final state of layer i-1 seeds the next pair.  Nothing reads layer i
+    after the last round of a pair above the first, so that round's update
+    of layer i only takes its uniforms, block by block, to keep every later
+    draw in place.
     """
     top = len(m.layout.sizes) - 1
     rows: list[np.ndarray | None] = [None] * (top + 1)
     rows[top] = _draw(top_probs, streams)
     for i in range(top, 0, -1):
-        for _ in range(r):
+        for t in range(r):
             rows[i - 1] = None  # the draw reads no intra term from the old row
             rows[i - 1] = _draw(expit(m.local_field(i - 1, rows)), streams)
-            rows[i] = _update_hidden(m, i, rows, streams, intra_sweeps)
+            if i > 1 and t == r - 1:
+                for _ in range(1 + _sweeps(m, i, intra_sweeps)):
+                    streams.random(m.layout.sizes[i])
+            else:
+                rows[i] = _update_hidden(m, i, rows, streams, intra_sweeps)
     return expit(m.local_field(0, rows))
 
 
@@ -381,8 +416,28 @@ def generate_batch(
                       threads=threads)
 
 
+def _padded(fill: np.ndarray, width: int) -> np.ndarray:
+    """The sorted units `fill` of a layer of `width`, with the first other
+    units added up to a multiple of 8 where the layer has that many."""
+    taken = np.zeros(width, dtype=bool)
+    taken[fill] = True
+    taken[np.flatnonzero(~taken)[: -len(fill) % 8]] = True
+    return np.flatnonzero(taken)
+
+
+def _submachine(m: BoltzmannMachine, fill: np.ndarray) -> BoltzmannMachine:
+    """The machine of the visible units `fill` of `m` and its first hidden
+    layer, with their biases and the weights between them: its visible
+    `local_field` from a hidden row is the columns `fill` of `m`'s, to the
+    bit where `reconstruct_rows` says."""
+    hidden = m.layout.sizes[1]
+    return BoltzmannMachine(LayerSpec((len(fill), hidden), (False,)), m.block(0, 1)[fill].ravel(),
+                            np.concatenate([m.biases[fill], m.biases[m.layout.slices[1]]]))
+
+
 def reconstruct_rows(
     m: BoltzmannMachine,
+    fill: np.ndarray,
     gibbs_steps: int,
     intra_sweeps: int,
     streams: RowStreams,
@@ -392,23 +447,53 @@ def reconstruct_rows(
     """Clamped alternating Gibbs for a block of images (rows); the uint8
     reconstructions.  `metrics.reconstruct_batch` states the schedule.
 
+    `fill` indexes the visible units that some row fills in; every other
+    unit keeps its given value, and an empty `fill` returns `corrupted` and
+    draws nothing.  The visible update evaluates only `_padded(fill)`, with
+    the field of `_submachine`, whose product has only those columns.
+    OpenBLAS gives that product the bits of those columns of the whole
+    visible layer's product when it has a multiple of 8 columns, on its
+    SkylakeX kernels at every row count tried (1 to 600) and on its Haswell
+    kernels at row counts that are multiples of 8 (every full shard).
+    Elsewhere a field can differ in its last bits, which changes a bit of
+    output only where a uniform falls between the two probabilities or the
+    field's sign flips.
+
+    Each step first `reserve`s the uniforms it reads, in one refill: the
+    hidden layer's draw and its intra sweeps, then, on a non-final step,
+    the visible draw, one uniform per visible unit, of which the units in
+    `fill` read theirs.  So every row draws the same uniforms in the same
+    order as when the whole visible layer was evaluated.
+
     The final visible update thresholds the probability at 0.5 and keeps a
     sampled bit only at an exact tie, so a degenerate zero-weight machine
     yields fair coin flips.  When no field of the shard lies within
     `_TIE_FIELD` of 0 (a NaN field counts as one that does), no probability
     can tie and the sign of the field decides with no draw; the streams
     are dropped after this step, so the skipped draw changes no output.
+    Where it draws, the final update takes one more block of one uniform
+    per visible unit.
     """
-    v = given = corrupted.astype(np.float64)
+    n_visible, n_hidden = m.layout.sizes[:2]
+    hidden_width = n_hidden * (1 + _sweeps(m, 1, intra_sweeps))
+    if not len(fill):
+        return corrupted
+    fill = _padded(fill, n_visible)
+    visible = _submachine(m, fill)
+    given, clamped = corrupted[:, fill], known[:, fill]
+    v = corrupted.astype(np.float64)
     for t in range(gibbs_steps):
+        final = t == gibbs_steps - 1
+        streams.reserve(hidden_width if final else hidden_width + n_visible)
         h = _update_hidden(m, 1, [v], streams, intra_sweeps)
-        field = m.local_field(0, [v, h])
-        if t < gibbs_steps - 1:
-            v = np.where(known, given, _draw(expit(field), streams))
+        field = visible.local_field(0, [None, h])
+        if not final:
+            filled = streams.random(n_visible)[:, fill] < expit(field)
         elif np.abs(field).min() > _TIE_FIELD:  # False when a field is NaN
-            v = np.where(known, given, field > 0)
+            filled = field > 0
         else:
-            probs_v = expit(field)
-            thresholded = np.where(probs_v == 0.5, _draw(probs_v, streams), probs_v > 0.5)
-            v = np.where(known, given, thresholded)
+            probs = expit(field)
+            filled = np.where(probs == 0.5, streams.random(n_visible)[:, fill] < probs,
+                              probs > 0.5)
+        v[:, fill] = np.where(clamped, given, filled)
     return v.astype(np.uint8)

@@ -1,6 +1,10 @@
 import csv
 import gzip
+import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +59,23 @@ def flow_row(m: BoltzmannMachine, y, clamp: float = Z_CLAMP_DEFAULT):
     return alpha[0], z[0], delta[0]
 
 
+def pinned_json(module: str, call: str):
+    """`module.call` as JSON, run in a fresh interpreter on one
+    OpenBLAS thread with OpenBLAS's Haswell kernels, which every x86-64 CPU
+    with AVX2 runs.  OpenBLAS splits a product by its thread count and
+    computes it with the kernels it picks for the CPU (SkylakeX on AVX-512
+    CPUs), and both change the product's bits, so pins of library calls
+    that multiply matrices are taken here."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+               OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    script = f"import json, {module}; print(json.dumps({module}.{call}))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout)
+
+
 @pytest.fixture
 def drawn_widths(monkeypatch):
     """The width of every block that the samplers draw through
@@ -68,6 +89,21 @@ def drawn_widths(monkeypatch):
         return draw(streams, width)
 
     monkeypatch.setattr(sampling.RowStreams, "random", recording)
+    return widths
+
+
+@pytest.fixture
+def refill_widths(monkeypatch):
+    """The width of every refill of a `sampling.RowStreams` block, in call
+    order: the uniforms per row that each refill draws."""
+    widths = []
+    refill = sampling.RowStreams._refill
+
+    def recording(streams, width):
+        widths.append(width)
+        refill(streams, width)
+
+    monkeypatch.setattr(sampling.RowStreams, "_refill", recording)
     return widths
 
 

@@ -423,10 +423,10 @@ REQUIRED = {
 MINIMUMS = {
     None: {},
     "train": {"--limit": 1, "--checkpoint-every": 0, "--threads": 1},
-    "generate": {"--count": 1, "--limit": 1, "--seed": None, "--threads": 1},
-    "reconstruct": {"--gibbs-steps": 1, "--trials": 1, "--limit": 1, "--seed": None,
+    "generate": {"--count": 1, "--limit": 1, "--seed": 0, "--threads": 1},
+    "reconstruct": {"--gibbs-steps": 1, "--trials": 1, "--limit": 1, "--seed": 0,
                     "--threads": 1},
-    "eval-ll": {"--n-samples": 1, "--limit": 1, "--limit-test": 1, "--seed": None,
+    "eval-ll": {"--n-samples": 1, "--limit": 1, "--limit-test": 1, "--seed": 0,
                 "--threads": 1},
     "stdp-curve": {"--points": 2},
     "inspect": {},
@@ -480,6 +480,60 @@ class TestOneSpelling:
             with pytest.raises(SystemExit):
                 parser.parse_args(required + [flag, "abc"])
             assert f"argument {flag}: invalid int value: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd, seed", [
+        (["generate", "--checkpoint", "{ck}", "--count", "2", "--out", "{w}/out"], "-1"),
+        (["generate", "--checkpoint", "{ck}", "--count", "2", "--out", "{w}/out"],
+         str(2**64)),
+        (["reconstruct", "--checkpoint", "{ck}", "--images", "{w}/test.idx", "--limit", "2",
+          "--out", "{w}/out"], "-1"),
+        (["eval-ll", "--checkpoint", "{ck}", "--test-images", "{w}/test.idx", "--init", "uniform",
+          "--n-samples", "4"], str(2**64)),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--out", "{w}/out"], "-1"),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--out", "{w}/out"],
+         str(2**64)),
+        (["train", "--images", "{w}/train.idx", "--layout", "784-6", "--config", "{w}/s.cfg",
+          "--out", "{w}/out"], None),
+    ], ids=["generate-negative", "generate-2-64", "reconstruct-negative", "eval-ll-2-64",
+            "train-negative", "train-2-64", "train-config-negative"])
+    def test_a_seed_outside_0_to_2_64_minus_1_exits_2_before_writing(self, workdir, cmd, seed,
+                                                                     capsys):
+        # Seeds were taken modulo 2**64: generate --seed -1 and --seed
+        # 18446744073709551615 wrote byte-identical probabilities.csv, and
+        # train --seed -3 (or seed = -3 in a config file) exited 0.
+        ck = workdir / "run-seeded" / "ckpt-final.bin"
+        if "{ck}" in cmd:
+            assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                        "--epochs", "1", "--out", ck.parent]) == 0
+            capsys.readouterr()
+        (workdir / "s.cfg").write_text("seed = -3\n", encoding="utf-8")
+        argv = [a.format(w=workdir, ck=ck) for a in cmd] + ([] if seed is None else
+                                                            ["--seed", seed])
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        value = "-3" if seed is None else seed
+        if cmd[0] == "train":
+            assert f"seed must lie in 0 to {2**64 - 1}, got {value}" in captured.err
+        else:
+            bound = "at least 0" if value.startswith("-") else f"at most {2**64 - 1}"
+            assert f"argument --seed: must be {bound}, got {value}" in captured.err
+        assert "parzen_ll" not in captured.out
+        assert not (workdir / "out").exists()
+
+    def test_the_largest_seed_runs_and_differs_from_seed_0(self, workdir):
+        ck = workdir / "run-seeded" / "ckpt-final.bin"
+        assert run(["train", "--images", workdir / "train.idx", "--layout", "784-6",
+                    "--epochs", "1", "--seed", 2**64 - 1, "--out", ck.parent]) == 0
+        assert load_checkpoint(ck).config.seed == 2**64 - 1
+        for seed in (0, 2**64 - 1):
+            assert run(["generate", "--checkpoint", ck, "--count", "3", "--seed", seed,
+                        "--out", workdir / f"gen-{seed}"]) == 0
+        assert ((workdir / "gen-0" / "probabilities.csv").read_bytes()
+                != (workdir / f"gen-{2**64 - 1}" / "probabilities.csv").read_bytes())
 
     @pytest.mark.parametrize("flags", [
         ["--epoch", "1"], ["--lambda", "0.01"], ["--labels", "{w}/labels.idx"],

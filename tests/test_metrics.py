@@ -1,16 +1,17 @@
 import itertools
 import math
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
 from conftest import make_layered_machine, random_bits
 from flowbm.metrics import (
+    BANDS,
     PATTERNS,
     check_sigma,
     corrupt,
@@ -22,7 +23,8 @@ from flowbm.metrics import (
 )
 from conftest import zero_machine
 from flowbm.model import BoltzmannMachine, LayerSpec, new_machine
-from flowbm.sampling import _draw, _update_hidden, map_shards, row_streams, stream
+from flowbm.sampling import (_draw, _padded, _submachine, _update_hidden, map_shards,
+                             row_streams, stream)
 
 
 def reference_rows(m, gibbs_steps, intra_sweeps, streams, corrupted, known):
@@ -38,6 +40,19 @@ def reference_rows(m, gibbs_steps, intra_sweeps, streams, corrupted, known):
             sampled = np.where(probs_v == 0.5, sampled, probs_v > 0.5)
         v = np.where(known, given, sampled)
     return v.astype(np.uint8)
+
+
+@cache
+def paper_machine(sizes: tuple, intra: bool) -> BoltzmannMachine:
+    return make_layered_machine(sizes, (intra,), seed=sum(sizes) + intra, w_scale=0.05)
+
+
+def band_masks(rng, rows: int) -> np.ndarray:
+    """Per-row known-pixel masks, each row's band one of `BANDS`, drawn at random."""
+    bands = np.ones((len(BANDS), 28, 28), dtype=bool)
+    for k, band in enumerate(BANDS.values()):
+        bands[k][band] = False
+    return bands.reshape(len(BANDS), 784)[rng.integers(len(BANDS), size=rows)]
 
 
 # Visible biases at and around the 2**-30 field below which the final
@@ -333,6 +348,88 @@ class TestReconstruct:
         expected = map_shards(partial(reference_rows, m, 2, 1), streams(), images, known,
                               threads=threads)
         np.testing.assert_array_equal(out, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.one_of(st.integers(1, 8), st.integers(1, 600)),
+           sizes=st.sampled_from([(784, 12), (784, 196)]), intra=st.booleans(),
+           unknown=st.sampled_from([0.0, 0.001, 0.01, 0.2]), banded=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(rows=1, sizes=(784, 196), intra=False, unknown=0.0, banded=1.0, seed=0)
+    @example(rows=5, sizes=(784, 196), intra=True, unknown=0.001, banded=0.0, seed=1)
+    @example(rows=512, sizes=(784, 196), intra=True, unknown=0.001, banded=0.5, seed=2)
+    def test_submachine_field_is_those_columns_of_the_whole_field(self, rows, sizes, intra,
+                                                                  unknown, banded, seed):
+        # Reconstruction takes the visible field of the pixels it fills in
+        # from the sub-machine over them, for bands and per-row masks.  At a
+        # row count that is a multiple of 8 its bits are those of the whole
+        # field's columns on OpenBLAS's SkylakeX and Haswell kernels alike;
+        # elsewhere Haswell's can differ in the last bits, so every shape is
+        # held to twice the rounding bound of a K-term dot product.
+        m = paper_machine(sizes, intra)
+        rng = np.random.default_rng(seed)
+        known = rng.random((rows, 784)) >= unknown
+        known &= np.where(rng.random((rows, 1)) < banded, band_masks(rng, rows), True)
+        known[0, rng.integers(784)] = False
+        fill = _padded(np.flatnonzero(~known.all(axis=0)), 784)
+        h = random_bits(rng, (rows, sizes[1])).astype(np.float64)
+        part = _submachine(m, fill).local_field(0, [None, h])
+        whole = m.local_field(0, [None, h])[:, fill]
+        scale = np.abs(m.biases[fill]) + h @ np.abs(m.block(0, 1)[fill]).T
+        assert (np.abs(part - whole) <= 2 * (sizes[1] + 2) * 2.0**-53 * scale).all()
+        if rows % 8 == 0:
+            assert part.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("fill, width, padded", [
+        ([], 784, []), ([3], 784, range(8)), ([0, 9], 784, [0, 1, 2, 3, 4, 5, 6, 9]),
+        (range(8), 784, range(8)), ([9, 2, 8, 4, 1, 3, 5, 7, 6], 784, range(16)),
+        (range(9), 12, range(12)), ([9, 2, 8, 4, 1, 3, 5, 7, 6], 10, range(10)),
+    ])
+    def test_fill_is_padded_to_8_units_where_the_layer_has_them(self, fill, width, padded):
+        np.testing.assert_array_equal(_padded(np.array(fill, dtype=np.intp), width),
+                                      list(padded))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("pattern", PATTERNS + ("mixed",))
+    def test_each_band_matches_the_whole_field_schedule(self, pattern, threads):
+        # 600 rows make two shards; "mixed" gives each row a band at random,
+        # so the pixels filled in are the union of four bands.
+        m = self.small_machine(seed=6, intra=True)
+        rng = np.random.default_rng(9)
+        images = random_bits(rng, (600, 784), p=0.15)
+        if pattern == "mixed":
+            known = band_masks(rng, len(images))
+            corrupted = np.where(known, images, random_bits(rng, images.shape))
+        else:
+            corrupted, known = corrupt(images, pattern, row_streams(8, 0, count=len(images)))
+        streams = lambda: row_streams(10, 0, count=len(images))
+        out = reconstruct_batch(m, corrupted, known, 3, streams(), intra_sweeps=2,
+                                threads=threads)
+        expected = map_shards(partial(reference_rows, m, 3, 2), streams(), corrupted, known,
+                              threads=threads)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_an_all_known_batch_is_its_input_and_draws_nothing(self, refill_widths):
+        m = self.small_machine(seed=2, intra=True)
+        images = random_bits(np.random.default_rng(4), (600, 784))
+        streams = row_streams(1, 0, count=len(images))
+        out = reconstruct_batch(m, images, np.ones(images.shape, dtype=bool), 2, streams,
+                                threads=2)
+        np.testing.assert_array_equal(out, images)
+        assert refill_widths == []
+        with pytest.raises(ValueError, match="already sliced out"):
+            reconstruct_batch(m, images, np.ones(images.shape, dtype=bool), 2, streams)
+
+    @pytest.mark.parametrize("intra, refills", [(False, [196 + 784, 196]),
+                                                (True, [196 + 196 + 784, 196 + 196])])
+    def test_each_step_draws_its_uniforms_in_one_refill(self, refill_widths, intra, refills):
+        # A two-step 784-196 run drew 2,004 uniforms per row in 3 refills
+        # (2,396 with an intra sweep) for the 1,176 (1,568) that it reads.
+        m = paper_machine((784, 196), intra)
+        images = random_bits(np.random.default_rng(3), (5, 784))
+        corrupted, known = corrupt(images, "left", row_streams(3, 0, count=5))
+        refill_widths.clear()
+        reconstruct_batch(m, corrupted, known, 2, row_streams(4, 0, count=5))
+        assert refill_widths == refills
 
     def test_thread_count_does_not_change_batch(self):
         # 1100 rows make three shards, so threads=3 takes the pooled path.

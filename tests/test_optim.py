@@ -1,19 +1,14 @@
 import dataclasses
 import hashlib
-import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_machine, random_bits
+from conftest import make_machine, pinned_json, random_bits
 from exact_oracles import dense_weights
 from flowbm import checkpoint as ckpt_io
 from flowbm import optim
@@ -178,6 +173,19 @@ class TestTrainConfig:
         # load failed with "must be int".
         with pytest.raises(ValueError, match=f"{field} must be "):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [-1, -3, 2**64, 2**70])
+    def test_a_seed_outside_0_to_2_64_minus_1_is_rejected(self, seed):
+        # `stream` reads a seed modulo 2**64, so seed=-1 ran as 2**64 - 1.
+        with pytest.raises(ValueError, match=f"seed must lie in 0 to {2**64 - 1}, got {seed}"):
+            TrainConfig(seed=seed)
+        with pytest.raises(ValueError, match="seed must lie in"):
+            parse_config_items({"seed": str(seed)})
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_the_ends_of_the_seed_range_round_trip_through_a_checkpoint(self, seed):
+        state = init_state(LayerSpec((4, 3), (False,)), TrainConfig(seed=seed))
+        assert ckpt_io.deserialize(ckpt_io.serialize(state)).config.seed == seed
 
     def test_numbers_are_stored_as_the_declared_type(self):
         cfg = TrainConfig(eta=1, clamp_z=np.float32(20.0), minibatch=np.int64(25),
@@ -401,44 +409,35 @@ class TestAdamStep:
 
 
 # Recorded before the gradient's blocks and Adam's update were computed in
-# place: vectors of several chunks with a ragged tail (784-60 has 47,040
-# edges), and an intra layout.
+# place, and taken again by `pinned_json`: vectors of several chunks with a
+# ragged tail (784-60 has 47,040 edges), and an intra layout.
 MSTEP_PINS = {
     ("784-60", ""): {
-        "d_weights": "3a5b0fc058cda199c1904d4520e06a71b1d799dc492f7761f6bf9ee0360e2e2b",
-        "d_biases": "48ed4b53b01962a38e9f7a16d7c68117208f6af5264a7cfd8fee4c11c00c3427",
+        "d_weights": "d5494648a6e4c658e74b71b1d15767694a401839e2f4bb9624a13ce001712088",
+        "d_biases": "29c7729d4325ed967db3043f586afe274737d28ec38c9b6e0ea50e22e3018034",
         "objective": "849.4318712143246",
-        "weights": "972690abe15e341587b67dd2bf92a276f371d60cf5c0aa1d85b978894dd1ed23",
-        "biases": "9a9948089792577693902db4e9006f7a2074af365d56b1144e42f9cad097b6a8",
-        "m1_w": "0e0f491867c639a65b547d7c747db84082251e8f73b96e3468e5462fee2f92a3",
-        "m2_w": "c9552530ee785645c27dd9cdb85a743443335a089069cbe5c76067f8df0337fe",
-        "m1_b": "7c8743535a263c93c9576f79785f17af92efa08c05af76812d1c849491901ecc",
-        "m2_b": "d0ed21a38f3d78d4707f5bce5a3b951986b776faf59b7c2123abfe837b8b0258",
+        "weights": "0be15130bd55daa7bae8ac3b4d939ae7e6a85f1fa21860438495cfd4edd1c40a",
+        "biases": "d35c1908dd38d35c05acc2ac11402e6955fbd877e1583d42b011dfa1eaca76b6",
+        "m1_w": "134042ddbfa64d6302d581a42f09cf0cb2ab3136c5ca4cc4181ae24da44c3b80",
+        "m2_w": "8a103e2fcdd59394bcb122280ee995cf38572849f8148d2525b954f27b3e0e8b",
+        "m1_b": "97608f2740716932b15acbfa9918bc2c356635b3b7a33c3807c0170ee4026451",
+        "m2_b": "03d74f1ce92211589fa70ca3e8129d683e403f601220e8dddda48dc3075685dc",
     },
     ("200-60-40", "1,1"): {
-        "d_weights": "65b60494a0253eb04bfc345854ad7106baab505c24382796170570dbf22368e7",
-        "d_biases": "df12e86ff5750d0eadd3e6deb0dde6d68033b2e1b9ad77e902de8485651476a4",
+        "d_weights": "ab06cf6f1db39ea7b096fee227d35bb30445a9578e5e79831eeea40c2db0fc40",
+        "d_biases": "8646823835e62739bd38c2982d366e738cbecf62bd25bf99bda828dd132d3a18",
         "objective": "301.7108943300863",
-        "weights": "59aba8dfe48d5b91477febfeba9a422d7f28c78ee9ca5f29091767f67749d5bd",
-        "biases": "f8cbe3f3b7f5ba163b780cb5e59b223aecf35549898774bad8dbaac0c79e3ad2",
-        "m1_w": "d058f7318b29a06a08ca32a5b2d134a3986bd080267859d2dc2092ec8c3015a4",
-        "m2_w": "40c433aae6c4321f8144468d3ee9b741210bf33014664c7dda22d91ca95f9888",
-        "m1_b": "2ebbfc80cff07c166170744df41f59cd82a1768d6ad40614c5ac56c06e3cacab",
-        "m2_b": "a521a290a90c8dbf76b9a4d025a84614f1853d57f37715b3fdd04ca98f76a77b",
+        "weights": "9351f153f43fb45d3bfb2d0be08f9f080219f9f0dc8da66924a1ae5e3f36944f",
+        "biases": "81db8d2f4db615b3f4ec0cee0e069aa74c5d49102f52f550dbeeba1e18291468",
+        "m1_w": "1414c38c81eeefb16a9b764994258d491b5f72eaa2fd1a99e3d3101fbc79d9de",
+        "m2_w": "a2bf114b5cd6b8c8802488ddca624bcc2c22c42c1bd8a423541ed5c7820e970f",
+        "m1_b": "a7a9cd1c1c45ba21a86708b2c3420560d91b4cd878931d62f7cd72ba28ee846a",
+        "m2_b": "66e0278da41616532b03860e0db1bdd5ca12a3638d2cc4e7a3d7da347ef02d99",
     },
 }
 
 
 @pytest.mark.parametrize("layout, intra", list(MSTEP_PINS))
 def test_pinned_gradient_and_steps_across_chunks(layout, intra):
-    # OpenBLAS splits these products by its thread count, and the split
-    # changes their bits, so the digests are taken at one BLAS thread in a
-    # fresh interpreter.
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    script = ("import json; from test_optim import mstep_digests; "
-              f"print(json.dumps(mstep_digests({layout!r}, {intra!r})))")
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
-    assert json.loads(done.stdout) == MSTEP_PINS[layout, intra]
+    assert (pinned_json("test_optim", f"mstep_digests({layout!r}, {intra!r})")
+            == MSTEP_PINS[layout, intra])

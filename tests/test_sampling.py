@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from flowbm.sampling import (
     _update_hidden,
     e_step_batch,
     generate_batch,
+    map_shards,
     row_streams,
     stream,
 )
@@ -48,6 +50,20 @@ def conditional(m, layer, states, zero_above):
 def sweep_input(m, layer, below, count):
     """Bottom-up input to `layer` for `count` copies of the state `below`."""
     return m.local_field(layer, [np.tile(np.asarray(below, dtype=np.float64), (count, 1))])
+
+
+def reference_generate(m, r, intra_sweeps, top_probs, streams):
+    """`sampling._generate_rows` as it was before it skipped the updates
+    that no output reads: every round updates both layers of its pair."""
+    top = len(m.layout.sizes) - 1
+    rows = [None] * (top + 1)
+    rows[top] = _draw(top_probs, streams)
+    for i in range(top, 0, -1):
+        for _ in range(r):
+            rows[i - 1] = None
+            rows[i - 1] = _draw(expit(m.local_field(i - 1, rows)), streams)
+            rows[i] = _update_hidden(m, i, rows, streams, intra_sweeps)
+    return expit(m.local_field(0, rows))
 
 
 class TestRngStream:
@@ -129,6 +145,26 @@ class TestRngStream:
         joined = np.concatenate([streams.random(w) for w in widths], axis=1)
         for i in range(4):
             np.testing.assert_array_equal(joined[i], stream(7, 2, 3, i).random(sum(widths)))
+
+    def test_a_reserve_draws_what_the_block_lacks_in_one_refill(self, refill_widths):
+        # The draws after a reserve come from its block until it runs out;
+        # then `random` refills as before, from twice the block's width.
+        streams = row_streams(7, 2, 3, count=4)
+        parts = [streams.random(5)]
+        streams.reserve(300)
+        parts += [streams.random(100), streams.random(200)]
+        streams.reserve(0)
+        parts.append(streams.random(7))
+        streams.reserve(650)
+        parts += [streams.random(600), streams.random(50)]
+        assert refill_widths == [5, 300, 600, 57]
+        joined = np.concatenate(parts, axis=1)
+        for i in range(4):
+            np.testing.assert_array_equal(joined[i], stream(7, 2, 3, i).random(joined.shape[1]))
+        sliced = row_streams(1, 0, count=2)
+        sliced[:1]
+        with pytest.raises(ValueError, match="sliced out cannot draw"):
+            sliced.reserve(3)
 
     def test_per_row_generators_stay_small(self):
         # Each row holds its own Generator from the first draw on: about
@@ -392,6 +428,21 @@ class TestGenerate:
         m = make_layered_machine((4, 3, 2), (True, False), seed=11)
         generate_batch(m, np.full(2, 0.5), r, row_streams(8, 0, count=1), intra_sweeps=sweeps)
         assert drawn_widths == [2] + [3, 2] * r + [4, 3, 3, 3] * r
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("r", [1, 3])
+    @pytest.mark.parametrize("sizes, intra", [((6, 5, 4, 3), (True, False, True)),
+                                              ((20, 8, 5), (True, True))])
+    def test_skipped_updates_change_no_output(self, sizes, intra, r, threads):
+        # The last round of each pair above the first takes its update's
+        # uniforms without computing it; 700 rows make two shards.
+        m = make_layered_machine(sizes, intra, seed=5)
+        top = np.linspace(0.1, 0.9, sizes[-1])
+        streams = lambda: row_streams(6, 0, count=700)
+        out = generate_batch(m, top, r, streams(), intra_sweeps=2, threads=threads)
+        expected = map_shards(partial(reference_generate, m, r, 2, top), streams(),
+                              threads=threads)
+        np.testing.assert_array_equal(out, expected)
 
     def test_fixed_seed_bit_identical_batch(self):
         m = make_layered_machine((6, 4, 3), (True, True), seed=3)

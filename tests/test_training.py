@@ -1,16 +1,11 @@
 import csv
 import dataclasses
 import hashlib
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import zero_machine
+from conftest import pinned_json, zero_machine
 from exact_oracles import (
     all_state_energies,
     dense_weights,
@@ -73,6 +68,19 @@ def bars_data(count: int, seed: int) -> np.ndarray:
         flip = rng.random(12) < 0.05
         rows.append(np.where(flip, 1 - v, v).astype(np.uint8))
     return np.array(rows)
+
+
+def intra_run_digests() -> list[str]:
+    """[SHA-256 of the dense weights, of the biases, the last objective as
+    float.hex()] after 3 epochs of a 12-6-5 intra run at 2 threads."""
+    rng = np.random.default_rng(2024)
+    data = (rng.random((90, 12)) < 0.3).astype(np.uint8)
+    state = init_state(LayerSpec((12, 6, 5), (True, True)),
+                       TrainConfig(epochs=3, minibatch=10, seed=5, eta=0.01))
+    logs = train_vpf(data, state, threads=2)
+    m = state.machine()
+    sha = lambda a: hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+    return [sha(dense_weights(m)), sha(m.biases), logs[-1].objective_value.hex()]
 
 
 class TestTrainVpf:
@@ -241,24 +249,13 @@ class TestTrainVpf:
 
     def test_pinned_dense_weights_of_small_intra_run(self):
         # SHA-256 of the dense (n, n) weights and of the biases after a fixed
-        # intra-layer run, recorded when the machine still kept a dense
-        # matrix: the block store must reproduce that run bit for bit.
-        rng = np.random.default_rng(2024)
-        data = (rng.random((90, 12)) < 0.3).astype(np.uint8)
-        layout = LayerSpec((12, 6, 5), (True, True))
-        cfg = TrainConfig(epochs=3, minibatch=10, seed=5, eta=0.01)
-        state = init_state(layout, cfg)
-        logs = train_vpf(data, state, threads=2)
-        m = state.machine()
-
-        def sha(a):
-            return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
-
-        assert sha(dense_weights(m)) == (
-            "4d360968823ef142633d37375f879d42c9d8d5075381220b2cc94ab40b969a06")
-        assert sha(m.biases) == (
-            "f294219ebb74ad2c4c07138312cc5525b3d3761e73da96a3cb701c3d11426c59")
-        assert logs[-1].objective_value == 22.14840483405332
+        # intra-layer run, and its last objective as float.hex(), first
+        # recorded when the machine still kept a dense matrix: the block
+        # store must reproduce that run bit for bit.
+        assert pinned_json("test_training", "intra_run_digests()") == [
+            "7afe9bc518f7b380ec208a93b47737079da0f571509c83ce8b7ac35fc5c35df6",
+            "f294219ebb74ad2c4c07138312cc5525b3d3761e73da96a3cb701c3d11426c59",
+            (22.14840483405332).hex()]
 
     def test_divergence_stops_before_the_epoch_callback(self):
         data = bars_data(40, seed=1)
@@ -342,8 +339,8 @@ class TestTrainCd:
 
 
 # (sizes, method, k, data rows): SHA-256 of the checkpoint after 2 epochs,
-# and each epoch's logged objective as float.hex().  81 rows in minibatches
-# of 40 leave a 1-row last minibatch.
+# and each epoch's logged objective as float.hex(), taken by `pinned_json`.
+# 81 rows in minibatches of 40 leave a 1-row last minibatch.
 CD_PINS = {
     ((12, 4), "cd", 1, 90): [
         "c5c06df88724b6323e67f62eea1b9e81db3f8f661654711a9ea9fbe48829dac3",
@@ -355,16 +352,16 @@ CD_PINS = {
         "a5c5d3a2cc66ab1b0b3360561937ce8d540d3f45b358aafca822cd91d080bac5",
         ["0x1.0a098c3d24df0p+3", "0x1.0a6329b2caa67p+3"]],
     ((784, 20), "cd", 1, 100): [
-        "34f00a526e0ddd4f00b649eb880282dc9d8020094016809d6a9bfd254cc84b4d",
+        "c2e88080fa2a83cc7fa2c54f50393b74a78f4ea77d3e6a6f58d117855e58a190",
         ["0x1.0c4888d45e133p+9", "0x1.09503e935d8fbp+9"]],
     ((784, 20), "cd", 3, 100): [
-        "0a12d166c724172681c9f88fc6562db3b2a576991615f05b10f85c98322a975f",
+        "08d257808ed7a9f9c3bf4b21a26d32b22f12110bf2dd9bff29234275fa98e0f8",
         ["0x1.0c494af7686f7p+9", "0x1.0946df4bea72cp+9"]],
     ((784, 20), "pcd", 2, 100): [
-        "b956e9285b3f10269db8f6c780573efd5b3f971e1da9b6a0f696c50b3823f4f8",
+        "5011b385355afdd935f5ad4fb656f8df13de24ee7c323cfc1a195f7493b9acc8",
         ["0x1.0ab41645679c8p+9", "0x1.0b17e179060c0p+9"]],
     ((784, 196), "cd", 1, 81): [
-        "2a51633afabc78e86469d0be74531e287d8276b5f204d03aebff983d51d6c961",
+        "7dc9c564bd00e5ca5e6477c21c5302a20d57f352eae0aafc410b110662337b91",
         ["0x1.f89ea50aa93dcp+8", "0x1.fe38f7484c4c0p+8"]],
 }
 
@@ -386,18 +383,9 @@ def cd_digests() -> list:
 
 
 def test_pinned_bytes_of_cd_and_pcd_runs():
-    # OpenBLAS splits the 784-196 products by its thread count, and the split
-    # changes their bits, so the digests are taken at one BLAS thread in a
-    # fresh interpreter.
-    tests = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
-    script = "import json; from test_training import cd_digests; print(json.dumps(cd_digests()))"
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
     expected = [[[list(sizes), method, k, count], *pin]
                 for (sizes, method, k, count), pin in CD_PINS.items()]
-    assert json.loads(done.stdout) == expected
+    assert pinned_json("test_training", "cd_digests()") == expected
 
 
 @pytest.fixture(scope="module")
